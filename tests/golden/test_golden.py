@@ -1,0 +1,86 @@
+"""Pinned results: small runs and the exported parameter space must match the
+values stored next to this file exactly.
+
+Each fingerprint is one run at d=5 with 2 000 FEs on a fixed instance and
+seed: the best fitness as ``float.hex``, the FEs used, the FEs per module and
+a sha256 over the trace taken every 100 FEs.  A change that alters any of
+them changes what a configured run computes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hybridopt import default_config, export_parameter_space, make_instance, run, validate
+
+HERE = Path(__file__).parent
+FUNCTION = "shifted_rotated_rastrigin"
+DIM = 5
+INSTANCE_SEED = 1
+SEED = 7
+MAX_EVALS = 2000
+TRACE_EVERY = 100
+
+CONFIGS = {
+    "de-rand1bin": {"exec.order": "de", "pop.size": "20",
+                    "de.base_vector": "random", "de.recombination": "binomial"},
+    "de-exp-eigen": {"exec.order": "de", "pop.size": "20",
+                     "de.recombination": "exponential",
+                     "de.vector_basis": "eigenvector"},
+    "de-incremental": {"exec.order": "de", "pop.mode": "incremental",
+                       "pop.min": "8", "pop.max": "30", "pop.interval": "5"},
+    "pso-ring": {"exec.order": "pso", "pop.size": "20", "pso.topology": "ring"},
+    "pso-fully-informed": {"exec.order": "pso", "pop.size": "20",
+                           "pso.moi": "fully_informed"},
+    "pso-vonneumann-spherical": {"exec.order": "pso", "pop.size": "20",
+                                 "pso.topology": "von_neumann",
+                                 "pso.dnpp": "spherical"},
+    "de-pso": {"exec.order": "de,pso", "pop.size": "20"},
+    "prob-levy": {"exec.mode": "probabilistic", "exec.order": "pso,de",
+                  "pop.size": "20", "exec.pr": "0.5", "exec.gate_dist": "levy",
+                  "exec.par_std": "1.0"},
+    "phases-pso-de-cmaes": {"exec.mode": "multiple_phases",
+                            "exec.order": "pso,de,cmaes", "pop.size": "20",
+                            "exec.phases": "0.3,0.3,0.4"},
+    "cmaes-full": {"exec.order": "cmaes", "cmaes.matrix_mode": "full"},
+    "cmaes-full-then-diagonal": {"exec.order": "cmaes",
+                                 "cmaes.matrix_mode": "full_then_diagonal"},
+    "de-mtsls": {"exec.order": "de", "pop.size": "20", "ls.algo": "mtsls"},
+    "pso-nested-cmaes": {"exec.order": "pso", "pop.size": "20", "ls.algo": "cmaes"},
+    "pso-reinit-change": {"exec.order": "pso", "pop.size": "20",
+                          "exec.reinit": "change"},
+    "de-reinit-similarity": {"exec.order": "de", "pop.size": "6",
+                             "de.base_vector": "best",
+                             "exec.reinit": "similarity"},
+}
+
+
+def fingerprint(name: str) -> dict:
+    cfg = validate(default_config(CONFIGS[name]))
+    assert hasattr(cfg, "execution"), cfg.describe()
+    obj = make_instance(FUNCTION, DIM, instance_seed=INSTANCE_SEED)
+    result = run(cfg, obj, SEED, max_evals=MAX_EVALS, trace_every=TRACE_EVERY)
+    trace = "\n".join(f"{fe} {f.hex()}" for fe, f in result.trace)
+    return {
+        "best_fitness": result.best_fitness.hex(),
+        "evals_used": result.evals_used,
+        "module_evals": dict(sorted(result.module_evals.items())),
+        "trace_sha256": hashlib.sha256(trace.encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_fingerprint(name):
+    expected = json.loads((HERE / "fingerprints.json").read_text())[name]
+    assert fingerprint(name) == expected
+
+
+def test_exported_space():
+    # recorded after pso.mtx, a single-valued parameter no algorithm read,
+    # left the space; the filter keeps the recording checkable on either side
+    lines = [line for line in export_parameter_space("racing_tool").splitlines()
+             if not line.startswith("pso.mtx ")]
+    expected = (HERE / "space_racing_tool.txt").read_text().splitlines()
+    assert lines == expected

@@ -8,12 +8,12 @@ from .cmaes import CmaParams, CmaRunner, CmaState
 from .config import (ParameterSpec, ValidationReport, default_config,
                      export_parameter_space, parse_parameter_file, validate)
 from .core import (Bounds, BudgetExhausted, EvalBudget, Individual, Population,
-                   RunResult, best_index, cap_reported_value, evaluate,
+                   RunResult, cap_reported_value, evaluate,
                    repair_to_bounds, rng_stream)
 from .de import DeParams
 from .executor import (AlgorithmConfig, ExecutionConfig, dispatch_update, run,
                        update_execution_parameters)
-from .localsearch import LsParams, LsScheduler, cmaes_ls_run, mtsls_run, schedule_ls
+from .localsearch import LsParams, LsScheduler, mtsls_run, schedule_ls
 from .pso import PsoParams, TopologyState
 from .reporting import AggregateStats, RunRecord, aggregate, run_batch
 
@@ -23,8 +23,8 @@ __all__ = [
     "ExecutionConfig", "Individual", "LsParams", "LsScheduler",
     "ObjectiveInstance", "ParameterSpec", "Population", "PsoParams",
     "RunRecord", "RunResult", "TopologyState", "TransformData",
-    "ValidationReport", "aggregate", "apply_transforms", "best_index",
-    "cap_reported_value", "cmaes_ls_run", "default_config", "dispatch_update",
+    "ValidationReport", "aggregate", "apply_transforms",
+    "cap_reported_value", "default_config", "dispatch_update",
     "eval_base", "eval_hybrid", "evaluate", "export_parameter_space",
     "load_rotation_file", "load_shift_file", "make_instance", "mtsls_run",
     "parse_parameter_file", "repair_to_bounds", "rng_stream", "run",

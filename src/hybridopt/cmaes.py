@@ -340,6 +340,3 @@ class CmaRunner:
         if self.params.restart and check_restart(st, self.params):
             on_restart(st, self.params, self.bounds, rng,
                        fes_used=fes_used + st.lam)
-
-    def force_restart(self, rng: np.random.Generator, fes_used: int = 0) -> None:
-        on_restart(self.state, self.params, self.bounds, rng, fes_used=fes_used)

@@ -8,6 +8,7 @@ cheaply and print cleanly in the exported space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cmaes import CmaParams
@@ -39,6 +40,7 @@ class ParameterSpec:
     default: str | None = None
     lo_open: bool = False
     hi_open: bool = False
+    field: str | None = None       # typed-config field, when not the last key segment
 
     def domain_str(self) -> str:
         if self.kind in ("integer", "real"):
@@ -81,17 +83,19 @@ def condition_active(spec: ParameterSpec, values: dict[str, str]) -> bool:
                for group in spec.condition)
 
 
-def _cat(name, values, default, cond=()):
-    return ParameterSpec(name, "categorical", tuple(values), cond, default)
+def _cat(name, values, default, cond=(), field=None):
+    return ParameterSpec(name, "categorical", tuple(values), cond, default,
+                         field=field)
 
 
-def _real(name, lo, hi, default, cond=(), lo_open=False, hi_open=False):
+def _real(name, lo, hi, default, cond=(), lo_open=False, hi_open=False,
+          field=None):
     return ParameterSpec(name, "real", (lo, hi), cond, default,
-                         lo_open=lo_open, hi_open=hi_open)
+                         lo_open=lo_open, hi_open=hi_open, field=field)
 
 
-def _int(name, lo, hi, default, cond=()):
-    return ParameterSpec(name, "integer", (lo, hi), cond, default)
+def _int(name, lo, hi, default, cond=(), field=None):
+    return ParameterSpec(name, "integer", (lo, hi), cond, default, field=field)
 
 
 def _bool(name, default, cond=()):
@@ -114,7 +118,7 @@ def _with(base, *extra):
 PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("exec.mode", ("component_based", "probabilistic", "multiple_phases"),
          "component_based"),
-    ParameterSpec("exec.order", "string", (), (), "pso"),
+    ParameterSpec("exec.order", "string", (), (), "pso", field="module_order"),
     _real("exec.pr", 0.0, 1.0, None,
           ((("exec.mode", "==", ("probabilistic",)),),)),
     _cat("exec.gate_dist", ("uniform", "normal", "levy"), None,
@@ -122,16 +126,19 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _real("exec.par_std", 0.0, 10.0, None,
           ((("exec.gate_dist", "in", ("normal", "levy")),),), lo_open=True),
     ParameterSpec("exec.phases", "string", (),
-                  ((("exec.mode", "==", ("multiple_phases",)),),), None),
+                  ((("exec.mode", "==", ("multiple_phases",)),),), None,
+                  field="phase_fractions"),
     _cat("exec.reinit", ("none", "change", "similarity"), "none"),
 
     _int("pop.size", 4, 10000, "40", _HAS_SWARM),
     _cat("pop.mode", ("constant", "incremental", "time_varying"), "constant",
          _HAS_SWARM),
     _int("pop.min", 4, 10000, None,
-         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))),
+         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
+         field="min_size"),
     _int("pop.max", 4, 10000, None,
-         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))),
+         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
+         field="max_size"),
     _int("pop.interval", 1, 10000, None,
          _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))),
 
@@ -169,7 +176,6 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
                      "ranked_fully_informed"), "best_of_neighborhood", _HAS_PSO),
     _cat("pso.dnpp", ("rectangular", "spherical", "standard", "gaussian"),
          "rectangular", _HAS_PSO),
-    _cat("pso.mtx", ("random_diagonal",), "random_diagonal", _HAS_PSO),
     _cat("pso.pert_info", ("none", "gaussian", "levy", "uniform"), "none",
          _HAS_PSO),
     _cat("pso.pert_rand", ("none", "rectangular", "noisy"), "none", _HAS_PSO),
@@ -206,7 +212,8 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("cmaes.pop_mode", ("constant", "incremental"), "incremental",
          _HAS_CMAES),
     _real("cmaes.d", 1.0, 4.0, "2.0",
-          _with(_HAS_CMAES, (("cmaes.pop_mode", "==", ("incremental",)),))),
+          _with(_HAS_CMAES, (("cmaes.pop_mode", "==", ("incremental",)),)),
+          field="d_inc"),
     _bool("cmaes.restart", "true", _HAS_CMAES),
     _real("cmaes.e", -20.0, -6.0, "-12.0",
           _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
@@ -217,7 +224,7 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("cmaes.matrix_mode", ("full", "diagonal", "full_then_diagonal"),
          "full", _HAS_CMAES),
     _cat("cmaes.weights", ("logarithmic", "linear_decreasing", "equal"),
-         "logarithmic", _HAS_CMAES),
+         "logarithmic", _HAS_CMAES, field="weight_scheme"),
 
     _cat("ls.algo", ("none", "mtsls", "cmaes"), "none"),
     _real("ls.budget", 0.0, 1.0, "0.25", _LS_ON, lo_open=True),
@@ -231,7 +238,8 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("ls.cmaes.pop_mode", ("constant", "incremental"), "constant",
          _LS_CMAES),
     _real("ls.cmaes.d", 1.0, 4.0, "2.0",
-          _with(_LS_CMAES, (("ls.cmaes.pop_mode", "==", ("incremental",)),))),
+          _with(_LS_CMAES, (("ls.cmaes.pop_mode", "==", ("incremental",)),)),
+          field="d_inc"),
     _bool("ls.cmaes.restart", "true", _LS_CMAES),
     _real("ls.cmaes.e", -20.0, -6.0, "-12.0", _LS_CMAES),
     _real("ls.cmaes.f", -20.0, -6.0, "-12.0", _LS_CMAES),
@@ -239,7 +247,7 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("ls.cmaes.matrix_mode", ("full", "diagonal", "full_then_diagonal"),
          "full", _LS_CMAES),
     _cat("ls.cmaes.weights", ("logarithmic", "linear_decreasing", "equal"),
-         "logarithmic", _LS_CMAES),
+         "logarithmic", _LS_CMAES, field="weight_scheme"),
 )
 
 _SPEC_BY_NAME = {s.name: s for s in PARAMETER_SPACE}
@@ -319,7 +327,7 @@ def _parse_value(spec: ParameterSpec, text: str):
     else:
         return text
     lo, hi = spec.domain
-    if value < lo or value > hi:
+    if not (math.isfinite(value) and lo <= value <= hi):
         raise ValueError
     if spec.lo_open and value == lo:
         raise ValueError
@@ -336,7 +344,9 @@ def validate(raw: dict[str, str]):
     """Check ranges, dependencies and mode availability.
 
     Returns a typed AlgorithmConfig on success, otherwise a ValidationReport
-    listing every missing, conflicting and out-of-range entry.
+    listing every missing, conflicting and out-of-range entry.  Each typed
+    dataclass is built from the values of one key section (the key up to its
+    last dot), under the field name the spec gives.
     """
     report = ValidationReport()
     for key in raw:
@@ -389,7 +399,8 @@ def validate(raw: dict[str, str]):
                               str(typed["exec.phases"]).split(","))
         except ValueError:
             fractions = ()
-        if len(fractions) != len(order) or any(f <= 0 or f > 1 for f in fractions) \
+        if len(fractions) != len(order) \
+                or not all(math.isfinite(f) and 0 < f <= 1 for f in fractions) \
                 or abs(sum(fractions) - 1.0) > 1e-9:
             report.conflicting.append(
                 ("exec.phases", "exec.order",
@@ -417,85 +428,37 @@ def validate(raw: dict[str, str]):
                 report.conflicting.append(
                     ("pso.moi", "pso.dnpp",
                      "informed models of influence require the rectangular DNPP"))
+            # only the random mode draws from [min, max]; the linear modes
+            # run with an inverted range
+            if typed.get("pso.omega1_mode") == "random" \
+                    and typed.get("pso.omega1_min", 0.0) > typed.get("pso.omega1_max", 1.0):
+                report.conflicting.append(
+                    ("pso.omega1_min", "pso.omega1_max",
+                     "random inertia needs pso.omega1_min <= pso.omega1_max"))
 
     if not report.ok():
         return report
 
-    execution = ExecutionConfig(
-        mode=mode, module_order=order,
-        pr=typed.get("exec.pr", 0.5),
-        gate_dist=typed.get("exec.gate_dist", "uniform"),
-        par_std=typed.get("exec.par_std", 1.0),
-        phase_fractions=fractions,
-        reinit=typed.get("exec.reinit", "none"))
-    population = PopulationSettings(
-        size=typed.get("pop.size", 40),
-        mode=typed.get("pop.mode", "constant"),
-        min_size=typed.get("pop.min", typed.get("pop.size", 40)),
-        max_size=typed.get("pop.max", typed.get("pop.size", 40)),
-        interval=typed.get("pop.interval", 10))
+    sections: dict[str, dict[str, object]] = {}
+    for spec in PARAMETER_SPACE:
+        if spec.name in typed:
+            section, key = spec.name.rsplit(".", 1)
+            sections.setdefault(section, {})[spec.field or key] = typed[spec.name]
+    sections["exec"].update(module_order=order, phase_fractions=fractions)
+    pop = sections["pop"]
+    pop.setdefault("min_size", pop["size"])
+    pop.setdefault("max_size", pop["size"])
 
-    pso = None
-    if "pso" in order:
-        pso = PsoParams(
-            omega1_mode=typed["pso.omega1_mode"], omega1=typed["pso.omega1"],
-            omega1_min=typed["pso.omega1_min"], omega1_max=typed["pso.omega1_max"],
-            omega2_mode=typed["pso.omega2_mode"],
-            omega2=typed.get("pso.omega2", 1.0),
-            omega3_mode=typed["pso.omega3_mode"],
-            omega3=typed.get("pso.omega3", 1.0),
-            ac_mode=typed["pso.ac_mode"], phi1=typed["pso.phi1"],
-            phi2=typed["pso.phi2"], phi1_min=typed["pso.phi1_min"],
-            phi1_max=typed["pso.phi1_max"], topology=typed["pso.topology"],
-            moi=typed["pso.moi"], dnpp=typed["pso.dnpp"], mtx=typed["pso.mtx"],
-            pert_info=typed["pso.pert_info"], pert_rand=typed["pso.pert_rand"],
-            pm_mode=typed.get("pso.pm_mode", "constant"),
-            pm=typed.get("pso.pm", 0.01),
-            velocity_clamping=typed["pso.velocity_clamping"],
-            stagnation_detection=typed["pso.stagnation_detection"],
-            ignore_pbest=typed["pso.ignore_pbest"],
-            vector_basis=typed["pso.vector_basis"])
-
-    de = None
-    if "de" in order:
-        de = DeParams(
-            base_vector=typed["de.base_vector"],
-            diff_fraction=typed["de.diff_fraction"],
-            recombination=typed["de.recombination"], p_a=typed["de.p_a"],
-            beta=typed["de.beta"], vectors=typed["de.vectors"],
-            vector_basis=typed["de.vector_basis"],
-            recompute_velocity=typed["de.recompute_velocity"],
-            pso_only_on_fail=typed["de.pso_only_on_fail"])
-
-    cmaes = None
-    if "cmaes" in order:
-        cmaes = _cma_params(typed, "cmaes.")
-
-    ls = LsParams(algo=typed.get("ls.algo", "none"))
-    if ls.algo != "none":
-        ls.budget = typed["ls.budget"]
-        ls.divide = typed["ls.divide"]
-        if ls.algo == "mtsls":
-            ls.mtsls_init_ss = typed["ls.mtsls_init_ss"]
-            ls.mtsls_iterations = typed["ls.mtsls_iterations"]
-            ls.mtsls_bias = typed["ls.mtsls_bias"]
-        else:
-            ls.nested_cma = _cma_params(typed, "ls.cmaes.")
-
-    return AlgorithmConfig(execution=execution, population=population,
-                           pso=pso, de=de, cmaes=cmaes, ls=ls, raw=dict(raw))
-
-
-def _cma_params(typed: dict, prefix: str) -> CmaParams:
-    return CmaParams(
-        a=typed[prefix + "a"], b=typed[prefix + "b"], c=typed[prefix + "c"],
-        d_inc=typed.get(prefix + "d", 2.0),
-        e=typed.get(prefix + "e", -12.0), f=typed.get(prefix + "f", -12.0),
-        g=typed.get(prefix + "g", -12.0),
-        matrix_mode=typed[prefix + "matrix_mode"],
-        weight_scheme=typed[prefix + "weights"],
-        pop_mode=typed[prefix + "pop_mode"],
-        restart=typed[prefix + "restart"])
+    ls = LsParams(**sections["ls"])
+    if ls.algo == "cmaes":
+        ls.nested_cma = CmaParams(**sections["ls.cmaes"])
+    return AlgorithmConfig(
+        execution=ExecutionConfig(**sections["exec"]),
+        population=PopulationSettings(**pop),
+        pso=PsoParams(**sections["pso"]) if "pso" in order else None,
+        de=DeParams(**sections["de"]) if "de" in order else None,
+        cmaes=CmaParams(**sections["cmaes"]) if "cmaes" in order else None,
+        ls=ls)
 
 
 def default_config(overrides: dict[str, str] | None = None) -> dict[str, str]:

@@ -15,10 +15,6 @@ class BudgetExhausted(Exception):
     """Raised by evaluate() once the FE or wall-clock budget is spent."""
 
 
-class EmptyPopulation(Exception):
-    pass
-
-
 class ParseError(Exception):
     """Malformed text input (parameter file, shift/rotation data file)."""
 
@@ -93,9 +89,6 @@ class EvalBudget:
     def wallclock_exceeded(self) -> bool:
         return self.wallclock_ms is not None and self.elapsed_ms() > self.wallclock_ms
 
-    def exhausted(self) -> bool:
-        return self.used_evals >= self.max_evals or self.wallclock_exceeded()
-
     def charge(self) -> None:
         if self.used_evals >= self.max_evals:
             raise BudgetExhausted(f"FE budget of {self.max_evals} spent")
@@ -144,7 +137,6 @@ class Individual:
 class Population:
     members: list[Individual]
     neighborhood_best: list[int] = field(default_factory=list)
-    generation: int = 0
 
     def __len__(self) -> int:
         return len(self.members)
@@ -160,14 +152,6 @@ class Population:
 
     def personal_best_fitnesses(self) -> np.ndarray:
         return np.array([m.personal_best_fitness for m in self.members])
-
-
-def best_index(pop: Population) -> int:
-    """Index of the member with minimal fitness; ties break to the lowest index."""
-    if not pop.members:
-        raise EmptyPopulation("best_index on empty population")
-    fits = pop.fitnesses()
-    return int(np.argmin(fits))  # argmin returns the first minimum
 
 
 def cap_reported_value(f: float) -> float:

@@ -28,13 +28,6 @@ class DeParams:
     pso_only_on_fail: bool = False
 
 
-def mnemonic(params: DeParams, k: int) -> str:
-    """Extended mnemonic DE/<bv>/<k>/<rcb>/<vectors>/<basis> for logs."""
-    rcb = "bin" if params.recombination == "binomial" else "exp"
-    return (f"DE/{params.base_vector}/{k}/{rcb}/"
-            f"{params.vectors}/{params.vector_basis}")
-
-
 def num_vector_differences(diff_fraction: float, n: int) -> int:
     """Number of difference pairs: floor(fraction*n), at least 1, at most n/4."""
     return int(np.clip(int(diff_fraction * n), 1, max(1, n // 4)))

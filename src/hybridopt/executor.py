@@ -19,9 +19,6 @@ from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 from .pso import PsoParams, SuccessWindow
 
-MODULES = ("pso", "de", "cmaes")
-
-
 @dataclass
 class ExecutionConfig:
     mode: str = "component_based"        # component_based | probabilistic | multiple_phases
@@ -52,7 +49,6 @@ class AlgorithmConfig:
     de: DeParams | None = None
     cmaes: CmaParams | None = None
     ls: LsParams = field(default_factory=LsParams)
-    raw: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -88,9 +84,9 @@ def _gate_sample(cfg: ExecutionConfig, state: ExecState, rng) -> float:
     raise ValueError(f"unknown gate distribution {cfg.gate_dist!r}")
 
 
-def dispatch_update(i: int, cfg: ExecutionConfig, state: ExecState,
-                    fes_used: int, rng) -> tuple[str, ...]:
-    """Modules to apply to individual i this generation."""
+def dispatch_update(cfg: ExecutionConfig, state: ExecState, fes_used: int,
+                    rng) -> tuple[str, ...]:
+    """Modules to apply to the next individual updated this generation."""
     if cfg.mode == "probabilistic":
         first, second = cfg.module_order
         return (first,) if _gate_sample(cfg, state, rng) <= cfg.pr else (second,)
@@ -247,7 +243,7 @@ class _Run:
     def generation(self) -> None:
         cfg = self.cfg.execution
         if cfg.mode == "multiple_phases":
-            module = dispatch_update(0, cfg, self.exec_state,
+            module = dispatch_update(cfg, self.exec_state,
                                      self.budget.used_evals, self.rng)[0]
             if module != self.current_phase:
                 self._enter_phase(module)
@@ -297,7 +293,7 @@ class _Run:
             if fixed_modules is not None:
                 modules = fixed_modules
             else:
-                modules = dispatch_update(i, self.cfg.execution, self.exec_state,
+                modules = dispatch_update(self.cfg.execution, self.exec_state,
                                           self.budget.used_evals, self.rng)
             de_improved = False
             if "de" in modules:
@@ -307,7 +303,6 @@ class _Run:
                 if de_improved and self.cfg.de is not None and self.cfg.de.pso_only_on_fail:
                     continue
                 self._pso_update(i, pbests, pbest_fits, neighbor_sets, basis)
-        pop.generation += 1
 
     def _de_update(self, i, positions, fitnesses, pbests, pbest_fits, k, basis) -> bool:
         par = self.cfg.de

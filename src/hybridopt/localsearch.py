@@ -35,14 +35,11 @@ class LsScheduler:
 
     per_run_budget: int
     remaining_fes: int
-    divide: int
-    runs_started: int = 0
 
     def begin_run(self) -> int:
         """Budget for the next run (0 when the LS budget is gone)."""
         if self.remaining_fes <= 0 or self.per_run_budget <= 0:
             return 0
-        self.runs_started += 1
         return self.per_run_budget
 
     def finish_run(self, consumed: int) -> None:
@@ -53,8 +50,7 @@ def schedule_ls(total_fes: int, params: LsParams) -> LsScheduler:
     """per_run = floor(budget*total/divide); leftovers become extra runs."""
     total_ls = int(params.budget * total_fes)
     per_run = total_ls // params.divide
-    return LsScheduler(per_run_budget=per_run, remaining_fes=total_ls,
-                       divide=params.divide)
+    return LsScheduler(per_run_budget=per_run, remaining_fes=total_ls)
 
 
 @dataclass
@@ -196,12 +192,3 @@ class NestedCmaes:
         except BudgetExhausted:
             pass
         return out_x, out_f, consumed
-
-
-def cmaes_ls_run(best: np.ndarray, best_fitness: float, nested: CmaParams, f,
-                 bounds: Bounds, budget: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One-shot nested CMA-ES run seeded at `best` with a fixed FE budget."""
-    searcher = NestedCmaes(nested, bounds)
-    x, fit, _ = searcher.run_slice(best, best_fitness, f, budget, rng)
-    return x, fit

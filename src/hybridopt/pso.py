@@ -39,7 +39,6 @@ class PsoParams:
     topology: str = "fully_connected"
     moi: str = "best_of_neighborhood"        # best_of_neighborhood | fully_informed | ranked_fully_informed
     dnpp: str = "rectangular"                # rectangular | spherical | standard | gaussian
-    mtx: str = "random_diagonal"
     pert_info: str = "none"                  # none | gaussian | levy | uniform
     pert_rand: str = "none"                  # none | rectangular | noisy
     pm_mode: str = "constant"                # constant | euclidean_distance | objfunc_distance | success_rate
@@ -60,7 +59,6 @@ class TopologyState:
     adjacency: list[set[int]]
     t_schedule: int = 0
     next_event: int = 0
-    hub: int = 0
 
 
 def build_topology(kind: str, n: int, rng: np.random.Generator,
@@ -103,7 +101,7 @@ def _random_edges(n: int, rng: np.random.Generator) -> list[set[int]]:
     return adj
 
 
-def neighbors(top: TopologyState, i: int, t: int = 0) -> set[int]:
+def neighbors(top: TopologyState, i: int) -> set[int]:
     """Informant set of particle i under the current topology state."""
     return top.adjacency[i]
 

@@ -43,7 +43,6 @@ class AggregateStats:
     med: float
     mederr: float
     mad: float
-    wins: int = 0
 
 
 def aggregate(values, reference: float | None = None) -> AggregateStats:
@@ -60,29 +59,6 @@ def aggregate(values, reference: float | None = None) -> AggregateStats:
     mad = float(np.median(np.abs(arr - med)))
     mederr = med - reference if reference is not None else 0.0
     return AggregateStats(med=med, mederr=mederr, mad=mad)
-
-
-def summarize_records(records: list[RunRecord]):
-    """Per (function, dim, config) stats; MEDerr is taken against the best
-    median of any config on that function/dimension, and a win is counted
-    for every config achieving it."""
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        groups.setdefault((rec.function, rec.dim, rec.config), []).append(
-            rec.best_fitness)
-    meds = {key: float(np.median(np.asarray(vals))) for key, vals in groups.items()}
-    best_ref: dict[tuple, float] = {}
-    for (fn, dim, _cfg), med in meds.items():
-        key = (fn, dim)
-        best_ref[key] = min(best_ref.get(key, np.inf), med)
-
-    stats: dict[tuple, AggregateStats] = {}
-    for key, vals in groups.items():
-        fn, dim, _cfg = key
-        stats[key] = aggregate(vals, reference=best_ref[(fn, dim)])
-        if meds[key] == best_ref[(fn, dim)]:
-            stats[key].wins = 1
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +96,8 @@ def run_batch(plan: list[dict], parallelism: int = 1):
     """Execute a plan of (config, instance, seeds) entries.
 
     Returns (records, errors); records are sorted by (function, dim, config,
-    seed) so output is independent of the parallelism degree.
+    seed) and errors follow plan order, so output is independent of the
+    parallelism degree.
     """
     if not plan:
         raise ValueError("empty batch plan")
@@ -134,9 +111,8 @@ def run_batch(plan: list[dict], parallelism: int = 1):
                 errors.append(f"{entry.get('config_id', '?')}: {exc}")
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(_execute_entry, entry): entry for entry in plan}
-            for fut in concurrent.futures.as_completed(futures):
-                entry = futures[fut]
+            futures = [pool.submit(_execute_entry, entry) for entry in plan]
+            for entry, fut in zip(plan, futures):
                 try:
                     rows.extend(fut.result())
                 except Exception as exc:

@@ -318,7 +318,7 @@ def test_probabilistic_gate_frequency():
                           pr=0.5, gate_dist="uniform")
     rng = rng_stream(10)
     n = 100_000
-    hits = sum(dispatch_update(0, cfg, ExecState(), 0, rng) == ("pso",)
+    hits = sum(dispatch_update(cfg, ExecState(), 0, rng) == ("pso",)
                for _ in range(n))
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 3 * sigma

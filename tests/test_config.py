@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hybridopt import (ValidationReport, default_config, export_parameter_space,
-                       parse_parameter_file, validate)
+                       make_instance, parse_parameter_file, run, validate)
 from hybridopt.config import (PARAMETER_SPACE, DuplicateKey,
                               format_parameter_file)
 from hybridopt.core import ParseError
@@ -75,6 +75,43 @@ def test_validate_phase_fractions():
     assert isinstance(report, ValidationReport)
     raw["exec.phases"] = "0.6,0.4"
     assert hasattr(validate(raw), "execution")
+
+
+def test_validate_rejects_non_finite_numbers():
+    probabilistic = {"exec.order": "pso,de", "exec.mode": "probabilistic",
+                     "exec.pr": "0.5", "exec.gate_dist": "uniform"}
+    for key, overrides in (("pso.phi1", {"exec.order": "pso"}),
+                           ("exec.pr", probabilistic)):
+        for text in ("nan", "inf", "-inf"):
+            raw = default_config(overrides)
+            raw[key] = text
+            report = validate(raw)
+            assert isinstance(report, ValidationReport), (key, text)
+            assert any(name == key for name, _, _ in report.out_of_range), (key, text)
+
+    for phases in ("nan,nan", "0.5,nan", "inf,-inf"):
+        raw = default_config({"exec.order": "cmaes,de",
+                              "exec.mode": "multiple_phases",
+                              "exec.phases": phases})
+        report = validate(raw)
+        assert isinstance(report, ValidationReport), phases
+        assert any(a == "exec.phases" for a, _, _ in report.conflicting), phases
+
+
+def test_validate_random_inertia_needs_ordered_range():
+    inverted = {"exec.order": "pso", "pop.size": "8",
+                "pso.omega1_min": "0.8", "pso.omega1_max": "0.3"}
+    report = validate(default_config({**inverted, "pso.omega1_mode": "random"}))
+    assert isinstance(report, ValidationReport)
+    assert [(a, b) for a, b, _ in report.conflicting] == \
+        [("pso.omega1_min", "pso.omega1_max")]
+
+    # the linear schedules never draw from the range and run when it is inverted
+    obj = make_instance("sphere", 3)
+    for mode in ("linear_decreasing", "linear_increasing"):
+        cfg = validate(default_config({**inverted, "pso.omega1_mode": mode}))
+        assert hasattr(cfg, "execution"), mode
+        assert run(cfg, obj, seed=1, max_evals=200).evals_used == 200
 
 
 def test_validate_growth_needs_de_only():

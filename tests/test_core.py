@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridopt import (Bounds, BudgetExhausted, EvalBudget, Individual,
-                       Population, best_index, cap_reported_value, evaluate,
-                       make_instance, repair_to_bounds, rng_stream)
-from hybridopt.core import EmptyPopulation
+                       cap_reported_value, evaluate, make_instance,
+                       repair_to_bounds, rng_stream)
 
 
 def test_evaluate_sphere_values():
@@ -48,19 +47,6 @@ def test_repair_always_lands_inside(xs):
     assert b.contains(repaired)
     inside = (x >= b.lower) & (x <= b.upper)
     assert np.all(repaired[inside] == x[inside])
-
-
-def _pop_with_fitnesses(fits):
-    members = [Individual.fresh(np.zeros(2), np.zeros(2), f) for f in fits]
-    return Population(members=members)
-
-
-def test_best_index():
-    assert best_index(_pop_with_fitnesses([3.0, 1.0, 2.0])) == 1
-    assert best_index(_pop_with_fitnesses([5.0, 5.0, 7.0])) == 0
-    assert best_index(_pop_with_fitnesses([9.0])) == 0
-    with pytest.raises(EmptyPopulation):
-        best_index(Population(members=[]))
 
 
 def test_cap_reported_value():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from hybridopt import Bounds, Individual, rng_stream
-from hybridopt.de import (DeParams, InsufficientPopulation,
-                          eigen_recombination_wrap, mnemonic, mutate,
-                          num_vector_differences, population_eigenbasis,
+from hybridopt.de import (InsufficientPopulation, eigen_recombination_wrap,
+                          mutate, num_vector_differences, population_eigenbasis,
                           recombine, recompute_velocity, select_base_and_donors,
                           select_greedy)
 
@@ -203,9 +202,3 @@ def test_population_eigenbasis_orthonormal():
     assert basis.shape == (4, 4)
     assert basis @ basis.T == pytest.approx(np.eye(4), abs=1e-10)
 
-
-def test_mnemonic():
-    assert mnemonic(DeParams(), 1) == "DE/random/1/bin/positions/natural"
-    params = DeParams(base_vector="best", recombination="exponential",
-                      vectors="pbest", vector_basis="eigenvector")
-    assert mnemonic(params, 3) == "DE/best/3/exp/pbest/eigenvector"

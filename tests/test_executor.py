@@ -75,15 +75,15 @@ def test_phase_windows_arithmetic():
     state = ExecState(windows=windows)
     cfg = ExecutionConfig(mode="multiple_phases", module_order=("a", "b"))
     rng = rng_stream(0)
-    assert dispatch_update(0, cfg, state, 0, rng) == ("a",)
-    assert dispatch_update(0, cfg, state, 3999, rng) == ("a",)
-    assert dispatch_update(0, cfg, state, 4000, rng) == ("b",)
-    assert dispatch_update(0, cfg, state, 9999, rng) == ("b",)
+    assert dispatch_update(cfg, state, 0, rng) == ("a",)
+    assert dispatch_update(cfg, state, 3999, rng) == ("a",)
+    assert dispatch_update(cfg, state, 4000, rng) == ("b",)
+    assert dispatch_update(cfg, state, 9999, rng) == ("b",)
 
 
 def test_dispatch_component_puts_de_first():
     cfg = ExecutionConfig(mode="component_based", module_order=("pso", "de"))
-    assert dispatch_update(0, cfg, ExecState(), 0, rng_stream(0)) == ("de", "pso")
+    assert dispatch_update(cfg, ExecState(), 0, rng_stream(0)) == ("de", "pso")
 
 
 def test_dispatch_probabilistic_uniform():
@@ -91,13 +91,13 @@ def test_dispatch_probabilistic_uniform():
     rng = rng_stream(1)
     sure = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                            pr=1.0, gate_dist="uniform")
-    assert all(dispatch_update(0, sure, state, 0, rng) == ("pso",)
+    assert all(dispatch_update(sure, state, 0, rng) == ("pso",)
                for _ in range(10000))
 
     half = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                            pr=0.5, gate_dist="uniform")
     n = 100000
-    hits = sum(dispatch_update(0, half, state, 0, rng) == ("pso",)
+    hits = sum(dispatch_update(half, state, 0, rng) == ("pso",)
                for _ in range(n))
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 3 * sigma
@@ -109,7 +109,7 @@ def test_dispatch_gate_distributions():
     for dist in ("normal", "levy"):
         cfg = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                               pr=0.8, gate_dist=dist, par_std=0.5)
-        picks = {dispatch_update(0, cfg, state, 0, rng)[0] for _ in range(500)}
+        picks = {dispatch_update(cfg, state, 0, rng)[0] for _ in range(500)}
         assert picks == {"pso", "de"}   # both sides reachable
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hybridopt import Bounds, CmaParams, rng_stream
-from hybridopt.localsearch import (LsParams, NestedCmaes, cmaes_ls_run,
-                                   mtsls_run, schedule_ls)
+from hybridopt.localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 
 
 def test_schedule_ls_worked_example():
@@ -161,16 +160,16 @@ def test_cmaes_ls_improves_sphere():
 
     start = np.full(5, 5.0)
     for seed in range(10):
-        x, fit = cmaes_ls_run(start, f(start), CmaParams(c=0.1), f, bounds,
-                              budget=5000, rng=rng_stream(seed))
+        x, fit, _ = NestedCmaes(CmaParams(c=0.1), bounds).run_slice(
+            start, f(start), f, budget=5000, rng=rng_stream(seed))
         assert fit < f(start)
 
 
 def test_cmaes_ls_zero_budget_returns_input():
     bounds = Bounds.symmetric(10.0, 3)
     start = np.ones(3)
-    x, fit = cmaes_ls_run(start, 3.0, CmaParams(), lambda v: float(np.dot(v, v)),
-                          bounds, budget=0, rng=rng_stream(1))
+    x, fit, _ = NestedCmaes(CmaParams(), bounds).run_slice(
+        start, 3.0, lambda v: float(np.dot(v, v)), budget=0, rng=rng_stream(1))
     assert np.array_equal(x, start)
     assert fit == 3.0
 

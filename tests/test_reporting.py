@@ -4,7 +4,7 @@ import pytest
 
 from hybridopt import aggregate, default_config, rng_stream
 from hybridopt.reporting import (EmptyGroup, RunRecord, records_to_csv,
-                                 records_to_json, run_batch, summarize_records)
+                                 records_to_json, run_batch)
 
 
 def test_aggregate_hand_case():
@@ -50,18 +50,6 @@ def test_aggregate_matches_bruteforce_oracle():
         assert stats.mad == pytest.approx(mad, abs=1e-12)
 
 
-def test_summarize_records_wins():
-    records = [
-        RunRecord("sphere", 5, s, "a", float(s), 10, 1.0) for s in (1, 2, 3)
-    ] + [
-        RunRecord("sphere", 5, s, "b", float(s + 5), 10, 1.0) for s in (1, 2, 3)
-    ]
-    stats = summarize_records(records)
-    assert stats[("sphere", 5, "a")].wins == 1
-    assert stats[("sphere", 5, "b")].wins == 0
-    assert stats[("sphere", 5, "b")].mederr == pytest.approx(5.0)
-
-
 def _plan():
     params = default_config({"exec.order": "de", "pop.size": "10"})
     return [
@@ -96,6 +84,20 @@ def test_run_batch_records_failures_and_continues():
     records, errors = run_batch(plan, parallelism=1)
     assert len(records) == 3
     assert len(errors) == 1 and "broken" in errors[0]
+
+
+def test_run_batch_errors_in_plan_order():
+    # "slow" fails only after its first seed has run, "fast" fails at once,
+    # so under two workers "fast" is the first entry to finish
+    params = default_config({"exec.order": "de", "pop.size": "10"})
+    plan = [{"config_id": "slow", "params": params, "function": "sphere",
+             "dim": 3, "seeds": [1, "not-a-seed"], "fe_budget": 3000},
+            {"config_id": "fast", "params": {"cmaes.a": "99"},
+             "function": "sphere", "dim": 3, "seeds": [1]}]
+    _, serial = run_batch(plan, parallelism=1)
+    _, parallel = run_batch(plan, parallelism=2)
+    assert [e.split(":")[0] for e in serial] == ["slow", "fast"]
+    assert parallel == serial
 
 
 def test_emission_formats():

@@ -54,6 +54,43 @@ CONFIGS = {
     "de-reinit-similarity": {"exec.order": "de", "pop.size": "6",
                              "de.base_vector": "best",
                              "exec.reinit": "similarity"},
+    # per-member paths: velocity recomputation after a DE success, donor
+    # vectors, perturbations, informant models and population resizing
+    "de-pso-goback-only-on-fail": {"exec.order": "de,pso", "pop.size": "20",
+                                   "de.recompute_velocity": "goBack",
+                                   "de.pso_only_on_fail": "true"},
+    "de-pso-random-mixture": {"exec.order": "de,pso", "pop.size": "20",
+                              "de.recompute_velocity": "random",
+                              "de.vectors": "mixture"},
+    "de-pso-position-target-to-best": {"exec.order": "de,pso", "pop.size": "20",
+                                       "de.recompute_velocity": "position",
+                                       "de.base_vector": "target_to_best"},
+    "pso-stagnation-success-rate": {"exec.order": "pso", "pop.size": "20",
+                                    "pso.stagnation_detection": "true",
+                                    "pso.pert_info": "gaussian",
+                                    "pso.pert_rand": "noisy",
+                                    "pso.pm_mode": "success_rate",
+                                    "pso.pm": "0.05"},
+    "pso-eigen-ranked-time-varying": {"exec.order": "pso", "pop.size": "20",
+                                      "pso.vector_basis": "eigenvector",
+                                      "pso.moi": "ranked_fully_informed",
+                                      "pso.topology": "time_varying"},
+    "pso-random-edge-levy": {"exec.order": "pso", "pop.size": "20",
+                             "pso.topology": "random_edge",
+                             "pso.ignore_pbest": "true",
+                             "pso.dnpp": "gaussian", "pso.pert_info": "levy",
+                             "pso.pm_mode": "objfunc_distance"},
+    "phases-de-pso-reinit-similarity": {"exec.mode": "multiple_phases",
+                                        "exec.order": "de,pso",
+                                        "exec.phases": "0.5,0.5",
+                                        "pop.size": "8",
+                                        "exec.reinit": "similarity"},
+    "de-time-varying-eigen-directed": {"exec.order": "de",
+                                       "pop.mode": "time_varying",
+                                       "pop.min": "8", "pop.max": "30",
+                                       "pop.interval": "3",
+                                       "de.vector_basis": "eigenvector",
+                                       "de.base_vector": "directed_best"},
 }
 
 

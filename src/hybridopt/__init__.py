@@ -7,9 +7,8 @@ from .benchmarks import (ObjectiveInstance, TransformData, apply_transforms,
 from .cmaes import CmaParams, CmaRunner, CmaState
 from .config import (ParameterSpec, ValidationReport, default_config,
                      export_parameter_space, parse_parameter_file, validate)
-from .core import (Bounds, BudgetExhausted, EvalBudget, Individual, Population,
-                   RunResult, cap_reported_value, evaluate,
-                   repair_to_bounds, rng_stream)
+from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
+                   cap_reported_value, evaluate, repair_to_bounds, rng_stream)
 from .de import DeParams
 from .executor import (AlgorithmConfig, ExecutionConfig, dispatch_update, run,
                        update_execution_parameters)
@@ -20,7 +19,7 @@ from .reporting import AggregateStats, RunRecord, aggregate, run_batch
 __all__ = [
     "AggregateStats", "AlgorithmConfig", "Bounds", "BudgetExhausted",
     "CmaParams", "CmaRunner", "CmaState", "DeParams", "EvalBudget",
-    "ExecutionConfig", "Individual", "LsParams", "LsScheduler",
+    "ExecutionConfig", "LsParams", "LsScheduler",
     "ObjectiveInstance", "ParameterSpec", "Population", "PsoParams",
     "RunRecord", "RunResult", "TopologyState", "TransformData",
     "ValidationReport", "aggregate", "apply_transforms",

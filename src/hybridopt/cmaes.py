@@ -162,6 +162,8 @@ def _refresh_eigensystem(state: CmaState) -> None:
         state.eigen_D = np.sqrt(state.C)
         return
     state.C = (state.C + state.C.T) / 2.0  # keep exact symmetry
+    if not np.all(np.isfinite(state.C)):  # e.g. after sigma underflowed
+        raise DegenerateState("covariance is not finite")
     vals, vecs = np.linalg.eigh(state.C)
     if vals[0] <= 0 or not np.all(np.isfinite(vals)):
         raise DegenerateState("covariance lost positive definiteness")

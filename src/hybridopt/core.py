@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -100,58 +101,61 @@ class EvalBudget:
 def evaluate(obj, x: np.ndarray, budget: EvalBudget) -> float:
     """Evaluate obj at x, consuming exactly one FE.
 
-    Raises BudgetExhausted (before calling obj) when the budget is spent.
+    A NaN objective value is returned as +inf, so no comparison ever adopts
+    it.  Raises BudgetExhausted (before calling obj) when the budget is spent.
     """
     if len(x) != obj.d:
         raise ValueError(f"point has length {len(x)}, objective expects {obj.d}")
     budget.charge()
-    return float(obj(x))
-
-
-@dataclass
-class Individual:
-    """One population member: current point, velocity, and personal-best memory."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    personal_best: np.ndarray
-    fitness: float
-    personal_best_fitness: float
-
-    @classmethod
-    def fresh(cls, position: np.ndarray, velocity: np.ndarray, fitness: float) -> "Individual":
-        return cls(position=position, velocity=velocity,
-                   personal_best=position.copy(), fitness=fitness,
-                   personal_best_fitness=fitness)
-
-    def record_evaluation(self, position: np.ndarray, fitness: float) -> None:
-        """Adopt a newly evaluated own position, keeping the personal best in sync."""
-        self.position = position
-        self.fitness = fitness
-        if fitness < self.personal_best_fitness:
-            self.personal_best = position.copy()
-            self.personal_best_fitness = fitness
+    fx = float(obj(x))
+    return math.inf if math.isnan(fx) else fx
 
 
 @dataclass
 class Population:
-    members: list[Individual]
-    neighborhood_best: list[int] = field(default_factory=list)
+    """DE/PSO population state; row i of every array belongs to member i.
+
+    x, v and p are the n x d positions, velocities and personal bests; f and
+    pf are the fitnesses of x and p.  Every row keeps pf <= f.
+    """
+
+    x: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    f: np.ndarray
+    pf: np.ndarray
+
+    @classmethod
+    def fresh(cls, members) -> "Population":
+        """Population of (x, v, fx) members, each its own personal best."""
+        xs, vs, fs = zip(*members)
+        x, f = np.array(xs, dtype=float), np.array(fs, dtype=float)
+        return cls(x, np.array(vs, dtype=float), x.copy(), f, f.copy())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.f)
 
-    def positions(self) -> np.ndarray:
-        return np.array([m.position for m in self.members])
+    def extend(self, members) -> None:
+        """Append fresh (x, v, fx) members."""
+        new = Population.fresh(members)
+        for name in ("x", "v", "p", "f", "pf"):
+            setattr(self, name, np.concatenate((getattr(self, name), getattr(new, name))))
 
-    def fitnesses(self) -> np.ndarray:
-        return np.array([m.fitness for m in self.members])
+    def reset(self, i: int, x: np.ndarray, v: np.ndarray, fx: float) -> None:
+        """Replace member i by a fresh member at x, forgetting its personal best."""
+        self.x[i] = self.p[i] = x
+        self.v[i] = v
+        self.f[i] = self.pf[i] = fx
 
-    def personal_bests(self) -> np.ndarray:
-        return np.array([m.personal_best for m in self.members])
-
-    def personal_best_fitnesses(self) -> np.ndarray:
-        return np.array([m.personal_best_fitness for m in self.members])
+    def record(self, i: int, x: np.ndarray, fx: float) -> bool:
+        """Move member i to the evaluated point x; True iff its personal best improved."""
+        self.x[i] = x
+        self.f[i] = fx
+        if fx < self.pf[i]:
+            self.p[i] = x
+            self.pf[i] = fx
+            return True
+        return False
 
 
 def cap_reported_value(f: float) -> float:

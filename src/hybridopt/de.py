@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, Individual
+from .core import Bounds
 
 
 class InsufficientPopulation(Exception):
@@ -138,16 +138,11 @@ def recombine(kind: str, target: np.ndarray, mutant: np.ndarray, p_a: float,
     raise ValueError(f"unknown recombination kind {kind!r}")
 
 
-def select_greedy(target: Individual, trial: np.ndarray, f) -> tuple[Individual, bool]:
-    """Evaluate the trial and adopt it iff strictly better than the target.
-
-    Returns (individual, improved).  BudgetExhausted from f propagates.
-    """
+def select_greedy(target_fitness: float, trial: np.ndarray, f) -> tuple[float, bool]:
+    """Evaluate the trial; returns (trial_fitness, improved), where improved means
+    strictly better than the target.  BudgetExhausted from f propagates."""
     fitness = f(trial)
-    if fitness < target.fitness:
-        target.record_evaluation(np.asarray(trial, dtype=float).copy(), fitness)
-        return target, True
-    return target, False
+    return fitness, fitness < target_fitness
 
 
 def recompute_velocity(kind: str, old_position: np.ndarray, new_position: np.ndarray,

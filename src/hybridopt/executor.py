@@ -13,8 +13,8 @@ import numpy as np
 from . import de as de_mod
 from . import pso as pso_mod
 from .cmaes import CmaParams, CmaRunner
-from .core import (Bounds, BudgetExhausted, EvalBudget, Individual, Population,
-                   RunResult, evaluate, repair_to_bounds, rng_stream)
+from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
+                   evaluate, repair_to_bounds, rng_stream)
 from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 from .pso import PsoParams, SuccessWindow
@@ -136,14 +136,19 @@ def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
     raise ValueError(f"unknown re-initialization kind {kind!r}")
 
 
+def sample_member(bounds: Bounds, rng, evaluator) -> tuple[np.ndarray, np.ndarray, float]:
+    """A new member (x, v, fx): uniform x, then a random velocity, then fx = f(x)."""
+    x = bounds.sample_uniform(rng)
+    v = pso_mod.random_velocity(bounds, rng)
+    return x, v, evaluator(x)
+
+
 def apply_reinitialization(kind: str, pop: Population, best_position: np.ndarray,
                            bounds: Bounds, best_history, rng, evaluator) -> list[int]:
     """Re-initialize the selected members uniformly; returns their indices."""
-    idx = reinit_indices(kind, pop.positions(), best_position, best_history, bounds.d)
+    idx = reinit_indices(kind, pop.x, best_position, best_history, bounds.d)
     for i in idx:
-        x = bounds.sample_uniform(rng)
-        v = pso_mod.random_velocity(bounds, rng)
-        pop.members[i] = Individual.fresh(x, v, evaluator(x))
+        pop.reset(i, *sample_member(bounds, rng, evaluator))
     return idx
 
 
@@ -214,12 +219,8 @@ class _Run:
 
     def initialize(self) -> None:
         if self.has_population:
-            members = []
-            for _ in range(self.n):
-                x = self.bounds.sample_uniform(self.rng)
-                v = pso_mod.random_velocity(self.bounds, self.rng)
-                members.append(Individual.fresh(x, v, self.ev(x)))
-            self.pop = Population(members=members)
+            self.pop = Population.fresh(
+                [sample_member(self.bounds, self.rng, self.ev) for _ in range(self.n)])
             self.success = [SuccessWindow() for _ in range(self.n)]
             if "pso" in self.order:
                 self.topology = pso_mod.build_topology(
@@ -235,8 +236,8 @@ class _Run:
             self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
                                  mean=self.best_x, fes_used=self.budget.used_evals)
         elif module == "pso" and self.pop is not None:
-            for m in self.pop.members:
-                m.velocity = pso_mod.random_velocity(self.bounds, self.rng)
+            for i in range(len(self.pop)):
+                self.pop.v[i] = pso_mod.random_velocity(self.bounds, self.rng)
 
     # -- generation ---------------------------------------------------------
 
@@ -267,10 +268,9 @@ class _Run:
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         pop = self.pop
         n = len(pop)
-        positions = pop.positions()
-        fitnesses = pop.fitnesses()
-        pbests = pop.personal_bests()
-        pbest_fits = pop.personal_best_fitnesses()
+        # DE donors and PSO informants read the state at the start of the generation
+        positions, fitnesses = pop.x.copy(), pop.f.copy()
+        pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
 
         basis = None
         wants_basis = ((self.cfg.pso and self.cfg.pso.vector_basis == "eigenvector")
@@ -282,12 +282,11 @@ class _Run:
         if self.cfg.de is not None:
             k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
 
-        neighbor_sets = None
+        neighbor_sets = l_best_idx = None
         if self.topology is not None:
             neighbor_sets = [sorted(pso_mod.neighbors(self.topology, i))
                              for i in range(n)]
-            pop.neighborhood_best = [
-                min(nb, key=lambda j: (pbest_fits[j], j)) for nb in neighbor_sets]
+            l_best_idx = pso_mod.neighborhood_best(self.topology, pbest_fits)
 
         for i in range(n):
             if fixed_modules is not None:
@@ -297,68 +296,64 @@ class _Run:
                                           self.budget.used_evals, self.rng)
             de_improved = False
             if "de" in modules:
-                de_improved = self._de_update(i, positions, fitnesses, pbests,
-                                              pbest_fits, k, basis)
+                de_improved = self._de_update(i, positions, fitnesses, pbests, k, basis)
             if "pso" in modules:
                 if de_improved and self.cfg.de is not None and self.cfg.de.pso_only_on_fail:
                     continue
-                self._pso_update(i, pbests, pbest_fits, neighbor_sets, basis)
+                self._pso_update(i, pbests, pbest_fits, neighbor_sets[i],
+                                 l_best_idx[i], basis)
 
-    def _de_update(self, i, positions, fitnesses, pbests, pbest_fits, k, basis) -> bool:
+    def _de_update(self, i, positions, fitnesses, pbests, k, basis) -> bool:
         par = self.cfg.de
         self.active_module = "de"
-        member = self.pop.members[i]
+        pop = self.pop
         base, pairs = de_mod.select_base_and_donors(
             par.base_vector, positions, pbests, fitnesses, i, k, par.beta,
             par.vectors, self.rng)
         mutant = de_mod.mutate(base, pairs, par.beta, par.base_vector)
         if par.vector_basis == "eigenvector":
             t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(
-                member.position, mutant, basis)
+                pop.x[i], mutant, basis)
             trial = unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,
                                               par.p_a, self.rng))
         else:
-            trial = de_mod.recombine(par.recombination, member.position, mutant,
+            trial = de_mod.recombine(par.recombination, pop.x[i], mutant,
                                      par.p_a, self.rng)
         trial = repair_to_bounds(trial, self.bounds)
-        old_position = member.position
-        _, improved = de_mod.select_greedy(member, trial, self.ev)
-        if improved and par.recompute_velocity != "none":
-            member.velocity = de_mod.recompute_velocity(
-                par.recompute_velocity, old_position, member.position,
-                member.velocity, self.rng, self.bounds)
+        fitness, improved = de_mod.select_greedy(pop.f[i], trial, self.ev)
+        if improved:
+            if par.recompute_velocity != "none":  # pop.x[i] is still the target
+                pop.v[i] = de_mod.recompute_velocity(
+                    par.recompute_velocity, pop.x[i], trial, pop.v[i],
+                    self.rng, self.bounds)
+            pop.record(i, trial, fitness)
         return improved
 
-    def _pso_update(self, i, pbests, pbest_fits, neighbor_sets, basis) -> None:
+    def _pso_update(self, i, pbests, pbest_fits, nb, l_idx, basis) -> None:
         par = self.cfg.pso
         self.active_module = "pso"
-        member = self.pop.members[i]
-        nb = neighbor_sets[i]
+        pop = self.pop
         informants = [(pbests[j], float(pbest_fits[j])) for j in nb]
-        l_idx = self.pop.neighborhood_best[i]
         l_best = pbests[l_idx]
 
         if par.stagnation_detection and pso_mod.stagnation_check(
-                member.velocity, member.position, l_best):
-            member.velocity = pso_mod.random_velocity(self.bounds, self.rng)
+                pop.v[i], pop.x[i], l_best):
+            pop.v[i] = pso_mod.random_velocity(self.bounds, self.rng)
 
         pm = 0.0
         if par.pert_info != "none" or par.pert_rand != "none":
             pm = pso_mod.perturbation_magnitude(
-                par.pm_mode, par.pm, member.personal_best, l_best,
-                fp=member.personal_best_fitness, fl=float(pbest_fits[l_idx]),
+                par.pm_mode, par.pm, pop.p[i], l_best,
+                fp=float(pop.pf[i]), fl=float(pbest_fits[l_idx]),
                 success=self.success[i])
 
         velocity = pso_mod.compute_velocity(
-            member, l_best, informants, par, self.exec_state.t, self.total_iters,
-            self.rng, pm=pm,
+            pop.x[i], pop.v[i], pop.p[i], l_best, informants, par,
+            self.exec_state.t, self.total_iters, self.rng, pm=pm,
             basis=basis if par.vector_basis == "eigenvector" else None)
-        pso_mod.update_position(member, velocity, self.bounds,
-                                par.velocity_clamping)
-        fitness = self.ev(member.position)
-        improved = fitness < member.personal_best_fitness
-        member.record_evaluation(member.position, fitness)
-        self.success[i].record(improved)
+        x, pop.v[i] = pso_mod.update_position(pop.x[i], velocity, self.bounds,
+                                              par.velocity_clamping)
+        self.success[i].record(pop.record(i, x, self.ev(x)))
 
     # -- local search -------------------------------------------------------
 
@@ -398,11 +393,11 @@ class _Run:
         progress = self.budget.used_evals / max(1, self.budget.max_evals)
         target = settings.min_size + round(
             (settings.max_size - settings.min_size) * progress)
-        while len(self.pop) < target:
-            x = self.bounds.sample_uniform(self.rng)
-            v = pso_mod.random_velocity(self.bounds, self.rng)
-            self.pop.members.append(Individual.fresh(x, v, self.ev(x)))
-            self.success.append(SuccessWindow())
+        new = [sample_member(self.bounds, self.rng, self.ev)
+               for _ in range(target - len(self.pop))]
+        if new:
+            self.pop.extend(new)
+            self.success.extend(SuccessWindow() for _ in new)
 
     # -- main loop ----------------------------------------------------------
 

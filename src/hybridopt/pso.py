@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bounds, Individual, repair_to_bounds
+from .core import Bounds, repair_to_bounds
 
 STAGNATION_THRESHOLD = 1e-3
 
@@ -104,6 +104,11 @@ def _random_edges(n: int, rng: np.random.Generator) -> list[set[int]]:
 def neighbors(top: TopologyState, i: int) -> set[int]:
     """Informant set of particle i under the current topology state."""
     return top.adjacency[i]
+
+
+def neighborhood_best(top: TopologyState, pf: np.ndarray) -> list[int]:
+    """Per particle, its informant of lowest personal-best fitness pf (lowest index on ties)."""
+    return [min(nb, key=lambda j: (pf[j], j)) for nb in top.adjacency]
 
 
 def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> None:
@@ -239,7 +244,7 @@ def _from_basis(v: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
     return v if basis is None else basis @ v
 
 
-def dnpp(kind: str, particle: Individual, l_best: np.ndarray,
+def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
          informants: list[tuple[np.ndarray, float]], params: PsoParams,
          phi1: float, phi2: float, pm: float, rng: np.random.Generator,
          basis: np.ndarray | None = None) -> np.ndarray:
@@ -247,14 +252,14 @@ def dnpp(kind: str, particle: Individual, l_best: np.ndarray,
 
     Parameters
     ----------
+    x, p : the particle's position and personal best.
     l_best : the informant (neighborhood-best personal best).
     informants : (personal_best, personal_best_fitness) of every neighbor,
         used by the fully-informed models.
     basis : optional orthonormal eigenbasis; difference vectors are rotated
         into it before combining and the result rotated back.
     """
-    x = particle.position
-    p = x if params.ignore_pbest else particle.personal_best
+    p = x if params.ignore_pbest else p
     p = _perturb(p, params.pert_info, pm, rng)
     l = _perturb(l_best, params.pert_info, pm, rng)
     dp = _to_basis(p - x, basis)
@@ -313,11 +318,11 @@ def _omega_aux(mode: str, value: float, omega1: float, rng: np.random.Generator)
     raise ValueError(f"unknown omega mode {mode!r}")
 
 
-def compute_velocity(particle: Individual, l_best: np.ndarray,
-                     informants: list[tuple[np.ndarray, float]], params: PsoParams,
-                     t: int, total: int, rng: np.random.Generator,
+def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
+                     l_best: np.ndarray, informants: list[tuple[np.ndarray, float]],
+                     params: PsoParams, t: int, total: int, rng: np.random.Generator,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
-    """New velocity w1*v + w2*DNPP + w3*PertRand for one particle."""
+    """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p)."""
     omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
                             lo=params.omega1_min, hi=params.omega1_max)
     omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng)
@@ -325,11 +330,11 @@ def compute_velocity(particle: Individual, l_best: np.ndarray,
     phi1, phi2 = acceleration_coeffs(params.ac_mode, t, total, params.phi1, params.phi2,
                                      rng, params.phi1_min, params.phi1_max)
 
-    move = dnpp(params.dnpp, particle, l_best, informants, params, phi1, phi2,
+    move = dnpp(params.dnpp, x, p, l_best, informants, params, phi1, phi2,
                 pm, rng, basis)
-    v = omega1 * particle.velocity + omega2 * move
+    v = omega1 * v + omega2 * move
     if params.pert_rand != "none":
-        d = particle.position.size
+        d = x.size
         if params.pert_rand == "rectangular":
             noise = rng.uniform(-pm, pm, d)
         elif params.pert_rand == "noisy":
@@ -340,9 +345,9 @@ def compute_velocity(particle: Individual, l_best: np.ndarray,
     return v
 
 
-def update_position(particle: Individual, velocity: np.ndarray, bounds: Bounds,
-                    velocity_clamping: bool = False) -> Individual:
-    """Move the particle by its new velocity, clamping the result into the box.
+def update_position(x: np.ndarray, velocity: np.ndarray, bounds: Bounds,
+                    velocity_clamping: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Move x by the new velocity into the box; returns (new_x, new_v).
 
     With velocity clamping on, the velocity magnitude is halved once before
     the move whenever any component exceeds the width of the search space.
@@ -350,9 +355,7 @@ def update_position(particle: Individual, velocity: np.ndarray, bounds: Bounds,
     v = np.asarray(velocity, dtype=float)
     if velocity_clamping and np.any(np.abs(v) > bounds.width()):
         v = v / 2.0
-    particle.velocity = v
-    particle.position = repair_to_bounds(particle.position + v, bounds)
-    return particle
+    return repair_to_bounds(x + v, bounds), v
 
 
 def stagnation_check(velocity: np.ndarray, position: np.ndarray,

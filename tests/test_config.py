@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridopt import (ValidationReport, default_config, export_parameter_space,
-                       make_instance, parse_parameter_file, run, validate)
-from hybridopt.config import (PARAMETER_SPACE, DuplicateKey,
+from hybridopt import (AlgorithmConfig, ValidationReport, default_config,
+                       export_parameter_space, make_instance,
+                       parse_parameter_file, run, validate)
+from hybridopt.config import (PARAMETER_SPACE, DuplicateKey, condition_active,
                               format_parameter_file)
 from hybridopt.core import ParseError
 
@@ -194,3 +196,56 @@ def test_exported_defaults_are_in_domain():
             continue
         from hybridopt.config import _parse_value
         _parse_value(spec, spec.default)   # raises if outside its own domain
+
+
+# An irace-style draw (López-Ibáñez et al. 2016): parameters in declaration
+# order, each only while its condition holds for the values drawn before it.
+# A few values are replaced by junk text and a few active ones left out.
+_JUNK = st.sampled_from(["", " ", "nan", "-inf", "1e999", "abc", "-1", "0",
+                         "1.5", "1,2", "pso,pso", "de,,cmaes", "TRUE", "0x10",
+                         "9" * 5000]) | st.text(max_size=6)
+
+
+def _valid_value(spec, values):
+    if spec.name == "exec.order":
+        return st.permutations(("pso", "de", "cmaes")).flatmap(
+            lambda p: st.integers(1, 3).map(lambda k: ",".join(p[:k])))
+    if spec.name == "exec.phases":
+        k = len(values["exec.order"].split(","))
+        return st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k).map(
+            lambda w: ",".join(repr(x / sum(w)) for x in w))
+    if spec.kind == "categorical":
+        return st.sampled_from(spec.domain)
+    if spec.kind == "boolean":
+        return st.sampled_from(("true", "false"))
+    lo, hi = spec.domain
+    if spec.kind == "integer":
+        return st.integers(lo, hi).map(str)
+    return st.floats(lo, hi, exclude_min=spec.lo_open,
+                     exclude_max=spec.hi_open).map(repr)
+
+
+@st.composite
+def _assignments(draw):
+    names = [spec.name for spec in PARAMETER_SPACE]
+    corrupt = draw(st.sets(st.sampled_from(names), max_size=3))
+    omit = draw(st.sets(st.sampled_from(names), max_size=2))
+    values: dict[str, str] = {}
+    for spec in PARAMETER_SPACE:
+        if spec.name in omit or not condition_active(spec, values):
+            continue
+        values[spec.name] = draw(_JUNK if spec.name in corrupt
+                                 else _valid_value(spec, values))
+    return values
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_assignments())
+def test_validate_is_total(raw):
+    cfg = validate(raw)
+    assert isinstance(cfg, (AlgorithmConfig, ValidationReport))
+    if isinstance(cfg, AlgorithmConfig):
+        for d in (2, 5):
+            obj = make_instance("shifted_rotated_rastrigin", d, instance_seed=1)
+            result = run(cfg, obj, seed=1, max_evals=300)
+            assert result.evals_used == 300

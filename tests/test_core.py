@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridopt import (Bounds, BudgetExhausted, EvalBudget, Individual,
+from hybridopt import (Bounds, BudgetExhausted, EvalBudget, Population,
                        cap_reported_value, evaluate, make_instance,
                        repair_to_bounds, rng_stream)
 
@@ -63,14 +63,15 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_individual_personal_best_dominance():
-    ind = Individual.fresh(np.array([1.0]), np.zeros(1), 5.0)
-    ind.record_evaluation(np.array([2.0]), 7.0)   # worse: pbest sticks
-    assert ind.personal_best_fitness == 5.0
-    assert ind.personal_best_fitness <= ind.fitness
-    ind.record_evaluation(np.array([0.5]), 3.0)   # better: pbest follows
-    assert ind.personal_best_fitness == 3.0
-    assert ind.personal_best == pytest.approx([0.5])
+def test_population_record_personal_best_dominance():
+    pop = Population.fresh([(np.array([1.0]), np.zeros(1), 5.0)])
+    assert not pop.record(0, np.array([2.0]), 7.0)   # worse: pbest sticks
+    assert pop.pf[0] == 5.0 and pop.f[0] == 7.0
+    assert pop.pf[0] <= pop.f[0]
+    assert pop.x[0] == pytest.approx([2.0]) and pop.p[0] == pytest.approx([1.0])
+    assert pop.record(0, np.array([0.5]), 3.0)       # better: pbest follows
+    assert pop.pf[0] == 3.0
+    assert pop.p[0] == pytest.approx([0.5])
 
 
 def test_bounds_validation():

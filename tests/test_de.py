@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridopt import Bounds, Individual, rng_stream
+from hybridopt import Bounds, rng_stream
 from hybridopt.de import (InsufficientPopulation, eigen_recombination_wrap,
                           mutate, num_vector_differences, population_eigenbasis,
                           recombine, recompute_velocity, select_base_and_donors,
@@ -149,15 +149,20 @@ def test_recombine_exponential_contiguous():
 
 
 def test_select_greedy():
-    def make(fit):
-        return Individual.fresh(np.zeros(2), np.zeros(2), fit)
+    seen = []
 
-    ind, improved = select_greedy(make(2.0), np.ones(2), lambda x: 1.0)
-    assert improved and ind.fitness == 1.0 and ind.position == pytest.approx([1, 1])
-    ind, improved = select_greedy(make(2.0), np.ones(2), lambda x: 2.0)
-    assert not improved and ind.fitness == 2.0
-    ind, improved = select_greedy(make(2.0), np.ones(2), lambda x: 3.0)
-    assert not improved and ind.position == pytest.approx([0, 0])
+    def f(value):
+        def evaluate(x):
+            seen.append(x)
+            return value
+        return evaluate
+
+    trial = np.ones(2)
+    assert select_greedy(2.0, trial, f(1.0)) == (1.0, True)
+    assert seen[-1] is trial   # the trial itself is what gets evaluated
+    assert select_greedy(2.0, trial, f(2.0)) == (2.0, False)   # ties keep the target
+    assert select_greedy(2.0, trial, f(3.0)) == (3.0, False)
+    assert len(seen) == 3   # one FE per call
 
 
 def test_recompute_velocity():

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from hybridopt import (default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
-from hybridopt.core import EvalBudget, Individual, Population
+from hybridopt.core import EvalBudget, Population
 from hybridopt.executor import (ExecState, ExecutionConfig, _Run,
                                 apply_reinitialization, phase_windows,
                                 reinit_indices, update_execution_parameters)
-from hybridopt.pso import random_velocity
+from hybridopt.pso import neighborhood_best, neighbors, random_velocity
 
 
 def _cfg(**overrides):
@@ -137,8 +139,8 @@ def _uniform_population(n, d, rng, bounds, fn):
     members = []
     for _ in range(n):
         x = bounds.sample_uniform(rng)
-        members.append(Individual.fresh(x, np.zeros(d), fn(x)))
-    return Population(members=members)
+        members.append((x, np.zeros(d), fn(x)))
+    return Population.fresh(members)
 
 
 def test_reinit_similarity():
@@ -175,12 +177,16 @@ def test_apply_reinitialization_keeps_incumbent():
 
     pop = _uniform_population(6, 3, rng, obj.bounds, ev)
     best = np.zeros(3)
-    for m in pop.members:   # make everyone a clone of the best
-        m.position = best.copy()
+    pop.x[:] = best   # make everyone a clone of the best
     changed = apply_reinitialization("similarity", pop, best, obj.bounds, [],
                                      rng, ev)
     assert len(changed) == 5
-    assert all(obj.bounds.contains(pop.members[i].position) for i in changed)
+    keeper = ({*range(6)} - set(changed)).pop()
+    assert np.array_equal(pop.x[keeper], best)
+    for i in changed:   # fresh members: their own personal best, evaluated
+        assert obj.bounds.contains(pop.x[i])
+        assert np.array_equal(pop.p[i], pop.x[i])
+        assert pop.f[i] == pop.pf[i] == obj(pop.x[i])
 
 
 def test_component_based_pso_only_on_fail_accounting():
@@ -226,8 +232,10 @@ def test_personal_best_dominance_through_generations():
     runner.initialize()
     for _ in range(20):
         runner.generation()
-        for m in runner.pop.members:
-            assert m.personal_best_fitness <= m.fitness + 1e-15
+        pop = runner.pop
+        assert np.all(pop.pf <= pop.f)
+        for i in range(len(pop)):   # every stored fitness belongs to its point
+            assert pop.f[i] == obj(pop.x[i]) and pop.pf[i] == obj(pop.p[i])
 
 
 def test_de_population_fitness_monotone():
@@ -236,10 +244,10 @@ def test_de_population_fitness_monotone():
     runner = _Run(cfg, obj, seed=13, budget=EvalBudget(max_evals=8000),
                   trace_every=None)
     runner.initialize()
-    previous = runner.pop.fitnesses()
+    previous = runner.pop.f.copy()
     for _ in range(25):
         runner.generation()
-        current = runner.pop.fitnesses()
+        current = runner.pop.f.copy()
         assert np.all(current <= previous + 1e-15)
         previous = current
 
@@ -307,6 +315,33 @@ def test_ls_budget_ceiling():
         assert used > 0
 
 
+class _HalfUndefined:
+    """Sphere that returns `bad` wherever x[0] > 0."""
+
+    def __init__(self, d, bad):
+        self.inner = make_instance("sphere", d)
+        self.d, self.bounds, self.bad = d, self.inner.bounds, bad
+
+    def __call__(self, x):
+        return self.bad if x[0] > 0 else self.inner(x)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"exec.order": "de", "pop.size": 20, "de.base_vector": "best"},
+    {"exec.order": "pso", "pop.size": 20},
+    {"exec.order": "cmaes"},
+    {"exec.order": "de", "pop.size": 20, "ls.algo": "mtsls"},
+    {"exec.order": "pso", "pop.size": 20, "ls.algo": "cmaes"},
+])
+def test_nan_objective_values_count_as_inf(overrides):
+    cfg = _cfg(**overrides)
+    nan_run, inf_run = (run(cfg, _HalfUndefined(5, bad), seed=3, max_evals=5000,
+                            trace_every=100) for bad in (math.nan, math.inf))
+    assert nan_run.best_fitness == inf_run.best_fitness
+    assert np.array_equal(nan_run.best_position, inf_run.best_position)
+    assert nan_run.trace == inf_run.trace
+
+
 def test_informant_validity():
     cfg = _cfg(**{"exec.order": "pso", "pop.size": 9,
                   "pso.topology": "von_neumann"})
@@ -315,13 +350,13 @@ def test_informant_validity():
                   trace_every=None)
     runner.initialize()
     for _ in range(5):
-        snapshot = runner.pop.personal_best_fitnesses()
         runner.generation()
-        from hybridopt.pso import neighbors
-        for i, l_idx in enumerate(runner.pop.neighborhood_best):
+        pf = runner.pop.pf
+        for i, l_idx in enumerate(neighborhood_best(runner.topology, pf)):
             nb = neighbors(runner.topology, i)
             assert l_idx in nb
-            assert all(snapshot[l_idx] <= snapshot[k] for k in nb)
+            assert all(pf[l_idx] <= pf[k] for k in nb)
+            assert l_idx == min(k for k in nb if pf[k] == pf[l_idx])   # ties: lowest
 
 
 @pytest.mark.parametrize("overrides", [

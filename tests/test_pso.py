@@ -3,20 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hybridopt import Bounds, Individual, rng_stream
+from hybridopt import Bounds, rng_stream
 from hybridopt.pso import (PsoParams, SuccessWindow, acceleration_coeffs,
                            advance_topology, build_topology, compute_velocity,
                            dnpp, inertia_weight, mantegna_levy, neighbors,
                            perturbation_magnitude, random_velocity,
                            stagnation_check, update_position)
-
-
-def _particle(x, v=None, p=None):
-    x = np.asarray(x, dtype=float)
-    v = np.zeros_like(x) if v is None else np.asarray(v, dtype=float)
-    p = x.copy() if p is None else np.asarray(p, dtype=float)
-    return Individual(position=x, velocity=v, personal_best=p,
-                      fitness=0.0, personal_best_fitness=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +102,16 @@ def test_dnpp_degenerate_inputs_give_zero():
     rng = rng_stream(5)
     params = PsoParams()
     x = np.array([1.0, -2.0])
-    part = _particle(x)
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
-        move = dnpp(kind, part, x.copy(), [(x.copy(), 0.0)], params,
+        move = dnpp(kind, x, x.copy(), x.copy(), [(x.copy(), 0.0)], params,
                     1.5, 1.5, 0.0, rng)
         assert move == pytest.approx([0.0, 0.0], abs=1e-15), kind
 
 
 def test_dnpp_standard_average():
     rng = rng_stream(6)
-    part = _particle([0.0, 0.0], p=[2.0, 0.0])
-    move = dnpp("standard", part, np.array([0.0, 2.0]), [], PsoParams(),
+    move = dnpp("standard", np.zeros(2), np.array([2.0, 0.0]),
+                np.array([0.0, 2.0]), [], PsoParams(),
                 1.0, 1.0, 0.0, rng)
     assert move == pytest.approx([1.0, 1.0])
 
@@ -128,36 +119,36 @@ def test_dnpp_standard_average():
 def test_dnpp_gaussian_zero_spread():
     rng = rng_stream(7)
     p = np.array([3.0, -1.0])
-    part = _particle([1.0, 1.0], p=p)
-    move = dnpp("gaussian", part, p.copy(), [], PsoParams(), 1.0, 1.0, 0.0, rng)
+    move = dnpp("gaussian", np.ones(2), p, p.copy(), [], PsoParams(),
+                1.0, 1.0, 0.0, rng)
     assert move == pytest.approx(p - np.array([1.0, 1.0]))  # sd collapses to 0
 
 
 def test_dnpp_eigenbasis_roundtrip():
     rng_a = rng_stream(8)
     rng_b = rng_stream(8)
-    part = _particle([0.5, -0.5], p=[1.0, 2.0])
+    x, p = np.array([0.5, -0.5]), np.array([1.0, 2.0])
     l = np.array([-1.0, 0.3])
     params = PsoParams(vector_basis="eigenvector")
-    natural = dnpp("rectangular", part, l, [], params, 1.5, 1.5, 0.0, rng_a,
+    natural = dnpp("rectangular", x, p, l, [], params, 1.5, 1.5, 0.0, rng_a,
                    basis=None)
-    with_identity = dnpp("rectangular", part, l, [], params, 1.5, 1.5, 0.0,
+    with_identity = dnpp("rectangular", x, p, l, [], params, 1.5, 1.5, 0.0,
                          rng_b, basis=np.eye(2))
     assert natural == pytest.approx(with_identity, abs=1e-12)
 
 
 def test_dnpp_fully_informed_weights():
     params = PsoParams(moi="fully_informed")
-    part = _particle([0.0, 0.0], p=[0.0, 0.0])
+    x = p = np.zeros(2)
     informants = [(np.array([2.0, 0.0]), 1.0), (np.array([0.0, 2.0]), 2.0)]
     # average over informants of phi2*U*(p_k - x); expectation is phi2/2 * mean
     rng = rng_stream(9)
-    draws = np.mean([dnpp("rectangular", part, informants[0][0], informants,
+    draws = np.mean([dnpp("rectangular", x, p, informants[0][0], informants,
                           params, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
     assert draws == pytest.approx([0.5, 0.5], abs=0.05)
 
     ranked = PsoParams(moi="ranked_fully_informed")
-    draws = np.mean([dnpp("rectangular", part, informants[0][0], informants,
+    draws = np.mean([dnpp("rectangular", x, p, informants[0][0], informants,
                           ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
     # rank weights 2/3 and 1/3, each times phi2*E[U]*(p_k - x)
     assert draws == pytest.approx([2 / 3, 1 / 3], abs=0.05)
@@ -208,50 +199,49 @@ def test_mantegna_levy_finite():
 
 def test_compute_velocity_terms():
     rng = rng_stream(11)
+    x = np.zeros(2)
     v = np.array([0.5, -0.5])
-    part = _particle([0.0, 0.0], v=v)
     pure_inertia = PsoParams(omega1=1.0, omega2_mode="constant", omega2=0.0,
                              omega3_mode="constant", omega3=0.0)
-    out = compute_velocity(part, part.position, [], pure_inertia, 0, 10, rng)
+    out = compute_velocity(x, v, x, x, [], pure_inertia, 0, 10, rng)
     assert out == pytest.approx(v)
 
     nothing = PsoParams(omega1=0.0, omega2_mode="constant", omega2=1.0)
-    out = compute_velocity(part, part.position, [], nothing, 0, 10, rng)
+    out = compute_velocity(x, v, x, x, [], nothing, 0, 10, rng)
     assert out == pytest.approx([0.0, 0.0])
 
     combo = PsoParams(omega1=0.5, omega2_mode="constant", omega2=1.0,
                       dnpp="standard")
-    part = _particle([0.0, 0.0], v=[2.0, 0.0], p=[2.0, 0.0])
-    out = compute_velocity(part, np.array([0.0, 2.0]), [], combo, 0, 10, rng)
+    out = compute_velocity(x, np.array([2.0, 0.0]), np.array([2.0, 0.0]),
+                           np.array([0.0, 2.0]), [], combo, 0, 10, rng)
     assert out == pytest.approx([2.0, 1.0])  # 0.5*v + 1.0*(1,1)
 
 
 def test_update_position():
     wide = Bounds.symmetric(100.0, 2)
-    part = _particle([1.0, 2.0])
-    update_position(part, np.array([0.5, -0.5]), wide)
-    assert part.position == pytest.approx([1.5, 1.5])
+    x = np.array([1.0, 2.0])
+    new_x, _ = update_position(x, np.array([0.5, -0.5]), wide)
+    assert new_x == pytest.approx([1.5, 1.5])
+    assert x == pytest.approx([1.0, 2.0])   # the input row is not mutated
 
-    part = _particle([1.0, 2.0])
-    update_position(part, np.zeros(2), wide)
-    assert part.position == pytest.approx([1.0, 2.0])
+    new_x, _ = update_position(x, np.zeros(2), wide)
+    assert new_x == pytest.approx([1.0, 2.0])
 
     unit = Bounds(np.array([0.0]), np.array([1.0]))
-    part = _particle([0.9])
-    update_position(part, np.array([0.5]), unit)
-    assert part.position == pytest.approx([1.0])
+    new_x, _ = update_position(np.array([0.9]), np.array([0.5]), unit)
+    assert new_x == pytest.approx([1.0])
 
 
 def test_velocity_clamping_halves_once():
     b = Bounds.symmetric(1.0, 2)   # width 2
-    part = _particle([0.0, 0.0])
-    update_position(part, np.array([5.0, 0.1]), b, velocity_clamping=True)
-    assert part.velocity == pytest.approx([2.5, 0.05])
-    assert part.position == pytest.approx([1.0, 0.05])  # clamped after the move
+    x, v = update_position(np.zeros(2), np.array([5.0, 0.1]), b,
+                           velocity_clamping=True)
+    assert v == pytest.approx([2.5, 0.05])
+    assert x == pytest.approx([1.0, 0.05])  # clamped after the move
 
-    part = _particle([0.0, 0.0])
-    update_position(part, np.array([0.5, 0.1]), b, velocity_clamping=True)
-    assert part.velocity == pytest.approx([0.5, 0.1])  # inside: untouched
+    _, v = update_position(np.zeros(2), np.array([0.5, 0.1]), b,
+                           velocity_clamping=True)
+    assert v == pytest.approx([0.5, 0.1])  # inside: untouched
 
 
 def test_stagnation_check():

@@ -91,6 +91,27 @@ CONFIGS = {
                                        "pop.interval": "3",
                                        "de.vector_basis": "eigenvector",
                                        "de.base_vector": "directed_best"},
+    # CMA-ES lifecycle: diagonal mode, the other weight schemes, restarts at
+    # constant and growing lambda, CMA-ES as the first phase, nested diagonal LS
+    "cmaes-diagonal": {"exec.order": "cmaes", "cmaes.matrix_mode": "diagonal"},
+    "cmaes-linear-no-restart": {"exec.order": "cmaes",
+                                "cmaes.weights": "linear_decreasing",
+                                "cmaes.restart": "false"},
+    "cmaes-equal-constant-restart": {"exec.order": "cmaes", "cmaes.weights": "equal",
+                                     "cmaes.pop_mode": "constant",
+                                     "cmaes.c": "0.05", "cmaes.b": "5.0",
+                                     "cmaes.e": "-6", "cmaes.f": "-6",
+                                     "cmaes.g": "-6"},
+    "cmaes-incremental-restart": {"exec.order": "cmaes", "cmaes.c": "0.05",
+                                  "cmaes.d": "3.5", "cmaes.e": "-6",
+                                  "cmaes.f": "-6", "cmaes.g": "-6"},
+    "phases-cmaes-pso": {"exec.mode": "multiple_phases", "exec.order": "cmaes,pso",
+                         "exec.phases": "0.6,0.4", "pop.size": "10"},
+    "de-nested-cmaes-diagonal": {"exec.order": "de", "pop.size": "10",
+                                 "ls.algo": "cmaes",
+                                 "ls.cmaes.matrix_mode": "diagonal",
+                                 "ls.cmaes.pop_mode": "incremental",
+                                 "ls.budget": "0.5", "ls.divide": "60"},
 }
 
 

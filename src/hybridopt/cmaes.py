@@ -71,86 +71,83 @@ def _max_mu(scheme: str, lam: int) -> int:
 
 @dataclass
 class CmaState:
-    mean: np.ndarray
-    sigma: float
-    sigma0: float
-    C: np.ndarray                  # full matrix, or 1-D variance vector in diagonal mode
-    diagonal: bool
-    p_c: np.ndarray
-    p_sigma: np.ndarray
-    eigen_B: np.ndarray
-    eigen_D: np.ndarray            # eigenvalue square roots
+    """One CMA-ES distribution.  ``_reset`` sets every field after ``lam``,
+    ``sigma0``, ``gen`` and ``restarts``, at the start and on each restart."""
+
     lam: int
-    mu: int
-    weights: np.ndarray
-    mu_eff: float = 0.0
-    c_sigma: float = 0.0
-    d_sigma: float = 0.0
-    c_c: float = 0.0
-    c_cov: float = 0.0
-    mu_cov: float = 1.0
-    chi_d: float = 0.0
+    sigma0: float
     gen: int = 0
-    hist_best: deque = field(default_factory=deque)
-    last_gen_spread: float = math.inf
-    fes_at_start: int = 0
     restarts: int = 0
+    mean: np.ndarray = field(init=False)
+    sigma: float = field(init=False)
+    C: np.ndarray = field(init=False)  # full matrix, or 1-D variance vector in diagonal mode
+    diagonal: bool = field(init=False)
+    p_c: np.ndarray = field(init=False)
+    p_sigma: np.ndarray = field(init=False)
+    eigen_B: np.ndarray = field(init=False)
+    eigen_D: np.ndarray = field(init=False)  # eigenvalue square roots
+    mu: int = field(init=False)
+    weights: np.ndarray = field(init=False)
+    mu_eff: float = field(init=False)
+    c_sigma: float = field(init=False)
+    d_sigma: float = field(init=False)
+    c_c: float = field(init=False)
+    c_cov: float = field(init=False)
+    mu_cov: float = field(init=False)
+    chi_d: float = field(init=False)
+    hist_best: deque = field(init=False)
+    last_gen_spread: float = field(init=False)
+    fes_at_start: int = field(init=False)
 
     @property
     def d(self) -> int:
         return self.mean.size
 
 
-def _strategy_constants(state: CmaState) -> None:
-    """Cumulation and learning-rate constants from (d, weights)."""
-    d = state.d
-    w = state.weights
+def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) -> None:
+    """Fresh distribution at the current lambda, for the start and every restart.
+
+    mu = floor(lambda/b) with its weights, the cumulation and learning-rate
+    constants of the standard tutorial formulas, the given mean, sigma =
+    sigma0, C = I, zero evolution paths and an empty best-fitness history of
+    10 + 30 d/lambda generations.
+    """
+    d = mean.size
+    mu = max(1, min(int(state.lam / params.b), _max_mu(params.weight_scheme, state.lam)))
+    w = recombination_weights(params.weight_scheme, state.lam, mu)
     mu_eff = 1.0 / float(np.sum(w * w))
     c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
     d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma
     c_c = (4.0 + mu_eff / d) / (d + 4.0 + 2.0 * mu_eff / d)
     c_1 = 2.0 / ((d + 1.3) ** 2 + mu_eff)
     c_mu = min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((d + 2.0) ** 2 + mu_eff))
-    state.mu_eff = mu_eff
-    state.c_sigma = c_sigma
-    state.d_sigma = d_sigma
-    state.c_c = c_c
+    state.mu, state.weights, state.mu_eff = mu, w, mu_eff
+    state.c_sigma, state.d_sigma, state.c_c = c_sigma, d_sigma, c_c
     # Single-coefficient form: c_cov/mu_cov recovers the rank-one rate and
     # c_cov*(1 - 1/mu_cov) the rank-mu rate.
     state.c_cov = c_1 + c_mu
     state.mu_cov = state.c_cov / c_1
     state.chi_d = math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d))
-
-
-def _history_capacity(d: int, lam: int) -> int:
-    return 10 + round(30.0 * d / lam)
+    state.mean = mean
+    state.sigma = state.sigma0
+    state.diagonal = params.matrix_mode == "diagonal"
+    state.C = np.ones(d) if state.diagonal else np.eye(d)
+    state.p_c = np.zeros(d)
+    state.p_sigma = np.zeros(d)
+    state.eigen_B = np.eye(d)
+    state.eigen_D = np.ones(d)
+    state.hist_best = deque(maxlen=10 + round(30.0 * d / state.lam))
+    state.last_gen_spread = math.inf
+    state.fes_at_start = fes_used
 
 
 def init_state(params: CmaParams, d: int, bounds: Bounds, rng: np.random.Generator,
                mean: np.ndarray | None = None, fes_used: int = 0) -> CmaState:
     """Fresh state: lambda = 4 + floor(a ln d), mu = floor(lambda/b), sigma = c * width."""
-    lam = 4 + int(math.floor(params.a * math.log(d)))
-    mu = max(1, min(int(lam / params.b), _max_mu(params.weight_scheme, lam)))
-    weights = recombination_weights(params.weight_scheme, lam, mu)
-    sigma0 = params.c * float(np.mean(bounds.width()))
-    diagonal = params.matrix_mode == "diagonal"
-    state = CmaState(
-        mean=bounds.sample_uniform(rng) if mean is None else np.asarray(mean, dtype=float).copy(),
-        sigma=sigma0,
-        sigma0=sigma0,
-        C=np.ones(d) if diagonal else np.eye(d),
-        diagonal=diagonal,
-        p_c=np.zeros(d),
-        p_sigma=np.zeros(d),
-        eigen_B=np.eye(d),
-        eigen_D=np.ones(d),
-        lam=lam,
-        mu=mu,
-        weights=weights,
-        fes_at_start=fes_used,
-    )
-    _strategy_constants(state)
-    state.hist_best = deque(maxlen=_history_capacity(d, lam))
+    state = CmaState(lam=4 + int(math.floor(params.a * math.log(d))),
+                     sigma0=params.c * float(np.mean(bounds.width())))
+    mean = bounds.sample_uniform(rng) if mean is None else np.asarray(mean, dtype=float).copy()
+    _reset(state, params, mean, fes_used)
     return state
 
 
@@ -161,7 +158,6 @@ def _refresh_eigensystem(state: CmaState) -> None:
         state.eigen_B = np.eye(state.d)
         state.eigen_D = np.sqrt(state.C)
         return
-    state.C = (state.C + state.C.T) / 2.0  # keep exact symmetry
     if not np.all(np.isfinite(state.C)):  # e.g. after sigma underflowed
         raise DegenerateState("covariance is not finite")
     vals, vecs = np.linalg.eigh(state.C)
@@ -190,7 +186,7 @@ def _sigma_scale(p_sigma_norm: float, c_sigma: float, d_sigma: float, chi_d: flo
 
 
 def update_paths_and_sigma(state: CmaState, new_mean: np.ndarray,
-                           old_mean: np.ndarray) -> CmaState:
+                           old_mean: np.ndarray) -> None:
     """Cumulate both evolution paths and rescale sigma from ||p_sigma||."""
     if state.sigma == 0.0:  # degenerate distribution: nothing moved
         step = np.zeros(state.d)
@@ -214,40 +210,44 @@ def update_paths_and_sigma(state: CmaState, new_mean: np.ndarray,
         state.p_c = state.p_c + math.sqrt(cc * (2.0 - cc) * state.mu_eff) * step
 
     state.sigma *= _sigma_scale(norm_ps, cs, state.d_sigma, state.chi_d)
-    return state
 
 
 def covariance_step(C: np.ndarray, p_c: np.ndarray, ys: np.ndarray,
                     weights: np.ndarray, c_cov: float, mu_cov: float) -> np.ndarray:
-    """One covariance update combining decay, rank-one and rank-mu terms."""
-    rank_one = np.outer(p_c, p_c)
-    rank_mu = (weights[:, None] * ys).T @ ys
+    """One covariance update combining decay, rank-one and rank-mu terms.
+
+    A 1-D C is the diagonal of the matrix; its terms are then elementwise.
+    """
+    if C.ndim == 1:
+        rank_one = p_c * p_c
+        rank_mu = weights @ (ys * ys)
+    else:
+        rank_one = np.outer(p_c, p_c)
+        rank_mu = (weights[:, None] * ys).T @ ys
     return (1.0 - c_cov) * C + (c_cov / mu_cov) * rank_one \
         + c_cov * (1.0 - 1.0 / mu_cov) * rank_mu
 
 
 def update_covariance(state: CmaState, ranked: np.ndarray,
-                      old_mean: np.ndarray) -> CmaState:
+                      old_mean: np.ndarray) -> None:
     """Adapt C from the mu best steps y_i = (x_i - m_t) / sigma_t."""
     if state.sigma == 0.0:
         ys = np.zeros((state.mu, state.d))
     else:
         ys = (ranked[:state.mu] - old_mean) / state.sigma
-    if state.diagonal:
-        rank_one = state.p_c * state.p_c
-        rank_mu = state.weights @ (ys * ys)
-        state.C = (1.0 - state.c_cov) * state.C \
-            + (state.c_cov / state.mu_cov) * rank_one \
-            + state.c_cov * (1.0 - 1.0 / state.mu_cov) * rank_mu
-    else:
-        state.C = covariance_step(state.C, state.p_c, ys, state.weights,
-                                  state.c_cov, state.mu_cov)
-        state.C = (state.C + state.C.T) / 2.0
-    return state
+    state.C = covariance_step(state.C, state.p_c, ys, state.weights,
+                              state.c_cov, state.mu_cov)
+    if not state.diagonal:
+        state.C = (state.C + state.C.T) / 2.0  # exactly symmetric from here to eigh
+
+
+def _spread(hi: float, lo: float) -> float:
+    """hi - lo, where equal ends (two +inf too) are a spread of 0."""
+    return 0.0 if hi == lo else hi - lo
 
 
 def record_generation(state: CmaState, fitnesses: np.ndarray) -> None:
-    state.last_gen_spread = float(np.max(fitnesses) - np.min(fitnesses))
+    state.last_gen_spread = _spread(float(np.max(fitnesses)), float(np.min(fitnesses)))
     state.hist_best.append(float(np.min(fitnesses)))
     state.gen += 1
 
@@ -257,8 +257,7 @@ def check_restart(state: CmaState, params: CmaParams) -> bool:
     if state.last_gen_spread <= 10.0 ** params.e:
         return True
     if len(state.hist_best) == state.hist_best.maxlen:
-        hist_range = max(state.hist_best) - min(state.hist_best)
-        if hist_range <= 10.0 ** params.f:
+        if _spread(max(state.hist_best), min(state.hist_best)) <= 10.0 ** params.f:
             return True
     max_std = state.sigma * float(np.sqrt(np.max(state.C if state.diagonal
                                                  else np.diag(state.C))))
@@ -266,39 +265,22 @@ def check_restart(state: CmaState, params: CmaParams) -> bool:
 
 
 def on_restart(state: CmaState, params: CmaParams, bounds: Bounds,
-               rng: np.random.Generator, fes_used: int = 0) -> CmaState:
-    """Re-initialize the distribution; grow lambda when pop_mode is incremental."""
+               rng: np.random.Generator, fes_used: int = 0) -> None:
+    """Start afresh from a uniform mean; lambda grows first when pop_mode is incremental."""
     if params.pop_mode == "incremental":
         state.lam = int(round(params.d_inc * state.lam))
-    state.mu = max(1, min(int(state.lam / params.b),
-                          _max_mu(params.weight_scheme, state.lam)))
-    state.weights = recombination_weights(params.weight_scheme, state.lam, state.mu)
-    _strategy_constants(state)
-    d = state.d
-    state.mean = bounds.sample_uniform(rng)
-    state.sigma = state.sigma0
-    state.diagonal = params.matrix_mode == "diagonal"
-    state.C = np.ones(d) if state.diagonal else np.eye(d)
-    state.p_c = np.zeros(d)
-    state.p_sigma = np.zeros(d)
-    state.eigen_B = np.eye(d)
-    state.eigen_D = np.ones(d)
-    state.hist_best = deque(maxlen=_history_capacity(d, state.lam))
-    state.last_gen_spread = math.inf
-    state.fes_at_start = fes_used
+    _reset(state, params, bounds.sample_uniform(rng), fes_used)
     state.restarts += 1
-    return state
 
 
-def matrix_mode_tick(state: CmaState, params: CmaParams, fes_used: int) -> CmaState:
+def matrix_mode_tick(state: CmaState, params: CmaParams, fes_used: int) -> None:
     """Switch full -> diagonal once 2 + 100*d/sqrt(lambda) FEs have elapsed."""
     if params.matrix_mode != "full_then_diagonal" or state.diagonal:
-        return state
+        return
     threshold = 2.0 + 100.0 * state.d / math.sqrt(state.lam)
     if fes_used - state.fes_at_start >= threshold:
         state.C = np.diag(state.C).copy()
         state.diagonal = True
-    return state
 
 
 class CmaRunner:

@@ -103,14 +103,13 @@ def dispatch_update(cfg: ExecutionConfig, state: ExecState, fes_used: int,
 
 
 def update_execution_parameters(cfg: ExecutionConfig, state: ExecState, rng,
-                                topology=None) -> ExecState:
+                                topology=None) -> None:
     """Advance the iteration counter and every time-keyed execution variable."""
     state.t += 1
     if cfg.mode == "probabilistic" and cfg.gate_dist == "levy":
         state.gamma_t = int(rng.integers(10, 21))
     if topology is not None:
         pso_mod.advance_topology(topology, state.t, rng)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +179,9 @@ class _Run:
         self.topology = None
         self.success: list[SuccessWindow] = []
         self.cma: CmaRunner | None = None
-        self.nested_ls: NestedCmaes | None = None
+        self.nested_ls = NestedCmaes(cfg.ls.nested_cma, self.bounds) \
+            if cfg.ls.algo == "cmaes" else None
         self.ls_scheduler = None
-        self.ls_dead = False
         if cfg.ls.algo != "none":
             self.ls_scheduler = schedule_ls(budget.max_evals, cfg.ls)
 
@@ -225,9 +224,6 @@ class _Run:
             if "pso" in self.order:
                 self.topology = pso_mod.build_topology(
                     self.cfg.pso.topology, self.n, self.rng, self.total_iters)
-        if self.cfg.execution.mode != "multiple_phases" and self.order == ("cmaes",):
-            self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
-                                 fes_used=self.budget.used_evals)
 
     def _enter_phase(self, module: str) -> None:
         self.current_phase = module
@@ -243,27 +239,18 @@ class _Run:
 
     def generation(self) -> None:
         cfg = self.cfg.execution
-        if cfg.mode == "multiple_phases":
-            module = dispatch_update(cfg, self.exec_state,
-                                     self.budget.used_evals, self.rng)[0]
-            if module != self.current_phase:
-                self._enter_phase(module)
-            if module == "cmaes":
-                self._cma_generation()
-            else:
-                self._population_generation(fixed_modules=(module,))
+        if cfg.mode != "multiple_phases" and self.order != ("cmaes",):
+            self._population_generation()
             return
-        if self.order == ("cmaes",):
-            self.active_module = "cmaes"
-            self._cma_generation()
-            return
-        self._population_generation()
-
-    def _cma_generation(self) -> None:
-        if self.cma is None:
-            self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
-                                 fes_used=self.budget.used_evals)
-        self.cma.generation(self.ev, self.rng, fes_used=self.budget.used_evals)
+        # one module per generation: the current phase, or CMA-ES alone
+        module = dispatch_update(cfg, self.exec_state,
+                                 self.budget.used_evals, self.rng)[0]
+        if module != self.current_phase:
+            self._enter_phase(module)
+        if module == "cmaes":
+            self.cma.generation(self.ev, self.rng, fes_used=self.budget.used_evals)
+        else:
+            self._population_generation(fixed_modules=(module,))
 
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         pop = self.pop
@@ -358,7 +345,8 @@ class _Run:
     # -- local search -------------------------------------------------------
 
     def local_search(self) -> None:
-        if self.ls_scheduler is None or self.ls_dead or self.best_x is None:
+        if self.ls_scheduler is None or self.best_x is None \
+                or (self.nested_ls is not None and self.nested_ls.stalled):
             return
         grant = self.ls_scheduler.begin_run()
         if grant <= 0:
@@ -371,14 +359,10 @@ class _Run:
                                    grant, self.cfg.ls, self.rng)
                 self.ls_scheduler.finish_run(result.evals)
             else:
-                if self.nested_ls is None:
-                    self.nested_ls = NestedCmaes(self.cfg.ls.nested_cma, self.bounds)
                 _, _, consumed = self.nested_ls.run_slice(
                     self.best_x, self.best_f, self.ev, grant, self.rng,
                     fes_used=self.budget.used_evals)
                 self.ls_scheduler.finish_run(consumed)
-                if self.nested_ls.stalled:
-                    self.ls_dead = True
         finally:
             self.active_module = previous
 

@@ -187,8 +187,6 @@ class NestedCmaes:
         try:
             while consumed + self.runner.state.lam <= budget:
                 self.runner.generation(tracked, rng, fes_used=fes_used + consumed)
-                if self.runner.state.lam > budget:
-                    break  # a restart grew the population past the slice size
         except BudgetExhausted:
             pass
         return out_x, out_f, consumed

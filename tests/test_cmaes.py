@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,18 +163,70 @@ def test_check_restart():
     st4.sigma = 1e-13   # max sampling std below 10^g
     assert check_restart(st4, params)
 
+    # a generation of +inf samples only (NaN values count as +inf) is flat
+    st5 = init_state(params, 4, _bounds(4), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(st5.hist_best.maxlen):
+            record_generation(st5, np.full(st5.lam, math.inf))
+        assert st5.last_gen_spread == 0.0
+        assert check_restart(st5, params)
+        st5.last_gen_spread = 1.0   # leaves only the history-range test
+        assert check_restart(st5, params)
+
 
 def test_on_restart_population_growth():
-    rng = rng_stream(6)
-    bounds = _bounds(10)
-    params = CmaParams(a=3.0, d_inc=2.0, pop_mode="incremental")
-    st = init_state(params, 10, bounds, rng)
-    st.lam = 15
-    on_restart(st, params, bounds, rng)
-    assert st.lam == 30
-    assert len(st.hist_best) == 0
-    assert np.array_equal(st.C, np.eye(10))
-    assert st.sigma == st.sigma0
+    d = 10
+    bounds = _bounds(d)
+    for mode in ("full", "diagonal", "full_then_diagonal"):
+        rng = rng_stream(6)
+        params = CmaParams(a=3.0, d_inc=2.0, pop_mode="incremental",
+                           matrix_mode=mode, restart=False)
+        runner = CmaRunner(params, d, bounds, rng)
+        _drive(runner, rng, 300)
+        st = runner.state
+        if mode == "full_then_diagonal":
+            matrix_mode_tick(st, params, fes_used=10 ** 9)
+            assert st.diagonal
+        gen, restarts, lam = st.gen, st.restarts, st.lam
+        assert gen > 0 and restarts == 0 and st.sigma != st.sigma0
+        ref = copy.deepcopy(rng)
+        expected_mean = bounds.sample_uniform(ref)
+
+        on_restart(st, params, bounds, rng, fes_used=1234)
+        assert st.lam == 2 * lam
+        assert st.mu == lam        # floor(lambda / 2)
+        assert np.array_equal(st.weights,
+                              recombination_weights("logarithmic", st.lam, st.mu))
+        mu_eff = 1.0 / float(np.sum(st.weights ** 2))
+        c_1 = 2.0 / ((d + 1.3) ** 2 + mu_eff)
+        c_mu = 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((d + 2.0) ** 2 + mu_eff)
+        c_sigma = (mu_eff + 2.0) / (d + mu_eff + 5.0)
+        assert st.mu_eff == pytest.approx(mu_eff)
+        assert st.c_sigma == pytest.approx(c_sigma)
+        assert st.d_sigma == pytest.approx(
+            1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (d + 1.0)) - 1.0) + c_sigma)
+        assert st.c_c == pytest.approx((4.0 + mu_eff / d) / (d + 4.0 + 2.0 * mu_eff / d))
+        assert st.c_cov == pytest.approx(c_1 + c_mu)
+        assert st.c_cov / st.mu_cov == pytest.approx(c_1)
+        assert st.chi_d == pytest.approx(
+            math.sqrt(d) * (1.0 - 1.0 / (4.0 * d) + 1.0 / (21.0 * d * d)))
+        assert np.array_equal(st.mean, expected_mean)   # the restart's only draw
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert st.sigma == st.sigma0
+        # a full_then_diagonal state that had switched starts over with a full C
+        assert st.diagonal == (mode == "diagonal")
+        assert np.array_equal(st.C, np.ones(d) if mode == "diagonal" else np.eye(d))
+        assert np.array_equal(st.p_c, np.zeros(d))
+        assert np.array_equal(st.p_sigma, np.zeros(d))
+        assert np.array_equal(st.eigen_B, np.eye(d))
+        assert np.array_equal(st.eigen_D, np.ones(d))
+        assert len(st.hist_best) == 0
+        assert st.hist_best.maxlen == 10 + round(30.0 * d / st.lam)
+        assert st.last_gen_spread == math.inf
+        assert st.fes_at_start == 1234
+        assert st.gen == gen       # h_sigma's correction counts from the first start
+        assert st.restarts == 1
 
     st.lam = 15
     on_restart(st, CmaParams(d_inc=4.0, pop_mode="incremental"), bounds, rng)

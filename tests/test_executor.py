@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hybridopt import (default_config, dispatch_update, make_instance,
+import hybridopt.cmaes as cmaes_mod
+from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
 from hybridopt.core import EvalBudget, Population
 from hybridopt.executor import (ExecState, ExecutionConfig, _Run,
                                 apply_reinitialization, phase_windows,
                                 reinit_indices, update_execution_parameters)
+from hybridopt.localsearch import NestedCmaes
 from hybridopt.pso import neighborhood_best, neighbors, random_velocity
 
 
@@ -340,6 +343,54 @@ def test_nan_objective_values_count_as_inf(overrides):
     assert nan_run.best_fitness == inf_run.best_fitness
     assert np.array_equal(nan_run.best_position, inf_run.best_position)
     assert nan_run.trace == inf_run.trace
+
+
+class _Undefined:
+    """NaN at every point."""
+
+    def __init__(self, d):
+        self.d, self.bounds = d, Bounds.symmetric(100.0, d)
+
+    def __call__(self, x):
+        return math.nan
+
+
+def test_all_undefined_generations_restart_cmaes(monkeypatch):
+    # every sample counts as +inf: a flat generation, so CMA-ES restarts
+    restarts = []
+    on_restart = cmaes_mod.on_restart
+
+    def counted(state, *args, **kwargs):
+        restarts.append(state.lam)
+        on_restart(state, *args, **kwargs)
+
+    monkeypatch.setattr(cmaes_mod, "on_restart", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(_cfg(**{"exec.order": "cmaes"}), _Undefined(4), seed=3,
+                     max_evals=300)
+    assert result.evals_used == 300
+    assert result.best_fitness == math.inf
+    assert len(restarts) >= 1
+
+
+def test_nested_ls_grant_below_lambda_runs_once(monkeypatch):
+    slices = []
+    run_slice = NestedCmaes.run_slice
+
+    def counted(self, *args, **kwargs):
+        slices.append(self)
+        return run_slice(self, *args, **kwargs)
+
+    monkeypatch.setattr(NestedCmaes, "run_slice", counted)
+    # grant floor(0.1 * 2000) // 100 = 2 FEs against a nested lambda of
+    # 4 + floor(3 ln 5) = 8
+    cfg = _cfg(**{"exec.order": "de", "pop.size": 10, "ls.algo": "cmaes",
+                  "ls.budget": 0.1, "ls.divide": 100})
+    result = run(cfg, make_instance("sphere", 5), seed=11, max_evals=2000)
+    assert len(slices) == 1 and slices[0].stalled
+    assert "ls" not in result.module_evals
+    assert result.evals_used == 2000
 
 
 def test_informant_validity():

@@ -168,10 +168,23 @@ def test_cmaes_ls_improves_sphere():
 def test_cmaes_ls_zero_budget_returns_input():
     bounds = Bounds.symmetric(10.0, 3)
     start = np.ones(3)
-    x, fit, _ = NestedCmaes(CmaParams(), bounds).run_slice(
-        start, 3.0, lambda v: float(np.dot(v, v)), budget=0, rng=rng_stream(1))
-    assert np.array_equal(x, start)
-    assert fit == 3.0
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return float(np.dot(v, v))
+
+    # lambda = 4 + floor(3 ln 3) = 7: no generation fits a slice of 0 or 6 FEs
+    for budget in (0, 6):
+        searcher = NestedCmaes(CmaParams(), bounds)
+        assert not searcher.stalled
+        x, fit, consumed = searcher.run_slice(start, 3.0, f, budget=budget,
+                                              rng=rng_stream(1))
+        assert searcher.runner.state.lam == 7
+        assert np.array_equal(x, start)
+        assert fit == 3.0
+        assert consumed == 0 and not calls
+        assert searcher.stalled
 
 
 def test_cmaes_ls_degenerate_sigma_keeps_input():

@@ -112,6 +112,29 @@ CONFIGS = {
                                  "ls.cmaes.matrix_mode": "diagonal",
                                  "ls.cmaes.pop_mode": "incremental",
                                  "ls.budget": "0.5", "ls.divide": "60"},
+    # informant paths: perturbed informants drawn one row at a time, ranked
+    # weights on a lattice, the objective-distance magnitude on a wheel and
+    # ranked weights on a graph redrawn every iteration
+    "pso-fully-informed-gaussian": {"exec.order": "pso", "pop.size": "20",
+                                    "pso.moi": "fully_informed",
+                                    "pso.pert_info": "gaussian",
+                                    "pso.pm_mode": "constant",
+                                    "pso.pm": "0.05"},
+    "pso-ranked-vonneumann-uniform": {"exec.order": "pso", "pop.size": "20",
+                                      "pso.moi": "ranked_fully_informed",
+                                      "pso.topology": "von_neumann",
+                                      "pso.pert_info": "uniform",
+                                      "pso.pm_mode": "constant",
+                                      "pso.pm": "0.05"},
+    "pso-fully-informed-wheel-levy": {"exec.order": "pso", "pop.size": "20",
+                                      "pso.moi": "fully_informed",
+                                      "pso.topology": "wheel",
+                                      "pso.pert_info": "levy",
+                                      "pso.pm_mode": "objfunc_distance"},
+    "pso-ranked-random-edge": {"exec.order": "pso", "pop.size": "20",
+                               "pso.moi": "ranked_fully_informed",
+                               "pso.topology": "random_edge",
+                               "pso.vector_basis": "natural"},
 }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bounds, repair_to_bounds
+from .core import Bounds, repair_to_bounds, spread
 
 
 class InvalidCounts(Exception):
@@ -241,13 +241,8 @@ def update_covariance(state: CmaState, ranked: np.ndarray,
         state.C = (state.C + state.C.T) / 2.0  # exactly symmetric from here to eigh
 
 
-def _spread(hi: float, lo: float) -> float:
-    """hi - lo, where equal ends (two +inf too) are a spread of 0."""
-    return 0.0 if hi == lo else hi - lo
-
-
 def record_generation(state: CmaState, fitnesses: np.ndarray) -> None:
-    state.last_gen_spread = _spread(float(np.max(fitnesses)), float(np.min(fitnesses)))
+    state.last_gen_spread = spread(float(np.max(fitnesses)), float(np.min(fitnesses)))
     state.hist_best.append(float(np.min(fitnesses)))
     state.gen += 1
 
@@ -257,7 +252,7 @@ def check_restart(state: CmaState, params: CmaParams) -> bool:
     if state.last_gen_spread <= 10.0 ** params.e:
         return True
     if len(state.hist_best) == state.hist_best.maxlen:
-        if _spread(max(state.hist_best), min(state.hist_best)) <= 10.0 ** params.f:
+        if spread(max(state.hist_best), min(state.hist_best)) <= 10.0 ** params.f:
             return True
     max_std = state.sigma * float(np.sqrt(np.max(state.C if state.diagonal
                                                  else np.diag(state.C))))

@@ -71,6 +71,11 @@ def repair_to_bounds(x: np.ndarray, b: Bounds) -> np.ndarray:
     return np.clip(x, b.lower, b.upper)
 
 
+def spread(hi: float, lo: float) -> float:
+    """hi - lo, where equal ends (two +inf too) are a spread of 0."""
+    return 0.0 if hi == lo else hi - lo
+
+
 @dataclass
 class EvalBudget:
     """FE and wall-clock accounting for one run.

@@ -14,7 +14,7 @@ from . import de as de_mod
 from . import pso as pso_mod
 from .cmaes import CmaParams, CmaRunner
 from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
-                   evaluate, repair_to_bounds, rng_stream)
+                   evaluate, repair_to_bounds, rng_stream, spread)
 from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 from .pso import PsoParams, SuccessWindow
@@ -121,11 +121,12 @@ def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
     """Members to re-initialize under RI-change / RI-similarity (empty if none)."""
     n = len(positions)
     if kind == "change":
-        spread = float(np.mean(np.std(positions, axis=0)))
+        diversity = float(np.mean(np.std(positions, axis=0)))
         window = math.ceil(10.0 * d / n)
+        # equal ends (two +inf too) are no improvement
         stalled = (len(best_history) > window
-                   and best_history[-1 - window] - best_history[-1] < 1e-8)
-        if spread < 1e-3 or stalled:
+                   and spread(best_history[-1 - window], best_history[-1]) < 1e-8)
+        if diversity < 1e-3 or stalled:
             return list(range(n))
         return []
     if kind == "similarity":
@@ -269,10 +270,8 @@ class _Run:
         if self.cfg.de is not None:
             k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
 
-        neighbor_sets = l_best_idx = None
+        l_best_idx = None
         if self.topology is not None:
-            neighbor_sets = [sorted(pso_mod.neighbors(self.topology, i))
-                             for i in range(n)]
             l_best_idx = pso_mod.neighborhood_best(self.topology, pbest_fits)
 
         for i in range(n):
@@ -287,8 +286,7 @@ class _Run:
             if "pso" in modules:
                 if de_improved and self.cfg.de is not None and self.cfg.de.pso_only_on_fail:
                     continue
-                self._pso_update(i, pbests, pbest_fits, neighbor_sets[i],
-                                 l_best_idx[i], basis)
+                self._pso_update(i, pbests, pbest_fits, l_best_idx[i], basis)
 
     def _de_update(self, i, positions, fitnesses, pbests, k, basis) -> bool:
         par = self.cfg.de
@@ -316,11 +314,14 @@ class _Run:
             pop.record(i, trial, fitness)
         return improved
 
-    def _pso_update(self, i, pbests, pbest_fits, nb, l_idx, basis) -> None:
+    def _pso_update(self, i, pbests, pbest_fits, l_idx, basis) -> None:
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
-        informants = [(pbests[j], float(pbest_fits[j])) for j in nb]
+        informants = None
+        if par.moi != "best_of_neighborhood":
+            nb = pso_mod.neighbors(self.topology, i)
+            informants = (pbests.take(nb, axis=0), pbest_fits[nb])
         l_best = pbests[l_idx]
 
         if par.stagnation_detection and pso_mod.stagnation_check(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bounds, repair_to_bounds
+from .core import Bounds, repair_to_bounds, spread
 
 STAGNATION_THRESHOLD = 1e-3
 
@@ -56,7 +56,7 @@ class PsoParams:
 @dataclass
 class TopologyState:
     kind: str
-    adjacency: list[set[int]]
+    adjacency: np.ndarray        # n x n bool, symmetric, False on the diagonal
     t_schedule: int = 0
     next_event: int = 0
 
@@ -65,20 +65,20 @@ def build_topology(kind: str, n: int, rng: np.random.Generator,
                    total_iters: int = 1) -> TopologyState:
     """Construct the informant graph for a swarm of n particles."""
     if kind in ("fully_connected", "time_varying"):
-        adj = [set(range(n)) - {i} for i in range(n)]
+        adj = np.ones((n, n), dtype=bool)
     elif kind == "ring":
-        adj = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+        adj = _lattice(n, 1)
     elif kind == "wheel":
-        adj = [set(range(1, n))] + [{0} for _ in range(n - 1)]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, :] = adj[:, 0] = True
     elif kind == "von_neumann":
         # lattice on a virtual torus of width ~sqrt(n)
-        cols = max(1, round(math.sqrt(n)))
-        adj = [{(i - 1) % n, (i + 1) % n, (i - cols) % n, (i + cols) % n} - {i}
-               for i in range(n)]
+        adj = _lattice(n, 1) | _lattice(n, max(1, round(math.sqrt(n))))
     elif kind == "random_edge":
         adj = _random_edges(n, rng)
     else:
         raise ValueError(f"unknown topology {kind!r}")
+    np.fill_diagonal(adj, False)
 
     top = TopologyState(kind=kind, adjacency=adj)
     if kind == "time_varying":
@@ -90,25 +90,38 @@ def build_topology(kind: str, n: int, rng: np.random.Generator,
     return top
 
 
-def _random_edges(n: int, rng: np.random.Generator) -> list[set[int]]:
-    adj = [set() for _ in range(n)]
+def _lattice(n: int, step: int) -> np.ndarray:
+    """Edges i <-> i +- step (mod n)."""
+    idx = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[idx, (idx - step) % n] = adj[idx, (idx + step) % n] = True
+    return adj
+
+
+def _random_edges(n: int, rng: np.random.Generator) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        adj[i].add(j)
-        adj[j].add(i)
+        adj[i, j] = adj[j, i] = True
     return adj
 
 
-def neighbors(top: TopologyState, i: int) -> set[int]:
-    """Informant set of particle i under the current topology state."""
-    return top.adjacency[i]
+def neighbors(top: TopologyState, i: int) -> np.ndarray:
+    """Informants of particle i under the current topology state, in ascending index."""
+    return top.adjacency[i].nonzero()[0]
 
 
-def neighborhood_best(top: TopologyState, pf: np.ndarray) -> list[int]:
-    """Per particle, its informant of lowest personal-best fitness pf (lowest index on ties)."""
-    return [min(nb, key=lambda j: (pf[j], j)) for nb in top.adjacency]
+def neighborhood_best(top: TopologyState, pf: np.ndarray) -> np.ndarray:
+    """Per particle, its informant of lowest personal-best fitness pf (lowest index on ties).
+
+    A stable sort ranks the swarm by (pf, index); each row's first informant
+    in that order is its best, so an all-+inf neighbourhood picks its
+    lowest-index informant.
+    """
+    order = pf.argsort(kind="stable")
+    return order[top.adjacency.take(order, axis=1).argmax(axis=1)]
 
 
 def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> None:
@@ -124,13 +137,13 @@ def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> No
     for i in range(n):
         # keep the canonical ring i <-> i+-1 intact: the graph then stays
         # connected, every degree stays >= 2, and removal ends at the ring
-        ring = {(i - 1) % n, (i + 1) % n}
-        candidates = sorted(adj[i] - ring)
-        if not candidates:
+        row = adj[i].copy()
+        row[[(i - 1) % n, (i + 1) % n]] = False
+        candidates = np.flatnonzero(row)
+        if candidates.size == 0:
             continue
-        j = candidates[int(rng.integers(len(candidates)))]
-        adj[i].discard(j)
-        adj[j].discard(i)
+        j = candidates[int(rng.integers(candidates.size))]
+        adj[i, j] = adj[j, i] = False
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +221,10 @@ def perturbation_magnitude(mode: str, pm: float, p: np.ndarray, l: np.ndarray,
     if mode == "euclidean_distance":
         return float(np.linalg.norm(p - l) / math.sqrt(p.size))
     if mode == "objfunc_distance":
-        return abs(fp - fl) / (1.0 + abs(fl))
+        # equal ends (two +inf too) are a distance of 0; any other
+        # non-finite ratio falls back to the constant magnitude
+        ratio = abs(spread(fp, fl)) / (1.0 + abs(fl))
+        return ratio if math.isfinite(ratio) else pm
     if mode == "success_rate":
         rate = success.rate() if success is not None else 0.5
         if rate > 0.5:
@@ -244,8 +260,42 @@ def _from_basis(v: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
     return v if basis is None else basis @ v
 
 
+def _fully_informed_social(x: np.ndarray, informants: tuple[np.ndarray, np.ndarray],
+                           params: PsoParams, phi2: float, pm: float,
+                           rng: np.random.Generator,
+                           basis: np.ndarray | None) -> np.ndarray:
+    """Sum over informants, best first, of w_k * phi2 * U_k * (p_k - x).
+
+    The weight is 1/m, or (m - rank) / (m (m + 1) / 2) for the ranked model.
+    Informants are taken in (fitness, index) order; each draws its informed
+    perturbation and then its uniforms, so without a perturbation the
+    uniforms are one (m, d) block.  The terms are added one row at a time in
+    that order.
+    """
+    P, F = informants
+    m, d = P.shape
+    order = F.argsort(kind="stable")
+    if params.pert_info == "none" or pm == 0.0:
+        diff = P.take(order, axis=0) - x
+        u = rng.random((m, d))
+    else:
+        diff = np.empty((m, d))
+        u = np.empty((m, d))
+        for r, k in enumerate(order):
+            diff[r] = _perturb(P[k], params.pert_info, pm, rng) - x
+            u[r] = rng.uniform(size=d)
+    if basis is not None:
+        for r in range(m):
+            diff[r] = basis.T @ diff[r]
+    if params.moi == "ranked_fully_informed":
+        coef = (np.arange(m, 0, -1) / (m * (m + 1) / 2.0) * phi2)[:, None]
+    else:
+        coef = 1.0 / m * phi2
+    return np.add.reduce(coef * u * diff, axis=0, initial=0.0)
+
+
 def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
-         informants: list[tuple[np.ndarray, float]], params: PsoParams,
+         informants: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
          phi1: float, phi2: float, pm: float, rng: np.random.Generator,
          basis: np.ndarray | None = None) -> np.ndarray:
     """Movement term mapping the particle and its informants to the next position.
@@ -254,8 +304,9 @@ def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
     ----------
     x, p : the particle's position and personal best.
     l_best : the informant (neighborhood-best personal best).
-    informants : (personal_best, personal_best_fitness) of every neighbor,
-        used by the fully-informed models.
+    informants : (P, F), the personal bests of every neighbor as the rows of
+        P in ascending particle index and their fitnesses F; read only by the
+        fully-informed models, None otherwise.
     basis : optional orthonormal eigenbasis; difference vectors are rotated
         into it before combining and the result rotated back.
     """
@@ -269,15 +320,7 @@ def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
     if kind == "rectangular":
         cognitive = phi1 * rng.uniform(size=d) * dp
         if params.moi in ("fully_informed", "ranked_fully_informed"):
-            ranked = params.moi == "ranked_fully_informed"
-            social = np.zeros(d)
-            order = sorted(range(len(informants)), key=lambda k: (informants[k][1], k))
-            m = len(informants)
-            rank_total = m * (m + 1) / 2.0
-            for rank0, k in enumerate(order):
-                pk = _perturb(informants[k][0], params.pert_info, pm, rng)
-                w = (m - rank0) / rank_total if ranked else 1.0 / m
-                social += w * phi2 * rng.uniform(size=d) * _to_basis(pk - x, basis)
+            social = _fully_informed_social(x, informants, params, phi2, pm, rng, basis)
         else:
             social = phi2 * rng.uniform(size=d) * dl
         return _from_basis(cognitive + social, basis)
@@ -319,10 +362,16 @@ def _omega_aux(mode: str, value: float, omega1: float, rng: np.random.Generator)
 
 
 def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
-                     l_best: np.ndarray, informants: list[tuple[np.ndarray, float]],
+                     l_best: np.ndarray,
+                     informants: tuple[np.ndarray, np.ndarray] | None,
                      params: PsoParams, t: int, total: int, rng: np.random.Generator,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
-    """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p)."""
+    """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p).
+
+    informants is the (P, F) pair that `dnpp` takes: the neighbors' personal
+    bests in ascending index and their fitnesses, or None when the model of
+    influence is best-of-neighborhood.
+    """
     omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
                             lo=params.omega1_min, hi=params.omega1_max)
     omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng)

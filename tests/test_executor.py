@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hybridopt.cmaes as cmaes_mod
+import hybridopt.executor as executor_mod
 from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
 from hybridopt.core import EvalBudget, Population
@@ -167,6 +168,12 @@ def test_reinit_change():
         == list(range(5))
     falling = [5.0 - 0.1 * k for k in range(window + 2)]
     assert reinit_indices("change", spread, np.zeros(4), falling, 4) == []
+    # equal ends count as no improvement, two +inf too
+    undefined = [math.inf] * (window + 2)
+    assert reinit_indices("change", spread, np.zeros(4), undefined, 4) \
+        == list(range(5))
+    found = [math.inf] * (window + 1) + [5.0]
+    assert reinit_indices("change", spread, np.zeros(4), found, 4) == []
 
 
 def test_apply_reinitialization_keeps_incumbent():
@@ -372,6 +379,26 @@ def test_all_undefined_generations_restart_cmaes(monkeypatch):
     assert result.evals_used == 300
     assert result.best_fitness == math.inf
     assert len(restarts) >= 1
+
+
+def test_reinit_change_fires_on_an_undefined_objective(monkeypatch):
+    # every FE is NaN, so the best history stays +inf: that is a stall
+    fired = []
+    reinit = executor_mod.reinit_indices
+
+    def recorded(*args, **kwargs):
+        idx = reinit(*args, **kwargs)
+        fired.append(len(idx))
+        return idx
+
+    monkeypatch.setattr(executor_mod, "reinit_indices", recorded)
+    cfg = _cfg(**{"exec.order": "pso", "pop.size": 10, "exec.reinit": "change"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(cfg, _Undefined(4), seed=3, max_evals=600)
+    assert result.evals_used == 600
+    assert result.best_fitness == math.inf
+    assert any(k == 10 for k in fired)
 
 
 def test_nested_ls_grant_below_lambda_runs_once(monkeypatch):

@@ -1,33 +1,40 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridopt import Bounds, rng_stream
-from hybridopt.pso import (PsoParams, SuccessWindow, acceleration_coeffs,
-                           advance_topology, build_topology, compute_velocity,
-                           dnpp, inertia_weight, mantegna_levy, neighbors,
-                           perturbation_magnitude, random_velocity,
-                           stagnation_check, update_position)
+from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
+from hybridopt.pso import (PsoParams, SuccessWindow, _from_basis, _perturb, _to_basis,
+                           acceleration_coeffs, advance_topology, build_topology,
+                           compute_velocity, dnpp, inertia_weight, mantegna_levy,
+                           neighborhood_best, neighbors, perturbation_magnitude,
+                           random_velocity, stagnation_check, update_position)
 
 
 # ---------------------------------------------------------------------------
 # topology
 # ---------------------------------------------------------------------------
 
+TOPOLOGIES = ("fully_connected", "ring", "wheel", "von_neumann", "random_edge",
+              "time_varying")
+
+
 def test_topology_shapes():
     rng = rng_stream(0)
     full = build_topology("fully_connected", 5, rng)
-    assert neighbors(full, 2) == {0, 1, 3, 4}
+    assert neighbors(full, 2).tolist() == [0, 1, 3, 4]
     ring = build_topology("ring", 5, rng)
-    assert neighbors(ring, 0) == {4, 1}
+    assert neighbors(ring, 0).tolist() == [1, 4]
     wheel = build_topology("wheel", 5, rng)
-    assert neighbors(wheel, 3) == {0}
-    assert neighbors(wheel, 0) == {1, 2, 3, 4}
+    assert neighbors(wheel, 3).tolist() == [0]
+    assert neighbors(wheel, 0).tolist() == [1, 2, 3, 4]
     von = build_topology("von_neumann", 9, rng)
-    assert all(len(neighbors(von, i)) >= 1 for i in range(9))
+    assert neighbors(von, 4).tolist() == [1, 3, 5, 7]   # torus of width 3
+    assert np.all(von.adjacency.sum(axis=1) >= 1)
     rnd = build_topology("random_edge", 6, rng)
-    assert all(len(neighbors(rnd, i)) >= 1 for i in range(6))
+    assert np.all(rnd.adjacency.sum(axis=1) >= 1)
 
 
 def test_time_varying_topology_shrinks_to_ring():
@@ -35,31 +42,66 @@ def test_time_varying_topology_shrinks_to_ring():
     n = 8
     top = build_topology("time_varying", n, rng, total_iters=1)
     assert top.t_schedule >= 1
-    degrees = [len(a) for a in top.adjacency]
+    degrees = top.adjacency.sum(axis=1)
     for t in range(1, 300):
         advance_topology(top, t, rng)
-        new_degrees = [len(a) for a in top.adjacency]
-        assert all(nd <= od for nd, od in zip(new_degrees, degrees))
-        assert all(nd >= 2 for nd in new_degrees)
+        new_degrees = top.adjacency.sum(axis=1)
+        assert np.all(new_degrees <= degrees)
+        assert np.all(new_degrees >= 2)
         degrees = new_degrees
-    assert all(d == 2 for d in degrees)  # ended as a ring
+    assert np.all(degrees == 2)  # ended as a ring
     # the ring is one connected cycle
     seen = {0}
-    cur, prev = next(iter(top.adjacency[0])), 0
+    cur, prev = int(neighbors(top, 0)[0]), 0
     while cur != 0:
         seen.add(cur)
-        nxt = [j for j in top.adjacency[cur] if j != prev]
-        prev, cur = cur, nxt[0]
+        nxt = [j for j in neighbors(top, cur) if j != prev]
+        prev, cur = cur, int(nxt[0])
     assert len(seen) == n
 
 
 def test_random_edge_redrawn_each_iteration():
     rng = rng_stream(2)
     top = build_topology("random_edge", 10, rng)
-    before = [set(a) for a in top.adjacency]
+    before = top.adjacency.copy()
     advance_topology(top, 1, rng)
-    after = [set(a) for a in top.adjacency]
-    assert before != after
+    assert not np.array_equal(before, top.adjacency)
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_topology_invariants(kind):
+    rng = rng_stream(13)
+    n = 11
+    top = build_topology(kind, n, rng, total_iters=4)
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    for t in range(1, 40):
+        adj = top.adjacency
+        assert adj.shape == (n, n) and adj.dtype == bool
+        assert np.array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+        assert np.all(adj.sum(axis=1) >= 1)
+        if kind == "time_varying":   # removal never cuts the ring i <-> i+1
+            assert all(adj[i, j] for i, j in ring)
+        advance_topology(top, t, rng)
+    if kind == "time_varying":
+        assert np.array_equal(top.adjacency.sum(axis=1), np.full(n, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(TOPOLOGIES), n=st.integers(4, 30),
+       steps=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       levels=st.lists(st.sampled_from([0.0, 1.0, -2.5, math.inf]), min_size=30,
+                       max_size=30))
+def test_neighborhood_best_matches_brute_force(kind, n, steps, seed, levels):
+    rng = rng_stream(seed)
+    top = build_topology(kind, n, rng, total_iters=3)
+    for t in range(1, steps + 1):
+        advance_topology(top, t, rng)
+    pf = np.array(levels[:n])   # few distinct values: ties, +inf ties too
+    best = neighborhood_best(top, pf)
+    for i in range(n):
+        expected = min(np.flatnonzero(top.adjacency[i]), key=lambda j: (pf[j], j))
+        assert best[i] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +145,15 @@ def test_dnpp_degenerate_inputs_give_zero():
     params = PsoParams()
     x = np.array([1.0, -2.0])
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
-        move = dnpp(kind, x, x.copy(), x.copy(), [(x.copy(), 0.0)], params,
-                    1.5, 1.5, 0.0, rng)
+        move = dnpp(kind, x, x.copy(), x.copy(), (x[None, :].copy(), np.zeros(1)),
+                    params, 1.5, 1.5, 0.0, rng)
         assert move == pytest.approx([0.0, 0.0], abs=1e-15), kind
 
 
 def test_dnpp_standard_average():
     rng = rng_stream(6)
     move = dnpp("standard", np.zeros(2), np.array([2.0, 0.0]),
-                np.array([0.0, 2.0]), [], PsoParams(),
+                np.array([0.0, 2.0]), None, PsoParams(),
                 1.0, 1.0, 0.0, rng)
     assert move == pytest.approx([1.0, 1.0])
 
@@ -119,7 +161,7 @@ def test_dnpp_standard_average():
 def test_dnpp_gaussian_zero_spread():
     rng = rng_stream(7)
     p = np.array([3.0, -1.0])
-    move = dnpp("gaussian", np.ones(2), p, p.copy(), [], PsoParams(),
+    move = dnpp("gaussian", np.ones(2), p, p.copy(), None, PsoParams(),
                 1.0, 1.0, 0.0, rng)
     assert move == pytest.approx(p - np.array([1.0, 1.0]))  # sd collapses to 0
 
@@ -130,9 +172,9 @@ def test_dnpp_eigenbasis_roundtrip():
     x, p = np.array([0.5, -0.5]), np.array([1.0, 2.0])
     l = np.array([-1.0, 0.3])
     params = PsoParams(vector_basis="eigenvector")
-    natural = dnpp("rectangular", x, p, l, [], params, 1.5, 1.5, 0.0, rng_a,
+    natural = dnpp("rectangular", x, p, l, None, params, 1.5, 1.5, 0.0, rng_a,
                    basis=None)
-    with_identity = dnpp("rectangular", x, p, l, [], params, 1.5, 1.5, 0.0,
+    with_identity = dnpp("rectangular", x, p, l, None, params, 1.5, 1.5, 0.0,
                          rng_b, basis=np.eye(2))
     assert natural == pytest.approx(with_identity, abs=1e-12)
 
@@ -140,7 +182,7 @@ def test_dnpp_eigenbasis_roundtrip():
 def test_dnpp_fully_informed_weights():
     params = PsoParams(moi="fully_informed")
     x = p = np.zeros(2)
-    informants = [(np.array([2.0, 0.0]), 1.0), (np.array([0.0, 2.0]), 2.0)]
+    informants = (np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
     # average over informants of phi2*U*(p_k - x); expectation is phi2/2 * mean
     rng = rng_stream(9)
     draws = np.mean([dnpp("rectangular", x, p, informants[0][0], informants,
@@ -152,6 +194,58 @@ def test_dnpp_fully_informed_weights():
                           ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
     # rank weights 2/3 and 1/3, each times phi2*E[U]*(p_k - x)
     assert draws == pytest.approx([2 / 3, 1 / 3], abs=0.05)
+
+    # rank follows fitness, not row order: the better informant is the second row
+    swapped = (informants[0], np.array([2.0, 1.0]))
+    draws = np.mean([dnpp("rectangular", x, p, informants[0][1], swapped,
+                          ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
+    assert draws == pytest.approx([1 / 3, 2 / 3], abs=0.05)
+
+
+def _reference_rectangular(x, p, l_best, informants, params, phi1, phi2, pm, rng,
+                           basis):
+    """The rectangular DNPP with one loop step per informant, best first."""
+    p = x if params.ignore_pbest else p
+    p = _perturb(p, params.pert_info, pm, rng)
+    _perturb(l_best, params.pert_info, pm, rng)   # drawn, but only p and the rows act
+    dp = _to_basis(p - x, basis)
+    d = x.size
+    cognitive = phi1 * rng.uniform(size=d) * dp
+    ranked = params.moi == "ranked_fully_informed"
+    rows = list(zip(informants[0], informants[1].tolist()))
+    m = len(rows)
+    rank_total = m * (m + 1) / 2.0
+    social = np.zeros(d)
+    order = sorted(range(m), key=lambda k: (rows[k][1], k))
+    for rank0, k in enumerate(order):
+        pk = _perturb(rows[k][0], params.pert_info, pm, rng)
+        w = (m - rank0) / rank_total if ranked else 1.0 / m
+        social += w * phi2 * rng.uniform(size=d) * _to_basis(pk - x, basis)
+    return _from_basis(cognitive + social, basis)
+
+
+@pytest.mark.parametrize("moi", ["fully_informed", "ranked_fully_informed"])
+@pytest.mark.parametrize("pert_info", ["none", "gaussian", "uniform", "levy"])
+@pytest.mark.parametrize("m", [1, 2, 39])
+def test_dnpp_fully_informed_matches_per_informant_loop(moi, pert_info, m):
+    d = 6
+    data = rng_stream(100 + m)
+    x, p = data.normal(size=d), data.normal(size=d)
+    P = data.normal(size=(m, d)) * 3.0
+    F = data.choice([0.5, 1.0, 2.0, math.inf], size=m)   # ties, +inf ties too
+    basis = np.linalg.qr(data.normal(size=(d, d)))[0]
+    for pm in (0.0, 0.3):
+        for b in (None, basis):
+            params = PsoParams(moi=moi, pert_info=pert_info,
+                               vector_basis="natural" if b is None else "eigenvector")
+            rng_a, rng_b = rng_stream(7), rng_stream(7)
+            got = dnpp("rectangular", x, p, P[0], (P, F), params, 1.3, 1.7, pm,
+                       rng_a, basis=b)
+            want = _reference_rectangular(x, p, P[0], (P, F), params, 1.3, 1.7, pm,
+                                          rng_b, b)
+            assert np.array_equal(got, want), (pm, b is None)
+            # the stream advanced by exactly the same draws
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +279,46 @@ def test_perturbation_magnitude():
         == pytest.approx(0.1)
 
 
+def test_objfunc_distance_with_non_finite_fitness():
+    p = np.array([3.0, 4.0])
+    inf = math.inf
+    # equal ends, two +inf too, are a distance of 0
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=inf, fl=inf) == 0.0
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=2.0, fl=2.0) == 0.0
+    # any other non-finite ratio falls back to the constant magnitude
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=inf, fl=1.0) == 0.2
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=1.0, fl=inf) == 0.2
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p,
+                                  fp=1e308, fl=-1e308) == 0.2
+
+
+class _HalfInfinite:
+    """Sphere that is +inf wherever x[0] > 0; counts the NaN points it is given."""
+
+    def __init__(self, d):
+        self.inner = make_instance("sphere", d)
+        self.d, self.bounds = d, self.inner.bounds
+        self.nan_points = 0
+
+    def __call__(self, x):
+        self.nan_points += bool(np.isnan(x).any())
+        return math.inf if x[0] > 0 else self.inner(x)
+
+
+@pytest.mark.parametrize("pert_info", ["gaussian", "uniform", "levy"])
+def test_objfunc_distance_run_on_partly_infinite_objective(pert_info):
+    cfg = validate(default_config({"exec.order": "pso", "pop.size": "20",
+                                   "pso.pert_info": pert_info,
+                                   "pso.pm_mode": "objfunc_distance"}))
+    obj = _HalfInfinite(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(cfg, obj, seed=3, max_evals=3000)
+    assert result.evals_used == 3000
+    assert obj.nan_points == 0
+    assert math.isfinite(result.best_fitness)
+
+
 def test_mantegna_levy_finite():
     rng = rng_stream(10)
     draws = mantegna_levy(1.5, rng, 2000)
@@ -203,17 +337,17 @@ def test_compute_velocity_terms():
     v = np.array([0.5, -0.5])
     pure_inertia = PsoParams(omega1=1.0, omega2_mode="constant", omega2=0.0,
                              omega3_mode="constant", omega3=0.0)
-    out = compute_velocity(x, v, x, x, [], pure_inertia, 0, 10, rng)
+    out = compute_velocity(x, v, x, x, None, pure_inertia, 0, 10, rng)
     assert out == pytest.approx(v)
 
     nothing = PsoParams(omega1=0.0, omega2_mode="constant", omega2=1.0)
-    out = compute_velocity(x, v, x, x, [], nothing, 0, 10, rng)
+    out = compute_velocity(x, v, x, x, None, nothing, 0, 10, rng)
     assert out == pytest.approx([0.0, 0.0])
 
     combo = PsoParams(omega1=0.5, omega2_mode="constant", omega2=1.0,
                       dnpp="standard")
     out = compute_velocity(x, np.array([2.0, 0.0]), np.array([2.0, 0.0]),
-                           np.array([0.0, 2.0]), [], combo, 0, 10, rng)
+                           np.array([0.0, 2.0]), None, combo, 0, 10, rng)
     assert out == pytest.approx([2.0, 1.0])  # 0.5*v + 1.0*(1,1)
 
 

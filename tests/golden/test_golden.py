@@ -4,7 +4,9 @@ values stored next to this file exactly.
 Each fingerprint is one run at d=5 with 2 000 FEs on a fixed instance and
 seed: the best fitness as ``float.hex``, the FEs used, the FEs per module and
 a sha256 over the trace taken every 100 FEs.  A change that alters any of
-them changes what a configured run computes.
+them changes what a configured run computes.  The fingerprints named after a
+config alone run on ``shifted_rotated_rastrigin``; ``<config>@<function>``
+runs the config on one of ``OTHER_FUNCTIONS``.
 """
 
 import hashlib
@@ -137,11 +139,28 @@ CONFIGS = {
                                "pso.vector_basis": "natural"},
 }
 
+# Objectives of other shapes than rastrigin's elementwise sum: a per-row dot
+# product (elliptic), a cosine series (weierstrass) and a rotated partition
+# of three base functions.  Each runs CMA-ES, PSO, DE, the probabilistic
+# PSO/DE gate and PSO with the nested CMA-ES local search.
+OTHER_FUNCTIONS = {
+    "elliptic": ("shifted_rotated_elliptic", None),
+    "weierstrass": ("shifted_rotated_weierstrass", None),
+    "hybrid": ("shifted_rotated_hybrid", "elliptic:0-1,ackley:2-3,weierstrass:4-4"),
+}
+OTHER_CONFIGS = ("cmaes-full", "pso-ring", "de-rand1bin", "prob-levy",
+                 "pso-nested-cmaes")
+CASES = {name: (name, FUNCTION, None) for name in CONFIGS}
+CASES.update({f"{config}@{short}": (config, function, parts)
+              for short, (function, parts) in OTHER_FUNCTIONS.items()
+              for config in OTHER_CONFIGS})
+
 
 def fingerprint(name: str) -> dict:
-    cfg = validate(default_config(CONFIGS[name]))
+    config, function, parts = CASES[name]
+    cfg = validate(default_config(CONFIGS[config]))
     assert hasattr(cfg, "execution"), cfg.describe()
-    obj = make_instance(FUNCTION, DIM, instance_seed=INSTANCE_SEED)
+    obj = make_instance(function, DIM, instance_seed=INSTANCE_SEED, parts=parts)
     result = run(cfg, obj, SEED, max_evals=MAX_EVALS, trace_every=TRACE_EVERY)
     trace = "\n".join(f"{fe} {f.hex()}" for fe, f in result.trace)
     return {
@@ -152,7 +171,7 @@ def fingerprint(name: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_fingerprint(name):
     expected = json.loads((HERE / "fingerprints.json").read_text())[name]
     assert fingerprint(name) == expected

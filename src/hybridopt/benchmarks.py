@@ -8,6 +8,7 @@ dimension d >= 2.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,68 +32,87 @@ class InvalidPartition(Exception):
 # ---------------------------------------------------------------------------
 # base functions
 # ---------------------------------------------------------------------------
+#
+# Each takes an (n, d) block Z, one point per row, and returns the n values.
+# The value of a row does not depend on the other rows of its block, bit for
+# bit: elementwise terms are summed per row with ``np.sum(axis=1)``, and each
+# dot product stays one ``np.dot`` per row (``einsum`` or a matrix-vector
+# product over the block sums in another order).
 
-def _sphere(z):
-    return float(np.dot(z, z))
+def _row_dots(a, b):
+    """np.dot(a[i], b[i]) for every row i."""
+    return np.array([np.dot(u, v) for u, v in zip(a, b)])
 
 
-def _elliptic(z):
-    d = z.size
-    if d == 1:
-        return float(z[0] * z[0])
+def _sphere(Z):
+    return _row_dots(Z, Z)
+
+
+@functools.lru_cache(maxsize=None)
+def _elliptic_weights(d: int) -> np.ndarray:
     w = np.power(1e6, np.arange(d) / (d - 1))
-    return float(np.dot(w, z * z))
+    w.flags.writeable = False  # shared by every call at this d
+    return w
 
 
-def _bent_cigar(z):
-    return float(z[0] * z[0] + 1e6 * np.dot(z[1:], z[1:]))
+def _elliptic(Z):
+    d = Z.shape[1]
+    if d == 1:
+        return Z[:, 0] * Z[:, 0]
+    w = _elliptic_weights(d)
+    return np.array([np.dot(w, z2) for z2 in Z * Z])
 
 
-def _discus(z):
-    return float(1e6 * z[0] * z[0] + np.dot(z[1:], z[1:]))
+def _bent_cigar(Z):
+    return Z[:, 0] * Z[:, 0] + 1e6 * _row_dots(Z[:, 1:], Z[:, 1:])
 
 
-def _schwefel_1_2(z):
-    partial = np.cumsum(z)
-    return float(np.dot(partial, partial))
+def _discus(Z):
+    return 1e6 * Z[:, 0] * Z[:, 0] + _row_dots(Z[:, 1:], Z[:, 1:])
 
 
-def _schwefel_2_21(z):
-    return float(np.max(np.abs(z)))
+def _schwefel_1_2(Z):
+    partial = np.cumsum(Z, axis=1)
+    return _row_dots(partial, partial)
 
 
-def _schwefel_2_22(z):
-    a = np.abs(z)
-    return float(np.sum(a) + np.prod(a))
+def _schwefel_2_21(Z):
+    return np.max(np.abs(Z), axis=1)
 
 
-def _rosenbrock(z):
-    return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+def _schwefel_2_22(Z):
+    a = np.abs(Z)
+    return np.sum(a, axis=1) + np.prod(a, axis=1)
 
 
-def _rastrigin(z):
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0))
+def _rosenbrock(Z):
+    x, y = Z[:, :-1], Z[:, 1:]
+    return np.sum(100.0 * (x ** 2 - y) ** 2 + (x - 1.0) ** 2, axis=1)
 
 
-def _ackley(z):
-    d = z.size
-    s1 = np.sqrt(np.dot(z, z) / d)
-    s2 = np.sum(np.cos(2.0 * np.pi * z)) / d
-    return float(20.0 + np.e - 20.0 * np.exp(-0.2 * s1) - np.exp(s2))
+def _rastrigin(Z):
+    return np.sum(Z * Z - 10.0 * np.cos(2.0 * np.pi * Z) + 10.0, axis=1)
 
 
-def _griewank(z):
-    d = z.size
-    s = np.dot(z, z) / 4000.0
-    p = np.prod(np.cos(z / np.sqrt(np.arange(1, d + 1))))
-    return float(1.0 + s - p)
+def _ackley(Z):
+    d = Z.shape[1]
+    s1 = np.sqrt(_row_dots(Z, Z) / d)
+    s2 = np.sum(np.cos(2.0 * np.pi * Z), axis=1) / d
+    return 20.0 + np.e - 20.0 * np.exp(-0.2 * s1) - np.exp(s2)
 
 
-def _bohachevsky(z):
-    x, y = z[:-1], z[1:]
-    return float(np.sum(x * x + 2.0 * y * y
-                        - 0.3 * np.cos(3.0 * np.pi * x)
-                        - 0.4 * np.cos(4.0 * np.pi * y) + 0.7))
+def _griewank(Z):
+    d = Z.shape[1]
+    s = _row_dots(Z, Z) / 4000.0
+    p = np.prod(np.cos(Z / np.sqrt(np.arange(1, d + 1))), axis=1)
+    return 1.0 + s - p
+
+
+def _bohachevsky(Z):
+    x, y = Z[:, :-1], Z[:, 1:]
+    return np.sum(x * x + 2.0 * y * y
+                  - 0.3 * np.cos(3.0 * np.pi * x)
+                  - 0.4 * np.cos(4.0 * np.pi * y) + 0.7, axis=1)
 
 
 def _pairwise_f10(x, y):
@@ -100,13 +120,16 @@ def _pairwise_f10(x, y):
     return s ** 0.25 * (np.sin(50.0 * s ** 0.1) ** 2 + 1.0)
 
 
-def _schaffer(z):
-    return float(np.sum(_pairwise_f10(z[:-1], z[1:])))
+def _schaffer(Z):
+    return np.sum(_pairwise_f10(Z[:, :-1], Z[:, 1:]), axis=1)
 
 
-def _extended_f10(z):
-    # schaffer plus the wrap-around pair (z_d, z_1)
-    return float(np.sum(_pairwise_f10(z[:-1], z[1:])) + _pairwise_f10(z[-1], z[0]))
+def _extended_f10(Z):
+    # schaffer plus the wrap-around pair (z_d, z_1), taken on scalars: numpy
+    # raises a scalar to a power with another routine than an array
+    wrap = np.fromiter(map(_pairwise_f10, Z[:, -1], Z[:, 0]), dtype=float,
+                       count=len(Z))
+    return _schaffer(Z) + wrap
 
 
 _W_A, _W_B, _W_KMAX = 0.5, 3.0, 20
@@ -115,9 +138,9 @@ _W_BK = _W_B ** np.arange(_W_KMAX + 1)
 _W_OFFSET = float(np.sum(_W_AK * np.cos(np.pi * _W_BK)))  # cos(2*pi*b^k*0.5)
 
 
-def _weierstrass(z):
-    inner = np.cos(2.0 * np.pi * np.outer(z + 0.5, _W_BK)) @ _W_AK
-    return float(np.sum(inner) - z.size * _W_OFFSET)
+def _weierstrass(Z):
+    inner = np.cos(2.0 * np.pi * ((Z + 0.5)[:, :, None] * _W_BK)) @ _W_AK
+    return np.sum(inner, axis=1) - Z.shape[1] * _W_OFFSET
 
 
 BASE_FUNCTIONS = {
@@ -164,7 +187,7 @@ def eval_base(fid: str, z: np.ndarray) -> float:
         fn = BASE_FUNCTIONS[fid]
     except KeyError:
         raise UnknownFunction(f"unknown base function {fid!r}") from None
-    return fn(np.asarray(z, dtype=float))
+    return float(fn(np.asarray(z, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +219,22 @@ class TransformData:
 
 
 def apply_transforms(x: np.ndarray, t: TransformData) -> np.ndarray:
-    """z = M (x - o); identity when neither shift nor rotation is present."""
+    """z = M (x - o) for a point or for each row of a block; identity when
+    neither shift nor rotation is present.
+
+    The rotation is one matrix-vector product per row, so a row's image does
+    not depend on its block; ``(x - o) @ M.T`` would differ in the last bits.
+    """
     z = np.asarray(x, dtype=float)
+    d = z.shape[-1]
     if t.shift is not None:
-        if t.shift.size != z.size:
-            raise DimensionMismatch(f"shift has length {t.shift.size}, point has {z.size}")
+        if t.shift.size != d:
+            raise DimensionMismatch(f"shift has length {t.shift.size}, point has {d}")
         z = z - t.shift
     if t.rotation is not None:
-        if t.rotation.shape[0] != z.size:
-            raise DimensionMismatch(f"rotation is {t.rotation.shape[0]}x..., point has length {z.size}")
-        z = t.rotation @ z
+        if t.rotation.shape[0] != d:
+            raise DimensionMismatch(f"rotation is {t.rotation.shape[0]}x..., point has length {d}")
+        z = (t.rotation @ z[..., None])[..., 0]
     return z
 
 
@@ -228,11 +257,15 @@ def validate_partition(parts, d: int):
     return tuple(out)
 
 
+def _eval_parts(parts, Z: np.ndarray) -> np.ndarray:
+    """Per row of Z, the sum over a validated partition of its parts' values."""
+    return sum(BASE_FUNCTIONS[fid](Z.take(idx, axis=1)) for fid, idx in parts)
+
+
 def eval_hybrid(parts, x: np.ndarray) -> float:
     """Sum of eval_base(part, x restricted to the part's dimensions)."""
     z = np.asarray(x, dtype=float)
-    parts = validate_partition(parts, z.size)
-    return float(sum(eval_base(fid, z[idx]) for fid, idx in parts))
+    return float(_eval_parts(validate_partition(parts, z.size), z[None])[0])
 
 
 def parse_parts(spec: str, d: int):
@@ -258,20 +291,41 @@ def parse_parts(spec: str, d: int):
 
 @dataclass(frozen=True)
 class ObjectiveInstance:
-    """An immutable, callable problem: base function + transforms + bounds."""
+    """An immutable, callable problem: base function + transforms + bounds.
+
+    ``batch(X)`` evaluates the rows of an (n, d) block; ``self(x)`` is its
+    one-row case, so every row of a block equals the value at that row alone,
+    bit for bit.
+    """
 
     base_id: str
     d: int
     bounds: Bounds
     transform: TransformData = field(default_factory=TransformData)
 
-    def __call__(self, x: np.ndarray) -> float:
-        z = apply_transforms(x, self.transform)
+    def __post_init__(self):
+        # checked once here, not on every evaluation
         if self.transform.partition is not None:
-            val = eval_hybrid(self.transform.partition, z)
+            validate_partition(self.transform.partition, self.d)
+        elif self.base_id not in BASE_FUNCTIONS:
+            raise UnknownFunction(f"unknown base function {self.base_id!r}")
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of an (n, d) block."""
+        # row-contiguous, so each row is reduced like a point on its own
+        Z = np.ascontiguousarray(X, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.d:
+            raise DimensionMismatch(f"block has shape {Z.shape}, expected (n, {self.d})")
+        Z = apply_transforms(Z, self.transform)
+        if self.transform.partition is not None:
+            values = _eval_parts(self.transform.partition, Z)
         else:
-            val = eval_base(self.base_id, z)
-        return val + self.transform.bias
+            values = BASE_FUNCTIONS[self.base_id](Z)
+        # no base function returns -0.0, so a zero bias would change no value
+        return values + self.transform.bias if self.transform.bias else values
+
+    def __call__(self, x: np.ndarray) -> float:
+        return float(self.batch(np.asarray(x, dtype=float)[None])[0])
 
 
 def random_shift(bounds: Bounds, rng: np.random.Generator) -> np.ndarray:

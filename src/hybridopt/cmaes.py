@@ -295,8 +295,10 @@ class CmaRunner:
     def generation(self, eval_fn, rng: np.random.Generator, fes_used: int = 0) -> None:
         """One sample/evaluate/update cycle.
 
-        eval_fn may raise BudgetExhausted mid-generation; the partial
-        generation's evaluations stand but the state update is skipped.
+        eval_fn takes the (lambda, d) block of clamped samples and returns
+        their lambda values.  It may raise BudgetExhausted part-way through
+        the block; the evaluations made stand but the state update is
+        skipped.
         """
         st = self.state
         matrix_mode_tick(st, self.params, fes_used)
@@ -306,9 +308,7 @@ class CmaRunner:
             # numerical breakdown: restart rather than propagate garbage
             on_restart(st, self.params, self.bounds, rng, fes_used=fes_used)
             xs = sample_population(st, rng)
-        fs = np.empty(st.lam)
-        for j in range(st.lam):
-            fs[j] = eval_fn(repair_to_bounds(xs[j], self.bounds))
+        fs = np.asarray(eval_fn(repair_to_bounds(xs, self.bounds)), dtype=float)
         order = np.argsort(fs, kind="stable")
         ranked = xs[order]
         old_mean = st.mean

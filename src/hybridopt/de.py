@@ -138,11 +138,10 @@ def recombine(kind: str, target: np.ndarray, mutant: np.ndarray, p_a: float,
     raise ValueError(f"unknown recombination kind {kind!r}")
 
 
-def select_greedy(target_fitness: float, trial: np.ndarray, f) -> tuple[float, bool]:
-    """Evaluate the trial; returns (trial_fitness, improved), where improved means
-    strictly better than the target.  BudgetExhausted from f propagates."""
-    fitness = f(trial)
-    return fitness, fitness < target_fitness
+def select_greedy(target_fitness: float, trial_fitness: float) -> tuple[float, bool]:
+    """Greedy selection on an evaluated trial: returns (trial_fitness, improved),
+    where improved means strictly better than the target."""
+    return trial_fitness, trial_fitness < target_fitness
 
 
 def recompute_velocity(kind: str, old_position: np.ndarray, new_position: np.ndarray,

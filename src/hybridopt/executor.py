@@ -201,19 +201,53 @@ class _Run:
 
     # -- evaluation funnel --------------------------------------------------
 
+    def ev_block(self, X: np.ndarray, modules=None) -> list[float]:
+        """Evaluate the rows of the (n, d) block X as n FEs, in index order.
+
+        An objective with a ``batch`` method gets one call for the rows the
+        FE budget still covers; any other objective gets one ``evaluate`` per
+        row.  A NaN value counts as +inf.  Row by row, each FE is charged and
+        counted under ``modules[i]`` (the active module when modules is
+        None), and the incumbent and the trace are updated.  Once a row no
+        longer fits the budget, BudgetExhausted is raised, every row before
+        it being counted.  Returns the n values as floats.
+        """
+        X = np.asarray(X, dtype=float)
+        n = len(X)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"block has shape {X.shape}, objective expects (n, {self.d})")
+        budget = self.budget
+        batch = getattr(self.obj, "batch", None)
+        if batch is not None:
+            fit = min(n, budget.max_evals - budget.used_evals)
+            values = []
+            if fit > 0:
+                values = np.asarray(batch(X if fit == n else X[:fit]), dtype=float).tolist()
+        fs = []
+        for i in range(n):
+            if batch is None:
+                f = evaluate(self.obj, X[i], budget)
+            else:
+                budget.charge()
+                f = values[i]
+                if f != f:  # NaN
+                    f = math.inf
+            fs.append(f)
+            module = self.active_module if modules is None else modules[i]
+            self.module_evals[module] = self.module_evals.get(module, 0) + 1
+            if f < self.best_f:
+                self.best_f = f
+                self.best_x = X[i].copy()
+            if self.trace is not None:
+                mark = budget.used_evals // self.trace_every
+                if mark > self._trace_mark:
+                    self._trace_mark = mark
+                    self.trace.append((budget.used_evals, self.best_f))
+        return fs
+
     def ev(self, x: np.ndarray) -> float:
-        f = evaluate(self.obj, x, self.budget)
-        self.module_evals[self.active_module] = \
-            self.module_evals.get(self.active_module, 0) + 1
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.asarray(x, dtype=float).copy()
-        if self.trace is not None:
-            mark = self.budget.used_evals // self.trace_every
-            if mark > self._trace_mark:
-                self._trace_mark = mark
-                self.trace.append((self.budget.used_evals, self.best_f))
-        return f
+        """One FE at the point x: the one-row case of ``ev_block``."""
+        return self.ev_block(np.asarray(x, dtype=float)[None])[0]
 
     # -- initialization -----------------------------------------------------
 
@@ -249,11 +283,30 @@ class _Run:
         if module != self.current_phase:
             self._enter_phase(module)
         if module == "cmaes":
-            self.cma.generation(self.ev, self.rng, fes_used=self.budget.used_evals)
+            self.cma.generation(self.ev_block, self.rng, fes_used=self.budget.used_evals)
         else:
             self._population_generation(fixed_modules=(module,))
 
+    def _one_block(self, fixed_modules: tuple[str, ...] | None) -> bool:
+        """True when no draw of the generation reads one of its own evaluations.
+
+        That holds unless an individual passes through DE and then PSO, or DE
+        may recompute a velocity after its selection.
+        """
+        possible = fixed_modules or self.order
+        if "de" not in possible:
+            return True
+        composed = self.cfg.execution.mode == "component_based" and "pso" in possible
+        return not composed and self.cfg.de.recompute_velocity == "none"
+
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
+        """Propose, evaluate and select every individual in index order.
+
+        Proposals draw in the order of the per-individual loop.  When the
+        generation is one block, every proposal is made first, the block is
+        evaluated, and then every proposal is selected; otherwise each
+        individual's module stages are settled one at a time.
+        """
         pop = self.pop
         n = len(pop)
         # DE donors and PSO informants read the state at the start of the generation
@@ -274,21 +327,43 @@ class _Run:
         if self.topology is not None:
             l_best_idx = pso_mod.neighborhood_best(self.topology, pbest_fits)
 
+        def propose(module, i):
+            if module == "de":
+                return self._de_propose(i, positions, fitnesses, pbests, k, basis)
+            return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], basis)
+
+        block = self._one_block(fixed_modules)
+        stage_modules, stage_rows, stage_xs = [], [], []
         for i in range(n):
             if fixed_modules is not None:
                 modules = fixed_modules
-            else:
+            else:  # DE before PSO when both apply
                 modules = dispatch_update(self.cfg.execution, self.exec_state,
                                           self.budget.used_evals, self.rng)
-            de_improved = False
-            if "de" in modules:
-                de_improved = self._de_update(i, positions, fitnesses, pbests, k, basis)
-            if "pso" in modules:
-                if de_improved and self.cfg.de is not None and self.cfg.de.pso_only_on_fail:
+            for module in modules:
+                x = propose(module, i)
+                if block:
+                    stage_modules.append(module)
+                    stage_rows.append(i)
+                    stage_xs.append(x)
                     continue
-                self._pso_update(i, pbests, pbest_fits, l_best_idx[i], basis)
+                improved = self._settle((module,), (i,), x[None])[0]
+                if module == "de" and improved and self.cfg.de.pso_only_on_fail:
+                    break
+        if stage_rows:
+            self._settle(stage_modules, stage_rows, np.array(stage_xs))
 
-    def _de_update(self, i, positions, fitnesses, pbests, k, basis) -> bool:
+    def _settle(self, modules, rows, X: np.ndarray) -> list[bool]:
+        """Evaluate the proposals X (row j from individual rows[j] under
+        modules[j]) as one block, then select each in order; returns whether
+        each improved on its target."""
+        if "de" in modules:  # DE trials may leave the box; PSO moves never do
+            X = repair_to_bounds(X, self.bounds)
+        fs = self.ev_block(X, modules)
+        return [self._de_select(i, x, f) if module == "de" else self._pso_select(i, x, f)
+                for module, i, x, f in zip(modules, rows, X, fs)]
+
+    def _de_propose(self, i, positions, fitnesses, pbests, k, basis) -> np.ndarray:
         par = self.cfg.de
         self.active_module = "de"
         pop = self.pop
@@ -304,8 +379,12 @@ class _Run:
         else:
             trial = de_mod.recombine(par.recombination, pop.x[i], mutant,
                                      par.p_a, self.rng)
-        trial = repair_to_bounds(trial, self.bounds)
-        fitness, improved = de_mod.select_greedy(pop.f[i], trial, self.ev)
+        return trial
+
+    def _de_select(self, i, trial, fitness) -> bool:
+        par = self.cfg.de
+        pop = self.pop
+        fitness, improved = de_mod.select_greedy(pop.f[i], fitness)
         if improved:
             if par.recompute_velocity != "none":  # pop.x[i] is still the target
                 pop.v[i] = de_mod.recompute_velocity(
@@ -314,7 +393,7 @@ class _Run:
             pop.record(i, trial, fitness)
         return improved
 
-    def _pso_update(self, i, pbests, pbest_fits, l_idx, basis) -> None:
+    def _pso_propose(self, i, pbests, pbest_fits, l_idx, basis) -> np.ndarray:
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
@@ -341,7 +420,12 @@ class _Run:
             basis=basis if par.vector_basis == "eigenvector" else None)
         x, pop.v[i] = pso_mod.update_position(pop.x[i], velocity, self.bounds,
                                               par.velocity_clamping)
-        self.success[i].record(pop.record(i, x, self.ev(x)))
+        return x
+
+    def _pso_select(self, i, x, fitness) -> bool:
+        improved = self.pop.record(i, x, fitness)
+        self.success[i].record(improved)
+        return improved
 
     # -- local search -------------------------------------------------------
 
@@ -361,7 +445,7 @@ class _Run:
                 self.ls_scheduler.finish_run(result.evals)
             else:
                 _, _, consumed = self.nested_ls.run_slice(
-                    self.best_x, self.best_f, self.ev, grant, self.rng,
+                    self.best_x, self.best_f, self.ev_block, grant, self.rng,
                     fes_used=self.budget.used_evals)
                 self.ls_scheduler.finish_run(consumed)
         finally:

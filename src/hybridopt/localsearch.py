@@ -161,8 +161,10 @@ class NestedCmaes:
                   rng: np.random.Generator, fes_used: int = 0) -> tuple[np.ndarray, float, int]:
         """Advance the nested instance by up to `budget` FEs.
 
-        Returns (solution, fitness, consumed); the solution is the input when
-        no strict improvement was sampled.
+        f evaluates a block of points, one per row, as ``CmaRunner.generation``
+        expects.  Returns (solution, fitness, consumed); the solution is the
+        input when no strict improvement was sampled.  A block that f ends
+        with BudgetExhausted is not counted.
         """
         if self.runner is None:
             self.runner = CmaRunner(self.params, self.bounds.d, self.bounds, rng,
@@ -172,14 +174,15 @@ class NestedCmaes:
         out_f = float(best_fitness)
         consumed = 0
 
-        def tracked(x):
+        def tracked(X):
             nonlocal out_x, out_f, consumed
-            value = f(x)
-            consumed += 1
-            if value < out_f:
-                out_f = value
-                out_x = x.copy()
-            return value
+            values = f(X)
+            consumed += len(X)
+            for x, value in zip(X, values):
+                if value < out_f:
+                    out_f = float(value)
+                    out_x = x.copy()
+            return values
 
         if self.runner.state.lam > budget:
             self.stalled = True  # a whole generation no longer fits a slice

@@ -193,11 +193,14 @@ def test_criterion_07_covariance_invariants():
     runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), 10, obj.bounds, rng)
     used = [0]
 
-    def ev(x):
-        if used[0] >= 20_000:
-            raise BudgetExhausted
-        used[0] += 1
-        return obj(x)
+    def ev(X):   # one FE per row, in order, until the budget is spent
+        values = []
+        for x in X:
+            if used[0] >= 20_000:
+                raise BudgetExhausted
+            used[0] += 1
+            values.append(obj(x))
+        return values
 
     while used[0] < 20_000:
         try:
@@ -217,13 +220,16 @@ def _generations_to_target(instance, seed, target=1e-8, max_fes=100_000):
     used = [0]
     best = [math.inf]
 
-    def ev(x):
-        if used[0] >= max_fes:
-            raise BudgetExhausted
-        used[0] += 1
-        value = instance(x)
-        best[0] = min(best[0], value)
-        return value
+    def ev(X):   # one FE per row, in order, until the budget is spent
+        values = []
+        for x in X:
+            if used[0] >= max_fes:
+                raise BudgetExhausted
+            used[0] += 1
+            value = instance(x)
+            best[0] = min(best[0], value)
+            values.append(value)
+        return values
 
     generations = 0
     while best[0] >= target:

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hybridopt import (TransformData, apply_transforms, eval_base, eval_hybrid,
-                       load_rotation_file, load_shift_file, make_instance,
-                       rng_stream)
+from hybridopt import (Bounds, ObjectiveInstance, TransformData, apply_transforms,
+                       eval_base, eval_hybrid, load_rotation_file, load_shift_file,
+                       make_instance, rng_stream)
 from hybridopt.benchmarks import (BASE_FUNCTIONS, DimensionMismatch,
                                   InvalidPartition, UnknownFunction,
                                   parse_parts, random_rotation)
@@ -154,3 +156,98 @@ def test_search_ranges_applied():
     inst = make_instance("schwefel_1_2", 4)
     assert inst.bounds.lower == pytest.approx([-65.536] * 4)
     assert make_instance("ackley", 3).bounds.upper == pytest.approx([32.0] * 3)
+
+
+# Per-point reference forms: one point z at a time, each dot product one
+# np.dot.  Every row of ObjectiveInstance.batch, and every call, must equal
+# them bit for bit.
+def _ref_pairwise_f10(x, y):
+    s = x * x + y * y
+    return s ** 0.25 * (np.sin(50.0 * s ** 0.1) ** 2 + 1.0)
+
+
+_W_AK = 0.5 ** np.arange(21)
+_W_BK = 3.0 ** np.arange(21)
+_W_OFFSET = float(np.sum(_W_AK * np.cos(np.pi * _W_BK)))
+
+_REFERENCE = {
+    "sphere": lambda z: float(np.dot(z, z)),
+    "elliptic": lambda z: float(z[0] * z[0] if z.size == 1 else np.dot(
+        np.power(1e6, np.arange(z.size) / (z.size - 1)), z * z)),
+    "bent_cigar": lambda z: float(z[0] * z[0] + 1e6 * np.dot(z[1:], z[1:])),
+    "discus": lambda z: float(1e6 * z[0] * z[0] + np.dot(z[1:], z[1:])),
+    "schwefel_1_2": lambda z: float(np.dot(np.cumsum(z), np.cumsum(z))),
+    "schwefel_2_21": lambda z: float(np.max(np.abs(z))),
+    "schwefel_2_22": lambda z: float(np.sum(np.abs(z)) + np.prod(np.abs(z))),
+    "rosenbrock": lambda z: float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2
+                                         + (z[:-1] - 1.0) ** 2)),
+    "rastrigin": lambda z: float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)),
+    "ackley": lambda z: float(20.0 + np.e
+                              - 20.0 * np.exp(-0.2 * np.sqrt(np.dot(z, z) / z.size))
+                              - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / z.size)),
+    "griewank": lambda z: float(1.0 + np.dot(z, z) / 4000.0
+                                - np.prod(np.cos(z / np.sqrt(np.arange(1, z.size + 1))))),
+    "bohachevsky": lambda z: float(np.sum(z[:-1] * z[:-1] + 2.0 * z[1:] * z[1:]
+                                          - 0.3 * np.cos(3.0 * np.pi * z[:-1])
+                                          - 0.4 * np.cos(4.0 * np.pi * z[1:]) + 0.7)),
+    "schaffer": lambda z: float(np.sum(_ref_pairwise_f10(z[:-1], z[1:]))),
+    "extended_f10": lambda z: float(np.sum(_ref_pairwise_f10(z[:-1], z[1:]))
+                                    + _ref_pairwise_f10(z[-1], z[0])),
+    "weierstrass": lambda z: float(
+        np.sum(np.cos(2.0 * np.pi * np.outer(z + 0.5, _W_BK)) @ _W_AK)
+        - z.size * _W_OFFSET),
+}
+
+
+def _reference_value(inst, x):
+    z = np.asarray(x, dtype=float)
+    t = inst.transform
+    if t.shift is not None:
+        z = z - t.shift
+    if t.rotation is not None:
+        z = t.rotation @ z
+    if t.partition is None:
+        value = _REFERENCE[inst.base_id](z)
+    else:
+        value = float(sum(_REFERENCE[fid](z[idx]) for fid, idx in t.partition))
+    return value + t.bias
+
+
+def _hybrid_spec(d):
+    if d < 10:
+        return "elliptic:0-0,weierstrass:1-1" + (f",ackley:2-{d - 1}" if d > 2 else "")
+    return f"schwefel_1_2:0-2,elliptic:3-5,extended_f10:6-{d - 1}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def test_batch_rows_equal_point_values_bitwise(d):
+    assert set(_REFERENCE) == set(BASE_FUNCTIONS)
+    rng = rng_stream(d)
+    ids = [prefix + fid for fid in BASE_FUNCTIONS
+           for prefix in ("", "shifted_", "rotated_", "shifted_rotated_")]
+    ids += ["hybrid", "shifted_rotated_hybrid"]
+    for function_id, bias in zip(ids, itertools.cycle((0.0, 0.25))):
+        inst = make_instance(function_id, d, instance_seed=d, bias=bias,
+                             parts=_hybrid_spec(d))
+        for n in (1, 2, 7, 40):
+            # up to half a box width outside the box on either side
+            X = rng.uniform(1.5 * inst.bounds.lower, 1.5 * inst.bounds.upper, (n, d))
+            expected = np.array([_reference_value(inst, x) for x in X])
+            assert inst.batch(X).tobytes() == expected.tobytes(), (function_id, n)
+            assert np.array([inst(x) for x in X]).tobytes() == expected.tobytes()
+        # a strided block reads as its rows
+        assert inst.batch(X[::3]).tobytes() == expected[::3].tobytes()
+
+
+def test_batch_shape_and_partition_checked_once():
+    inst = make_instance("hybrid", 4, parts="sphere:0-1,rastrigin:2-3")
+    assert inst.batch(np.zeros((0, 4))).shape == (0,)
+    with pytest.raises(DimensionMismatch):
+        inst.batch(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        inst.batch(np.zeros(4))
+    with pytest.raises(InvalidPartition):
+        ObjectiveInstance("hybrid", 3, Bounds.symmetric(1.0, 3),
+                          TransformData(partition=(("sphere", np.array([0, 1])),)))
+    with pytest.raises(UnknownFunction):
+        ObjectiveInstance("nope", 3, Bounds.symmetric(1.0, 3))

@@ -260,13 +260,16 @@ def _drive(runner, rng, budget, target=None):
     used = [0]
     best = [math.inf]
 
-    def ev(x):
-        if used[0] >= budget:
-            raise BudgetExhausted
-        used[0] += 1
-        val = float(np.dot(x, x))
-        best[0] = min(best[0], val)
-        return val
+    def ev(X):   # one FE per row, in order, until the budget is spent
+        values = []
+        for x in X:
+            if used[0] >= budget:
+                raise BudgetExhausted
+            used[0] += 1
+            val = float(np.dot(x, x))
+            best[0] = min(best[0], val)
+            values.append(val)
+        return values
 
     while used[0] < budget and (target is None or best[0] >= target):
         try:
@@ -283,11 +286,14 @@ def test_positive_definiteness_on_sphere():
         from hybridopt.core import BudgetExhausted
         used = [0]
 
-        def ev(x):
-            if used[0] >= 3000:
-                raise BudgetExhausted
-            used[0] += 1
-            return float(np.dot(x, x))
+        def ev(X):   # one FE per row, in order, until the budget is spent
+            values = []
+            for x in X:
+                if used[0] >= 3000:
+                    raise BudgetExhausted
+                used[0] += 1
+                values.append(float(np.dot(x, x)))
+            return values
 
         while used[0] < 3000:
             try:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -149,20 +151,10 @@ def test_recombine_exponential_contiguous():
 
 
 def test_select_greedy():
-    seen = []
-
-    def f(value):
-        def evaluate(x):
-            seen.append(x)
-            return value
-        return evaluate
-
-    trial = np.ones(2)
-    assert select_greedy(2.0, trial, f(1.0)) == (1.0, True)
-    assert seen[-1] is trial   # the trial itself is what gets evaluated
-    assert select_greedy(2.0, trial, f(2.0)) == (2.0, False)   # ties keep the target
-    assert select_greedy(2.0, trial, f(3.0)) == (3.0, False)
-    assert len(seen) == 3   # one FE per call
+    assert select_greedy(2.0, 1.0) == (1.0, True)
+    assert select_greedy(2.0, 2.0) == (2.0, False)   # ties keep the target
+    assert select_greedy(2.0, 3.0) == (3.0, False)
+    assert select_greedy(2.0, math.inf) == (math.inf, False)
 
 
 def test_recompute_velocity():

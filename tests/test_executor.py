@@ -8,7 +8,7 @@ import hybridopt.cmaes as cmaes_mod
 import hybridopt.executor as executor_mod
 from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
-from hybridopt.core import EvalBudget, Population
+from hybridopt.core import BudgetExhausted, EvalBudget, Population
 from hybridopt.executor import (ExecState, ExecutionConfig, _Run,
                                 apply_reinitialization, phase_windows,
                                 reinit_indices, update_execution_parameters)
@@ -210,14 +210,14 @@ def test_component_based_pso_only_on_fail_accounting():
                       trace_every=None)
         runner.initialize()
         improvements = []
-        inner = runner._de_update
+        inner = runner._de_select
 
         def spy(*args, **kwargs):
             improved = inner(*args, **kwargs)
             improvements.append(improved)
             return improved
 
-        runner._de_update = spy
+        runner._de_select = spy
         before = dict(runner.module_evals)
         runner.generation()
         de_fes = runner.module_evals["de"] - before.get("de", 0)
@@ -311,6 +311,109 @@ def test_wallclock_limit_stops_run():
     assert result.evals_used < 10_000_000
 
 
+_PROBABILISTIC = {"exec.order": "pso,de", "exec.mode": "probabilistic",
+                  "exec.pr": "0.5", "exec.gate_dist": "uniform", "exec.par_std": "1.0"}
+
+
+class _RowsOnly:
+    """An objective without ``batch``; ``sizes`` lists the rows of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.bounds = inner, inner.d, inner.bounds
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(1)
+        return self.inner(x)
+
+
+class _Blocks(_RowsOnly):
+    """The same objective with ``batch``."""
+
+    def batch(self, X):
+        self.sizes.append(len(X))
+        return self.inner.batch(X)
+
+
+@pytest.mark.parametrize("kind", [_RowsOnly, _Blocks])
+def test_budget_ending_mid_block_counts_each_row(kind):
+    obj = kind(make_instance("sphere", 3))
+    cfg = _cfg(**{**_PROBABILISTIC, "pop.size": 4})
+    runner = _Run(cfg, obj, seed=1, budget=EvalBudget(max_evals=7), trace_every=1)
+    runner.initialize()
+    assert runner.module_evals == {"pso": 4} and runner.best_f > 9.0
+    X = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(BudgetExhausted):
+        runner.ev_block(X, ("de", "pso", "de", "pso"))
+    assert runner.budget.used_evals == 7
+    assert sum(obj.sizes) == 7   # the row past the budget is never evaluated
+    assert runner.module_evals == {"pso": 5, "de": 2}   # each row under its module
+    assert runner.best_f == 1.0 and np.array_equal(runner.best_x, X[2])
+    assert runner.trace[-3:] == [(5, 9.0), (6, 4.0), (7, 1.0)]
+
+
+@pytest.mark.parametrize("kind", [_RowsOnly, _Blocks])
+def test_wallclock_stops_a_block_at_its_next_row(kind):
+    obj = kind(make_instance("sphere", 3))
+    runner = _Run(_cfg(**{"exec.order": "cmaes"}), obj, seed=1,
+                  budget=EvalBudget(max_evals=100, wallclock_ms=1e9), trace_every=1)
+    runner.budget.wallclock_exceeded = lambda: runner.budget.used_evals >= 2
+    with pytest.raises(BudgetExhausted):
+        runner.ev_block(np.ones((5, 3)))
+    assert runner.budget.used_evals == 2
+    assert runner.module_evals == {"cmaes": 2}
+    assert runner.trace == [(1, 3.0), (2, 3.0)]
+
+
+@pytest.mark.parametrize("overrides, rows", [
+    ({"exec.order": "pso"}, 10),
+    ({"exec.order": "de"}, 10),
+    (_PROBABILISTIC, 10),
+    ({"exec.order": "de,pso", "exec.mode": "multiple_phases",
+      "exec.phases": "0.5,0.5"}, 10),
+    ({"exec.order": "cmaes"}, 4 + int(3 * math.log(4))),
+    # a draw reads an evaluation of the same generation: one row per block
+    ({"exec.order": "de,pso"}, 1),
+    ({"exec.order": "de", "de.recompute_velocity": "goBack"}, 1),
+    ({**_PROBABILISTIC, "de.recompute_velocity": "random"}, 1),
+])
+def test_generation_block_sizes(overrides, rows):
+    obj = _Blocks(make_instance("sphere", 4))
+    runner = _Run(_cfg(**{"pop.size": 10, **overrides}), obj, seed=2,
+                  budget=EvalBudget(max_evals=10 ** 6), trace_every=None)
+    runner.initialize()
+    for _ in range(3):
+        obj.sizes.clear()
+        runner.generation()
+        assert set(obj.sizes) == {rows}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"exec.order": "pso"},
+    {"exec.order": "pso", "pso.moi": "fully_informed", "pso.topology": "ring"},
+    {"exec.order": "de", "de.base_vector": "best"},
+    {"exec.order": "de,pso"},
+    {"exec.order": "de,pso", "de.recompute_velocity": "random",
+     "de.pso_only_on_fail": "true"},
+    {**_PROBABILISTIC, "exec.gate_dist": "levy"},
+    {"exec.order": "pso,de,cmaes", "exec.mode": "multiple_phases",
+     "exec.phases": "0.3,0.3,0.4"},
+    {"exec.order": "cmaes"},
+    {"exec.order": "pso", "ls.algo": "cmaes"},
+    {"exec.order": "de", "ls.algo": "mtsls", "exec.reinit": "change"},
+])
+def test_objective_without_batch_gives_the_same_run(overrides):
+    cfg = _cfg(**{"pop.size": 10, **overrides})
+    obj = make_instance("shifted_rotated_weierstrass", 4, instance_seed=2)
+    rows = _RowsOnly(obj)
+    a, b = (run(cfg, o, seed=5, max_evals=997, trace_every=1) for o in (obj, rows))
+    assert len(rows.sizes) == b.evals_used == a.evals_used == 997
+    assert a.best_fitness.hex() == b.best_fitness.hex()
+    assert a.best_position.tobytes() == b.best_position.tobytes()
+    assert a.module_evals == b.module_evals
+    assert a.trace == b.trace
+
+
 def test_ls_budget_ceiling():
     obj = make_instance("shifted_rastrigin", 6, instance_seed=4)
     for algo in ("mtsls", "cmaes"):
@@ -326,7 +429,7 @@ def test_ls_budget_ceiling():
 
 
 class _HalfUndefined:
-    """Sphere that returns `bad` wherever x[0] > 0."""
+    """Sphere that returns `bad` wherever x[0] > 0, one point per call."""
 
     def __init__(self, d, bad):
         self.inner = make_instance("sphere", d)
@@ -334,6 +437,13 @@ class _HalfUndefined:
 
     def __call__(self, x):
         return self.bad if x[0] > 0 else self.inner(x)
+
+
+class _HalfUndefinedBlock(_HalfUndefined):
+    """The same values, evaluated as blocks."""
+
+    def batch(self, X):
+        return np.where(X[:, 0] > 0, self.bad, self.inner.batch(X))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -345,21 +455,27 @@ class _HalfUndefined:
 ])
 def test_nan_objective_values_count_as_inf(overrides):
     cfg = _cfg(**overrides)
-    nan_run, inf_run = (run(cfg, _HalfUndefined(5, bad), seed=3, max_evals=5000,
-                            trace_every=100) for bad in (math.nan, math.inf))
-    assert nan_run.best_fitness == inf_run.best_fitness
-    assert np.array_equal(nan_run.best_position, inf_run.best_position)
-    assert nan_run.trace == inf_run.trace
+    # point by point and as blocks: the block funnel maps NaN on its own
+    for kind in (_HalfUndefined, _HalfUndefinedBlock):
+        nan_run, inf_run = (run(cfg, kind(5, bad), seed=3, max_evals=5000,
+                                trace_every=100) for bad in (math.nan, math.inf))
+        assert nan_run.best_fitness == inf_run.best_fitness
+        assert np.array_equal(nan_run.best_position, inf_run.best_position)
+        assert nan_run.trace == inf_run.trace
+        assert nan_run.module_evals == inf_run.module_evals
 
 
 class _Undefined:
-    """NaN at every point."""
+    """NaN at every point, one point per call or as a block."""
 
     def __init__(self, d):
         self.d, self.bounds = d, Bounds.symmetric(100.0, d)
 
     def __call__(self, x):
         return math.nan
+
+    def batch(self, X):
+        return np.full(len(X), math.nan)
 
 
 def test_all_undefined_generations_restart_cmaes(monkeypatch):

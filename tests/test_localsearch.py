@@ -152,6 +152,11 @@ def test_mtsls_determinism():
     assert a.fitness == b.fitness and a.evals == b.evals
 
 
+def _sphere_rows(X):
+    """The sphere at every row of a block, as ``run_slice`` evaluates."""
+    return [float(np.dot(x, x)) for x in X]
+
+
 def test_cmaes_ls_improves_sphere():
     bounds = Bounds.symmetric(100.0, 5)
 
@@ -161,7 +166,7 @@ def test_cmaes_ls_improves_sphere():
     start = np.full(5, 5.0)
     for seed in range(10):
         x, fit, _ = NestedCmaes(CmaParams(c=0.1), bounds).run_slice(
-            start, f(start), f, budget=5000, rng=rng_stream(seed))
+            start, f(start), _sphere_rows, budget=5000, rng=rng_stream(seed))
         assert fit < f(start)
 
 
@@ -170,9 +175,9 @@ def test_cmaes_ls_zero_budget_returns_input():
     start = np.ones(3)
     calls = []
 
-    def f(v):
-        calls.append(v)
-        return float(np.dot(v, v))
+    def f(X):
+        calls.extend(X)
+        return _sphere_rows(X)
 
     # lambda = 4 + floor(3 ln 3) = 7: no generation fits a slice of 0 or 6 FEs
     for budget in (0, 6):
@@ -193,13 +198,10 @@ def test_cmaes_ls_degenerate_sigma_keeps_input():
     rng = rng_stream(2)
     start = np.ones(3)
 
-    def f(v):
-        return float(np.dot(v, v))
-
-    _, fit, _ = searcher.run_slice(start, 3.0, f, 60, rng)
+    _, fit, _ = searcher.run_slice(start, 3.0, _sphere_rows, 60, rng)
     searcher.runner.state.sigma = 0.0
     mean_before = searcher.runner.state.mean.copy()
-    _, fit2, consumed = searcher.run_slice(start, fit, f, 60, rng)
+    _, fit2, consumed = searcher.run_slice(start, fit, _sphere_rows, 60, rng)
     # all samples collapse onto the mean: no real improvement, no blow-up
     assert consumed > 0
     assert fit2 <= fit
@@ -213,13 +215,11 @@ def test_nested_cmaes_state_persists_across_slices():
     searcher = NestedCmaes(CmaParams(c=0.1), bounds)
     rng = rng_stream(3)
 
-    def f(v):
-        return float(np.dot(v, v))
-
     start = np.full(4, 20.0)
-    _, fit1, used1 = searcher.run_slice(start, f(start), f, 200, rng)
+    _, fit1, used1 = searcher.run_slice(start, float(np.dot(start, start)),
+                                        _sphere_rows, 200, rng)
     gen1 = searcher.runner.state.gen
-    _, fit2, used2 = searcher.run_slice(start, fit1, f, 200, rng)
+    _, fit2, used2 = searcher.run_slice(start, fit1, _sphere_rows, 200, rng)
     assert searcher.runner.state.gen > gen1   # same instance kept evolving
     assert fit2 <= fit1
     assert used1 <= 200 and used2 <= 200

@@ -301,8 +301,11 @@ class _HalfInfinite:
         self.nan_points = 0
 
     def __call__(self, x):
-        self.nan_points += bool(np.isnan(x).any())
-        return math.inf if x[0] > 0 else self.inner(x)
+        return self.batch(np.asarray(x)[None])[0]
+
+    def batch(self, X):
+        self.nan_points += int(np.isnan(X).any(axis=1).sum())
+        return np.where(X[:, 0] > 0, math.inf, self.inner.batch(X))
 
 
 @pytest.mark.parametrize("pert_info", ["gaussian", "uniform", "levy"])

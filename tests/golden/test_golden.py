@@ -2,9 +2,10 @@
 values stored next to this file exactly.
 
 Each fingerprint is one run at d=5 with 2 000 FEs on a fixed instance and
-seed: the best fitness as ``float.hex``, the FEs used, the FEs per module and
-a sha256 over the trace taken every 100 FEs.  A change that alters any of
-them changes what a configured run computes.  The fingerprints named after a
+seed: the best fitness as ``float.hex``, a sha256 over the bytes of the best
+position, the FEs used, the FEs per module and a sha256 over the trace taken
+every 100 FEs.  A change that alters any of them changes what a configured
+run computes.  The fingerprints named after a
 config alone run on ``shifted_rotated_rastrigin``; ``<config>@<function>``
 runs the config on one of ``OTHER_FUNCTIONS``.
 """
@@ -165,6 +166,7 @@ def fingerprint(name: str) -> dict:
     trace = "\n".join(f"{fe} {f.hex()}" for fe, f in result.trace)
     return {
         "best_fitness": result.best_fitness.hex(),
+        "best_position_sha256": hashlib.sha256(result.best_position.tobytes()).hexdigest(),
         "evals_used": result.evals_used,
         "module_evals": dict(sorted(result.module_evals.items())),
         "trace_sha256": hashlib.sha256(trace.encode()).hexdigest(),

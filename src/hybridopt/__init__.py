@@ -2,8 +2,7 @@
 search, driven by a flat validated parameter configuration."""
 
 from .benchmarks import (ObjectiveInstance, TransformData, apply_transforms,
-                         eval_base, eval_hybrid, load_rotation_file,
-                         load_shift_file, make_instance)
+                         load_rotation_file, load_shift_file, make_instance)
 from .cmaes import CmaParams, CmaRunner, CmaState
 from .config import (ParameterSpec, ValidationReport, default_config,
                      export_parameter_space, parse_parameter_file, validate)
@@ -23,9 +22,9 @@ __all__ = [
     "ObjectiveInstance", "ParameterSpec", "Population", "PsoParams",
     "RunRecord", "RunResult", "TopologyState", "TransformData",
     "ValidationReport", "aggregate", "apply_transforms",
-    "cap_reported_value", "default_config", "dispatch_update",
-    "eval_base", "eval_hybrid", "evaluate", "export_parameter_space",
-    "load_rotation_file", "load_shift_file", "make_instance", "mtsls_run",
+    "cap_reported_value", "default_config", "dispatch_update", "evaluate",
+    "export_parameter_space", "load_rotation_file", "load_shift_file",
+    "make_instance", "mtsls_run",
     "parse_parameter_file", "repair_to_bounds", "rng_stream", "run",
     "run_batch", "schedule_ls", "update_execution_parameters", "validate",
 ]

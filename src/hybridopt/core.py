@@ -131,26 +131,27 @@ class Population:
     pf: np.ndarray
 
     @classmethod
-    def fresh(cls, members) -> "Population":
-        """Population of (x, v, fx) members, each its own personal best."""
-        xs, vs, fs = zip(*members)
-        x, f = np.array(xs, dtype=float), np.array(fs, dtype=float)
-        return cls(x, np.array(vs, dtype=float), x.copy(), f, f.copy())
+    def fresh(cls, X, V, F) -> "Population":
+        """Population of the members with rows X, V and values F, each its own
+        personal best."""
+        x, f = np.array(X, dtype=float), np.array(F, dtype=float)
+        return cls(x, np.array(V, dtype=float), x.copy(), f, f.copy())
 
     def __len__(self) -> int:
         return len(self.f)
 
-    def extend(self, members) -> None:
-        """Append fresh (x, v, fx) members."""
-        new = Population.fresh(members)
+    def extend(self, X, V, F) -> None:
+        """Append fresh members with rows X, V and values F."""
+        new = Population.fresh(X, V, F)
         for name in ("x", "v", "p", "f", "pf"):
             setattr(self, name, np.concatenate((getattr(self, name), getattr(new, name))))
 
-    def reset(self, i: int, x: np.ndarray, v: np.ndarray, fx: float) -> None:
-        """Replace member i by a fresh member at x, forgetting its personal best."""
-        self.x[i] = self.p[i] = x
-        self.v[i] = v
-        self.f[i] = self.pf[i] = fx
+    def reset(self, idx, X, V, F) -> None:
+        """Replace the members idx by fresh members at the rows X, V and values
+        F, forgetting their personal bests."""
+        self.x[idx] = self.p[idx] = X
+        self.v[idx] = V
+        self.f[idx] = self.pf[idx] = F
 
     def record(self, i: int, x: np.ndarray, fx: float) -> bool:
         """Move member i to the evaluated point x; True iff its personal best improved."""

@@ -34,87 +34,81 @@ def num_vector_differences(diff_fraction: float, n: int) -> int:
 
 
 def _distinct_indices(count: int, n: int, exclude: set[int],
-                      rng: np.random.Generator) -> list[int]:
-    pool = [j for j in range(n) if j not in exclude]
-    if len(pool) < count:
+                      rng: np.random.Generator) -> np.ndarray:
+    """count distinct picks from the ascending pool of 0..n-1 without exclude."""
+    size = n - len(exclude)
+    if size < count:
         raise InsufficientPopulation(
-            f"need {count} distinct donors but only {len(pool)} candidates exist")
-    picks = rng.choice(len(pool), size=count, replace=False)
-    return [pool[int(j)] for j in picks]
+            f"need {count} distinct donors but only {size} candidates exist")
+    picks = rng.choice(size, size=count, replace=False)
+    for e in sorted(exclude):  # pool position -> index: step past each excluded one
+        picks += picks >= e
+    return picks
 
 
-def _member_vector(idx: int, positions: np.ndarray, pbests: np.ndarray,
-                   mode: str, rng: np.random.Generator) -> np.ndarray:
+def _rows(idx, positions: np.ndarray, pbests: np.ndarray, mode: str,
+          rng: np.random.Generator) -> np.ndarray:
+    """The vectors of the member idx, or of the members idx in order; under
+    ``mixture`` a fair coin per member picks its personal best or its position."""
     if mode == "positions":
         return positions[idx]
     if mode == "pbest":
         return pbests[idx]
-    if mode == "mixture":  # fair coin per selected solution
-        return pbests[idx] if rng.uniform() < 0.5 else positions[idx]
+    if mode == "mixture":
+        heads = rng.uniform(size=np.shape(idx)) < 0.5
+        return np.where(heads[..., None], pbests[idx], positions[idx])
     raise ValueError(f"unknown vectors mode {mode!r}")
 
 
 def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
                            fitnesses: np.ndarray, i: int, k: int, beta: float,
                            vectors: str, rng: np.random.Generator):
-    """Pick the base vector and k donor pairs for target i.
+    """Pick the base vector and the (2k, d) donor block for target i.
 
-    All selected indices are mutually distinct and different from i.  The
-    directed kinds use a single (b, c) pair ordered so the base has the best
-    fitness of the three.
+    The donor rows are ordered b1, c1, b2, c2, ...  All selected indices are
+    mutually distinct and different from i.  The directed kinds use a single
+    (b, c) pair ordered so the base has the best fitness of the three.
     """
     n = len(positions)
     best = int(np.argmin(fitnesses))
+    # the best member other than the target (the runner-up on ties, by index)
+    top = best if best != i or n == 1 else int(np.argsort(fitnesses, kind="stable")[1])
 
-    def vec(idx):
-        return _member_vector(idx, positions, pbests, vectors, rng)
-
-    if kind in ("directed_random", "directed_best"):
+    if kind in ("random", "directed_random", "directed_best"):
         if kind == "directed_best":
-            a = best
-            if a == i and n > 1:
-                a = int(np.argsort(fitnesses, kind="stable")[1])
-            b, c = _distinct_indices(2, n, {i, a}, rng)
+            picks = [top, *_distinct_indices(2, n, {i, top}, rng)]
+        elif kind == "directed_random":  # ordered by (fitness, index)
+            picks = _distinct_indices(3, n, {i}, rng)
+            picks = picks[np.lexsort((picks, fitnesses[picks]))]
         else:
-            a, b, c = _distinct_indices(3, n, {i}, rng)
-            trio = sorted((a, b, c), key=lambda j: (fitnesses[j], j))
-            a, b, c = trio[0], trio[1], trio[2]
-        return vec(a), [(vec(b), vec(c))]
-
-    if kind == "random":
-        picks = _distinct_indices(2 * k + 1, n, {i}, rng)
-        base = vec(picks[0])
-        rest = picks[1:]
-    elif kind == "best":
-        base_idx = best
-        if base_idx == i and n > 1:
-            base_idx = int(np.argsort(fitnesses, kind="stable")[1])
-        base = vec(base_idx)
-        rest = _distinct_indices(2 * k, n, {i, base_idx}, rng)
+            picks = _distinct_indices(2 * k + 1, n, {i}, rng)
+        rows = _rows(picks, positions, pbests, vectors, rng)
+        return rows[0], rows[1:]
+    if kind == "best":
+        # the base's coin is drawn before the donor indices
+        base = _rows(top, positions, pbests, vectors, rng)
+        exclude = {i, top}
     elif kind == "target_to_best":
         base = positions[i] + beta * (positions[best] - positions[i])
-        rest = _distinct_indices(2 * k, n, {i}, rng)
+        exclude = {i}
     else:
         raise ValueError(f"unknown base-vector kind {kind!r}")
+    return base, _rows(_distinct_indices(2 * k, n, exclude, rng), positions, pbests,
+                       vectors, rng)
 
-    pairs = [(vec(rest[2 * j]), vec(rest[2 * j + 1])) for j in range(k)]
-    return base, pairs
 
+def mutate(base: np.ndarray, donors: np.ndarray, beta: float, kind: str) -> np.ndarray:
+    """Differential mutation with the donor rows b1, c1, b2, c2, ...
 
-def mutate(base: np.ndarray, pairs, beta: float, kind: str) -> np.ndarray:
-    """Differential mutation.
-
-    Standard kinds add (beta/k) * sum of the k pair differences to the base;
-    the directed kinds compute base + (beta/2) * (base - b - c).
+    Standard kinds add (beta/k) * sum of the k differences b_j - c_j to the
+    base, summed in pair order; the directed kinds compute
+    base + (beta/2) * (base - b - c).
     """
     if kind in ("directed_random", "directed_best"):
-        b, c = pairs[0]
+        b, c = donors
         return base + (beta / 2.0) * (base - b - c)
-    k = len(pairs)
-    acc = np.zeros_like(base)
-    for b, c in pairs:
-        acc += b - c
-    return base + (beta / k) * acc
+    diffs = donors[0::2] - donors[1::2]
+    return base + (beta / len(diffs)) * np.add.reduce(diffs, axis=0, initial=0.0)
 
 
 def recombine(kind: str, target: np.ndarray, mutant: np.ndarray, p_a: float,

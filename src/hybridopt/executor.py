@@ -136,19 +136,23 @@ def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
     raise ValueError(f"unknown re-initialization kind {kind!r}")
 
 
-def sample_member(bounds: Bounds, rng, evaluator) -> tuple[np.ndarray, np.ndarray, float]:
-    """A new member (x, v, fx): uniform x, then a random velocity, then fx = f(x)."""
-    x = bounds.sample_uniform(rng)
-    v = pso_mod.random_velocity(bounds, rng)
-    return x, v, evaluator(x)
+def sample_member(bounds: Bounds, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (X, V) of count new members: per member a uniform x, then a
+    random velocity."""
+    X, V = np.empty((2, count, bounds.d))
+    for j in range(count):
+        X[j] = bounds.sample_uniform(rng)
+        V[j] = pso_mod.random_velocity(bounds, rng)
+    return X, V
 
 
 def apply_reinitialization(kind: str, pop: Population, best_position: np.ndarray,
                            bounds: Bounds, best_history, rng, evaluator) -> list[int]:
-    """Re-initialize the selected members uniformly; returns their indices."""
+    """Re-initialize the selected members uniformly; ``evaluator`` gets their
+    positions as one block.  Returns their indices."""
     idx = reinit_indices(kind, pop.x, best_position, best_history, bounds.d)
-    for i in idx:
-        pop.reset(i, *sample_member(bounds, rng, evaluator))
+    X, V = sample_member(bounds, rng, len(idx))
+    pop.reset(idx, X, V, evaluator(X))
     return idx
 
 
@@ -253,8 +257,8 @@ class _Run:
 
     def initialize(self) -> None:
         if self.has_population:
-            self.pop = Population.fresh(
-                [sample_member(self.bounds, self.rng, self.ev) for _ in range(self.n)])
+            X, V = sample_member(self.bounds, self.rng, self.n)
+            self.pop = Population.fresh(X, V, self.ev_block(X))
             self.success = [SuccessWindow() for _ in range(self.n)]
             if "pso" in self.order:
                 self.topology = pso_mod.build_topology(
@@ -367,10 +371,10 @@ class _Run:
         par = self.cfg.de
         self.active_module = "de"
         pop = self.pop
-        base, pairs = de_mod.select_base_and_donors(
+        base, donors = de_mod.select_base_and_donors(
             par.base_vector, positions, pbests, fitnesses, i, k, par.beta,
             par.vectors, self.rng)
-        mutant = de_mod.mutate(base, pairs, par.beta, par.base_vector)
+        mutant = de_mod.mutate(base, donors, par.beta, par.base_vector)
         if par.vector_basis == "eigenvector":
             t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(
                 pop.x[i], mutant, basis)
@@ -462,11 +466,11 @@ class _Run:
         progress = self.budget.used_evals / max(1, self.budget.max_evals)
         target = settings.min_size + round(
             (settings.max_size - settings.min_size) * progress)
-        new = [sample_member(self.bounds, self.rng, self.ev)
-               for _ in range(target - len(self.pop))]
-        if new:
-            self.pop.extend(new)
-            self.success.extend(SuccessWindow() for _ in new)
+        count = target - len(self.pop)
+        if count > 0:
+            X, V = sample_member(self.bounds, self.rng, count)
+            self.pop.extend(X, V, self.ev_block(X))
+            self.success.extend(SuccessWindow() for _ in range(count))
 
     # -- main loop ----------------------------------------------------------
 
@@ -484,7 +488,7 @@ class _Run:
                         and self.active_module in ("pso", "de")):
                     changed = apply_reinitialization(
                         self.cfg.execution.reinit, self.pop, self.best_x,
-                        self.bounds, self.best_history, self.rng, self.ev)
+                        self.bounds, self.best_history, self.rng, self.ev_block)
                     if changed and self.cfg.execution.reinit == "change":
                         self.best_history.clear()
                 self.update_population_parameters()

@@ -19,6 +19,9 @@ import numpy as np
 from .core import Bounds, repair_to_bounds, spread
 
 STAGNATION_THRESHOLD = 1e-3
+# objfunc_distance magnitude where the fitness ratio is not finite; pso.pm is
+# inactive under that mode, so the argument would only ever be its default
+_OBJFUNC_FALLBACK_PM = 0.01
 
 
 @dataclass
@@ -222,9 +225,9 @@ def perturbation_magnitude(mode: str, pm: float, p: np.ndarray, l: np.ndarray,
         return float(np.linalg.norm(p - l) / math.sqrt(p.size))
     if mode == "objfunc_distance":
         # equal ends (two +inf too) are a distance of 0; any other
-        # non-finite ratio falls back to the constant magnitude
+        # non-finite ratio falls back to a fixed magnitude
         ratio = abs(spread(fp, fl)) / (1.0 + abs(fl))
-        return ratio if math.isfinite(ratio) else pm
+        return ratio if math.isfinite(ratio) else _OBJFUNC_FALLBACK_PM
     if mode == "success_rate":
         rate = success.rate() if success is not None else 0.5
         if rate > 0.5:

@@ -60,14 +60,13 @@ def test_criterion_01_equation_oracles():
                           np.ones(1), 0.5, 1.0)
     assert got == pytest.approx(np.diag([1.0, 0.5]), rel=REL)
 
-    # differential mutation, one scaled pair
-    m = mutate(np.array([1.0, 2.0]), [(np.array([3.0, 4.0]),
-                                       np.array([0.0, 1.0]))], 0.5, "random")
+    # differential mutation, one scaled pair (donor rows b, c)
+    m = mutate(np.array([1.0, 2.0]), np.array([[3.0, 4.0], [0.0, 1.0]]), 0.5,
+               "random")
     assert m == pytest.approx([2.5, 3.5], rel=REL)
 
     # directed mutation as printed
-    m = mutate(np.array([2.0, 2.0]), [(np.array([1.0, 0.0]),
-                                       np.array([0.0, 1.0]))], 1.0,
+    m = mutate(np.array([2.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0,
                "directed_random")
     assert m == pytest.approx([2.5, 2.5], rel=REL)
 

@@ -1,37 +1,44 @@
-import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from hybridopt import (Bounds, ObjectiveInstance, TransformData, apply_transforms,
-                       eval_base, eval_hybrid, load_rotation_file, load_shift_file,
-                       make_instance, rng_stream)
+                       load_rotation_file, load_shift_file, make_instance,
+                       rng_stream)
 from hybridopt.benchmarks import (BASE_FUNCTIONS, DimensionMismatch,
                                   InvalidPartition, UnknownFunction,
                                   parse_parts, random_rotation)
 from hybridopt.core import ParseError
 
 
+def _base(fid, z):
+    """The named base function at the point z, as a one-row block."""
+    return float(BASE_FUNCTIONS[fid](np.asarray(z, dtype=float)[None])[0])
+
+
 def test_canonical_optima():
-    assert eval_base("rastrigin", np.zeros(6)) == pytest.approx(0.0, abs=1e-12)
-    assert eval_base("rosenbrock", np.ones(5)) == pytest.approx(0.0, abs=1e-12)
+    assert _base("rastrigin", np.zeros(6)) == pytest.approx(0.0, abs=1e-12)
+    assert _base("rosenbrock", np.ones(5)) == pytest.approx(0.0, abs=1e-12)
     for fid in BASE_FUNCTIONS:
         if fid == "rosenbrock":
             continue
-        assert eval_base(fid, np.zeros(4)) == pytest.approx(0.0, abs=1e-9), fid
+        assert _base(fid, np.zeros(4)) == pytest.approx(0.0, abs=1e-9), fid
 
 
 def test_hand_evaluations():
-    assert eval_base("elliptic", np.array([1.0, 1.0])) == pytest.approx(1000001.0)
-    assert eval_base("schwefel_2_22", np.array([-2.0, 3.0])) == pytest.approx(11.0)
+    assert _base("elliptic", np.array([1.0, 1.0])) == pytest.approx(1000001.0)
+    assert _base("schwefel_2_22", np.array([-2.0, 3.0])) == pytest.approx(11.0)
     # an extra hand case each for the cumulative-sum and max-norm forms
-    assert eval_base("schwefel_1_2", np.array([1.0, 2.0])) == pytest.approx(1 + 9)
-    assert eval_base("schwefel_2_21", np.array([-7.0, 3.0])) == pytest.approx(7.0)
+    assert _base("schwefel_1_2", np.array([1.0, 2.0])) == pytest.approx(1 + 9)
+    assert _base("schwefel_2_21", np.array([-7.0, 3.0])) == pytest.approx(7.0)
 
 
 def test_unknown_function():
     with pytest.raises(UnknownFunction):
-        eval_base("nope", np.zeros(3))
+        make_instance("nope", 3)
+    with pytest.raises(UnknownFunction):
+        make_instance("shifted_rotated_nope", 3)
 
 
 def test_non_negativity_everywhere():
@@ -39,14 +46,14 @@ def test_non_negativity_everywhere():
     for fid in BASE_FUNCTIONS:
         for _ in range(50):
             z = rng.uniform(-100, 100, size=6)
-            assert eval_base(fid, z) >= -1e-12, fid
+            assert _base(fid, z) >= -1e-12, fid
 
 
 def test_scalability_any_dimension():
     rng = rng_stream(8)
     for fid in BASE_FUNCTIONS:
         for d in (2, 3, 7, 25):
-            val = eval_base(fid, rng.uniform(-1, 1, size=d))
+            val = _base(fid, rng.uniform(-1, 1, size=d))
             assert np.isfinite(val), (fid, d)
 
 
@@ -72,7 +79,7 @@ def test_optimum_preservation():
     for fid in BASE_FUNCTIONS:
         inst = make_instance(f"shifted_rotated_{fid}", 6, instance_seed=3)
         at_shift = inst(inst.transform.shift)
-        assert at_shift == pytest.approx(eval_base(fid, np.zeros(6)), abs=1e-9)
+        assert at_shift == pytest.approx(_base(fid, np.zeros(6)), abs=1e-9)
     del rng
 
 
@@ -88,20 +95,17 @@ def test_rotation_isometry():
 
 def test_hybrid_partitions():
     z = np.arange(1.0, 7.0)
-    whole = (("sphere", np.arange(6)),)
-    assert eval_hybrid(whole, z) == pytest.approx(eval_base("sphere", z))
-
-    halves = (("sphere", np.arange(3)), ("sphere", np.arange(3, 6)))
-    assert eval_hybrid(halves, z) == pytest.approx(eval_base("sphere", z))
-
-    parts = (("sphere", np.array([0])), ("rastrigin", np.array([1])))
-    assert eval_hybrid(parts, np.array([2.0, 0.0])) == pytest.approx(4.0)
+    assert make_instance("hybrid", 6, parts="sphere:0-5")(z) \
+        == pytest.approx(_base("sphere", z))
+    assert make_instance("hybrid", 6, parts="sphere:0-2,sphere:3-5")(z) \
+        == pytest.approx(_base("sphere", z))
+    assert make_instance("hybrid", 2, parts="sphere:0-0,rastrigin:1-1")(
+        np.array([2.0, 0.0])) == pytest.approx(4.0)
 
     with pytest.raises(InvalidPartition):
-        eval_hybrid((("sphere", np.array([0, 1])), ("sphere", np.array([1, 2]))),
-                    np.zeros(3))
+        make_instance("hybrid", 3, parts="sphere:0-1,sphere:1-2")
     with pytest.raises(InvalidPartition):
-        eval_hybrid((("sphere", np.array([0])),), np.zeros(2))
+        make_instance("hybrid", 2, parts="sphere:0-0")
 
 
 def test_parse_parts():
@@ -138,9 +142,23 @@ def test_rotation_file_loading(tmp_path):
     np.savetxt(path, np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):
         load_rotation_file(path, 3)
+    np.savetxt(path, np.ones((3, 3)))   # the loader checks the shape only
+    assert np.array_equal(load_rotation_file(path, 3), np.ones((3, 3)))
+
+
+def test_rotation_file_orthogonality_judged_once(tmp_path):
+    path = tmp_path / "rot.txt"
+    loose = np.eye(3)
+    loose[0, 1] = 1e-5
+    np.savetxt(path, loose, fmt="%.17g")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        inst = make_instance("rotated_sphere", 3, rotation_file=str(path))
+    assert len(caught) == 1 and "orthogonal" in str(caught[0].message)
+    assert np.array_equal(inst.transform.rotation, loose)
     np.savetxt(path, np.ones((3, 3)))
-    with pytest.warns(UserWarning):
-        load_rotation_file(path, 3)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        make_instance("rotated_sphere", 3, rotation_file=str(path))
 
 
 def test_instance_seed_reproducibility():
@@ -156,6 +174,13 @@ def test_search_ranges_applied():
     inst = make_instance("schwefel_1_2", 4)
     assert inst.bounds.lower == pytest.approx([-65.536] * 4)
     assert make_instance("ackley", 3).bounds.upper == pytest.approx([32.0] * 3)
+    half = {fid: make_instance(fid, 2).bounds.upper[0] for fid in BASE_FUNCTIONS}
+    assert {fid: h for fid, h in half.items() if h != 100.0} == {
+        "schwefel_1_2": 65.536, "schwefel_2_22": 10.0, "ackley": 32.0,
+        "griewank": 600.0}
+    # a hybrid takes the box of its first part
+    hybrid = make_instance("hybrid", 4, parts="ackley:0-1,sphere:2-3")
+    assert hybrid.bounds.upper == pytest.approx([32.0] * 4)
 
 
 # Per-point reference forms: one point z at a time, each dot product one
@@ -207,10 +232,8 @@ def _reference_value(inst, x):
     if t.rotation is not None:
         z = t.rotation @ z
     if t.partition is None:
-        value = _REFERENCE[inst.base_id](z)
-    else:
-        value = float(sum(_REFERENCE[fid](z[idx]) for fid, idx in t.partition))
-    return value + t.bias
+        return _REFERENCE[inst.base_id](z)
+    return float(sum(_REFERENCE[fid](z[idx]) for fid, idx in t.partition))
 
 
 def _hybrid_spec(d):
@@ -226,9 +249,8 @@ def test_batch_rows_equal_point_values_bitwise(d):
     ids = [prefix + fid for fid in BASE_FUNCTIONS
            for prefix in ("", "shifted_", "rotated_", "shifted_rotated_")]
     ids += ["hybrid", "shifted_rotated_hybrid"]
-    for function_id, bias in zip(ids, itertools.cycle((0.0, 0.25))):
-        inst = make_instance(function_id, d, instance_seed=d, bias=bias,
-                             parts=_hybrid_spec(d))
+    for function_id in ids:
+        inst = make_instance(function_id, d, instance_seed=d, parts=_hybrid_spec(d))
         for n in (1, 2, 7, 40):
             # up to half a box width outside the box on either side
             X = rng.uniform(1.5 * inst.bounds.lower, 1.5 * inst.bounds.upper, (n, d))

@@ -64,7 +64,7 @@ def test_rng_stream_reproducible():
 
 
 def test_population_record_personal_best_dominance():
-    pop = Population.fresh([(np.array([1.0]), np.zeros(1), 5.0)])
+    pop = Population.fresh([[1.0]], np.zeros((1, 1)), [5.0])
     assert not pop.record(0, np.array([2.0]), 7.0)   # worse: pbest sticks
     assert pop.pf[0] == 5.0 and pop.f[0] == 7.0
     assert pop.pf[0] <= pop.f[0]
@@ -72,6 +72,20 @@ def test_population_record_personal_best_dominance():
     assert pop.record(0, np.array([0.5]), 3.0)       # better: pbest follows
     assert pop.pf[0] == 3.0
     assert pop.p[0] == pytest.approx([0.5])
+
+
+def test_population_extend_and_reset_take_blocks():
+    pop = Population.fresh(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)),
+                           [3.0, 2.0, 1.0])
+    pop.record(0, np.array([9.0, 9.0]), 5.0)   # moves x[0] but keeps its pbest
+    pop.extend(np.ones((2, 2)), np.full((2, 2), 0.5), [7.0, 8.0])
+    assert len(pop) == 5 and pop.v[3:] == pytest.approx(np.full((2, 2), 0.5))
+    pop.reset([0, 4], np.full((2, 2), -1.0), np.full((2, 2), 2.0), [4.0, 6.0])
+    for i, fx in ((0, 4.0), (4, 6.0)):   # fresh: its own personal best
+        assert pop.x[i] == pytest.approx([-1.0, -1.0]) and pop.f[i] == pop.pf[i] == fx
+        assert np.array_equal(pop.p[i], pop.x[i])
+        assert pop.v[i] == pytest.approx([2.0, 2.0])
+    assert pop.f.tolist() == [4.0, 2.0, 1.0, 7.0, 6.0]
 
 
 def test_bounds_validation():

@@ -29,11 +29,11 @@ def test_select_best_base():
     rng = rng_stream(0)
     positions, pbests = _marker_population(6)
     fitnesses = np.array([5.0, 4.0, 3.0, 2.0, 0.5, 6.0])
-    base, pairs = select_base_and_donors("best", positions, pbests, fitnesses,
-                                         i=0, k=1, beta=0.5,
-                                         vectors="positions", rng=rng)
+    base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
+                                          i=0, k=1, beta=0.5,
+                                          vectors="positions", rng=rng)
     assert base == pytest.approx(positions[4])
-    assert len(pairs) == 1
+    assert donors.shape == (2, 3)
 
 
 def test_select_random_distinctness():
@@ -41,10 +41,10 @@ def test_select_random_distinctness():
     fitnesses = np.arange(4.0)
     rng = rng_stream(1)
     for _ in range(200):
-        base, pairs = select_base_and_donors("random", positions, pbests,
-                                             fitnesses, i=0, k=1, beta=0.5,
-                                             vectors="positions", rng=rng)
-        ids = {base[0]} | {vb[0] for vb, _ in pairs} | {vc[0] for _, vc in pairs}
+        base, donors = select_base_and_donors("random", positions, pbests,
+                                              fitnesses, i=0, k=1, beta=0.5,
+                                              vectors="positions", rng=rng)
+        ids = {base[0], *donors[:, 0]}
         assert 1.0 not in ids          # never the target
         assert len(ids) == 3           # mutually distinct
 
@@ -54,7 +54,7 @@ def test_select_directed_ordering():
     fitnesses = np.array([9.0, 1.0, 2.0, 3.0, 8.0])
     rng = rng_stream(2)
     for _ in range(50):
-        base, ((vb, vc),) = select_base_and_donors(
+        base, (vb, vc) = select_base_and_donors(
             "directed_random", positions, pbests, fitnesses, i=0, k=1,
             beta=1.0, vectors="positions", rng=rng)
         fa = fitnesses[int(base[0]) - 1]
@@ -84,21 +84,21 @@ def test_select_insufficient_population():
 def test_select_pbest_vectors():
     positions, pbests = _marker_population(5)
     fitnesses = np.array([5.0, 1.0, 4.0, 3.0, 2.0])
-    base, pairs = select_base_and_donors("best", positions, pbests, fitnesses,
-                                         i=0, k=1, beta=0.5, vectors="pbest",
-                                         rng=rng_stream(5))
+    base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
+                                          i=0, k=1, beta=0.5, vectors="pbest",
+                                          rng=rng_stream(5))
     assert base == pytest.approx(pbests[1])
-    assert all(vb[0] >= 100.0 and vc[0] >= 100.0 for vb, vc in pairs)
+    assert np.all(donors[:, 0] >= 100.0)
 
 
 def test_mutate_standard():
     a = np.array([1.0, 2.0])
     b = np.array([3.0, 4.0])
     c = np.array([0.0, 1.0])
-    assert mutate(a, [(b, c)], 0.5, "random") == pytest.approx([2.5, 3.5])
-    assert mutate(a, [(b, b)], 0.9, "random") == pytest.approx(a)
+    assert mutate(a, np.array([b, c]), 0.5, "random") == pytest.approx([2.5, 3.5])
+    assert mutate(a, np.array([b, b]), 0.9, "random") == pytest.approx(a)
     # two pairs divide beta by the pair count
-    two = mutate(np.zeros(2), [(b, c), (b, c)], 0.5, "random")
+    two = mutate(np.zeros(2), np.array([b, c, b, c]), 0.5, "random")
     assert two == pytest.approx(0.5 * (2 * (b - c)) / 2)
 
 
@@ -106,7 +106,97 @@ def test_mutate_directed():
     a = np.array([2.0, 2.0])
     b = np.array([1.0, 0.0])
     c = np.array([0.0, 1.0])
-    assert mutate(a, [(b, c)], 1.0, "directed_random") == pytest.approx([2.5, 2.5])
+    assert mutate(a, np.array([b, c]), 1.0, "directed_random") \
+        == pytest.approx([2.5, 2.5])
+
+
+# The per-vector selection and pair-loop mutation that the donor block
+# replaced, kept as the reference the block form must equal bit for bit.
+
+def _ref_distinct_indices(count, n, exclude, rng):
+    pool = [j for j in range(n) if j not in exclude]
+    if len(pool) < count:
+        raise InsufficientPopulation("too few candidates")
+    picks = rng.choice(len(pool), size=count, replace=False)
+    return [pool[int(j)] for j in picks]
+
+
+def _ref_member_vector(idx, positions, pbests, mode, rng):
+    if mode == "positions":
+        return positions[idx]
+    if mode == "pbest":
+        return pbests[idx]
+    return pbests[idx] if rng.uniform() < 0.5 else positions[idx]
+
+
+def _ref_select_base_and_donors(kind, positions, pbests, fitnesses, i, k, beta,
+                                vectors, rng):
+    n = len(positions)
+    best = int(np.argmin(fitnesses))
+
+    def vec(idx):
+        return _ref_member_vector(idx, positions, pbests, vectors, rng)
+
+    if kind in ("directed_random", "directed_best"):
+        if kind == "directed_best":
+            a = best
+            if a == i and n > 1:
+                a = int(np.argsort(fitnesses, kind="stable")[1])
+            b, c = _ref_distinct_indices(2, n, {i, a}, rng)
+        else:
+            a, b, c = _ref_distinct_indices(3, n, {i}, rng)
+            a, b, c = sorted((a, b, c), key=lambda j: (fitnesses[j], j))
+        return vec(a), [(vec(b), vec(c))]
+    if kind == "random":
+        picks = _ref_distinct_indices(2 * k + 1, n, {i}, rng)
+        base = vec(picks[0])
+        rest = picks[1:]
+    elif kind == "best":
+        base_idx = best
+        if base_idx == i and n > 1:
+            base_idx = int(np.argsort(fitnesses, kind="stable")[1])
+        base = vec(base_idx)
+        rest = _ref_distinct_indices(2 * k, n, {i, base_idx}, rng)
+    else:
+        base = positions[i] + beta * (positions[best] - positions[i])
+        rest = _ref_distinct_indices(2 * k, n, {i}, rng)
+    return base, [(vec(rest[2 * j]), vec(rest[2 * j + 1])) for j in range(k)]
+
+
+def _ref_mutate(base, pairs, beta, kind):
+    if kind in ("directed_random", "directed_best"):
+        b, c = pairs[0]
+        return base + (beta / 2.0) * (base - b - c)
+    acc = np.zeros_like(base)
+    for b, c in pairs:
+        acc += b - c
+    return base + (beta / len(pairs)) * acc
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("vectors", ["positions", "pbest", "mixture"])
+@pytest.mark.parametrize("kind", ["random", "best", "target_to_best",
+                                  "directed_random", "directed_best"])
+def test_donor_block_matches_per_vector_reference(kind, vectors, k):
+    data = rng_stream(11)
+    new_rng, ref_rng = rng_stream(12), rng_stream(12)
+    for trial in range(40):
+        n, d = int(data.integers(2 * k + 2, 20)), int(data.integers(1, 8))
+        positions = data.normal(scale=10.0 ** data.integers(-3, 4), size=(n, d))
+        pbests = positions + data.normal(size=(n, d))
+        fitnesses = data.choice(np.arange(4.0), size=n)   # with ties
+        i = int(data.integers(n)) if trial % 4 else int(np.argmin(fitnesses))
+        beta = float(data.uniform(0.1, 2.0))
+        base, donors = select_base_and_donors(kind, positions, pbests, fitnesses,
+                                              i, k, beta, vectors, new_rng)
+        ref_base, pairs = _ref_select_base_and_donors(
+            kind, positions, pbests, fitnesses, i, k, beta, vectors, ref_rng)
+        assert base.tobytes() == ref_base.tobytes()
+        assert donors.tobytes() == np.array(pairs).reshape(-1, d).tobytes()
+        assert mutate(base, donors, beta, kind).tobytes() \
+            == _ref_mutate(ref_base, pairs, beta, kind).tobytes()
+        # both made the same draws
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_recombine_limits():

@@ -140,11 +140,8 @@ def test_update_execution_parameters_levy_gamma():
 
 
 def _uniform_population(n, d, rng, bounds, fn):
-    members = []
-    for _ in range(n):
-        x = bounds.sample_uniform(rng)
-        members.append((x, np.zeros(d), fn(x)))
-    return Population.fresh(members)
+    X = np.array([bounds.sample_uniform(rng) for _ in range(n)])
+    return Population.fresh(X, np.zeros((n, d)), fn(X))
 
 
 def test_reinit_similarity():
@@ -179,17 +176,11 @@ def test_reinit_change():
 def test_apply_reinitialization_keeps_incumbent():
     obj = make_instance("sphere", 3)
     rng = rng_stream(4)
-    budget = EvalBudget(max_evals=10_000)
-
-    def ev(x):
-        budget.charge()
-        return obj(x)
-
-    pop = _uniform_population(6, 3, rng, obj.bounds, ev)
+    pop = _uniform_population(6, 3, rng, obj.bounds, obj.batch)
     best = np.zeros(3)
     pop.x[:] = best   # make everyone a clone of the best
     changed = apply_reinitialization("similarity", pop, best, obj.bounds, [],
-                                     rng, ev)
+                                     rng, obj.batch)
     assert len(changed) == 5
     keeper = ({*range(6)} - set(changed)).pop()
     assert np.array_equal(pop.x[keeper], best)
@@ -386,6 +377,37 @@ def test_generation_block_sizes(overrides, rows):
         obj.sizes.clear()
         runner.generation()
         assert set(obj.sizes) == {rows}
+
+
+def test_new_members_are_one_block(monkeypatch):
+    obj = _Blocks(make_instance("sphere", 4))
+    cfg = _cfg(**{"exec.order": "de", "pop.mode": "incremental", "pop.min": 6,
+                  "pop.max": 30, "pop.interval": 1})
+    runner = _Run(cfg, obj, seed=3, budget=EvalBudget(max_evals=1000),
+                  trace_every=None)
+    runner.initialize()
+    assert obj.sizes == [6]
+    obj.sizes.clear()
+    runner.budget.used_evals = 500   # halfway: the target size is 6 + 12
+    runner.update_population_parameters()
+    assert obj.sizes == [12] and len(runner.pop) == len(runner.success) == 18
+
+    # re-initialize the whole population after every generation
+    monkeypatch.setattr(executor_mod, "reinit_indices",
+                        lambda kind, positions, *args: list(range(len(positions))))
+    blocks = []
+    reinit = executor_mod.apply_reinitialization
+
+    def spy(*args):
+        before = len(obj.sizes)
+        idx = reinit(*args)
+        blocks.append((len(idx), obj.sizes[before:]))
+        return idx
+
+    monkeypatch.setattr(executor_mod, "apply_reinitialization", spy)
+    cfg = _cfg(**{"exec.order": "pso", "pop.size": 10, "exec.reinit": "change"})
+    run(cfg, obj, seed=3, max_evals=205)
+    assert blocks == [(10, [10])] * 9   # the tenth ends the budget
 
 
 @pytest.mark.parametrize("overrides", [

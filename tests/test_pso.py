@@ -285,11 +285,12 @@ def test_objfunc_distance_with_non_finite_fitness():
     # equal ends, two +inf too, are a distance of 0
     assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=inf, fl=inf) == 0.0
     assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=2.0, fl=2.0) == 0.0
-    # any other non-finite ratio falls back to the constant magnitude
-    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=inf, fl=1.0) == 0.2
-    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=1.0, fl=inf) == 0.2
+    # any other non-finite ratio falls back to 0.01, whatever pm is passed:
+    # pso.pm is inactive under this mode, so it could never be tuned
+    assert perturbation_magnitude("objfunc_distance", 0.3, p, p, fp=inf, fl=1.0) == 0.01
+    assert perturbation_magnitude("objfunc_distance", 0.2, p, p, fp=1.0, fl=inf) == 0.01
     assert perturbation_magnitude("objfunc_distance", 0.2, p, p,
-                                  fp=1e308, fl=-1e308) == 0.2
+                                  fp=1e308, fl=-1e308) == 0.01
 
 
 class _HalfInfinite:

@@ -1,0 +1,57 @@
+"""The benchmark tracer in ``bench/tracing.py`` patches hybridopt functions by
+name.  A traced run must equal the untraced run bit for bit and see each FE
+as one objective span, so renaming a traced function fails here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import hybridopt
+from hybridopt import default_config, make_instance, validate
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"exec.order": "de,pso", "pop.size": "10"},
+    {"exec.order": "de", "pop.size": "6", "exec.reinit": "similarity",
+     "de.base_vector": "best"},
+])
+def test_traced_run_equals_untraced_run(overrides, monkeypatch):
+    reinit_sizes = []
+    pick = hybridopt.executor.reinit_indices
+
+    def counted_pick(*args):
+        idx = pick(*args)
+        reinit_sizes.append(len(idx))
+        return idx
+
+    monkeypatch.setattr(hybridopt.executor, "reinit_indices", counted_pick)
+    cfg = validate(default_config(overrides))
+    obj = make_instance("shifted_rotated_rastrigin", 4, instance_seed=2)
+    plain = hybridopt.run(cfg, obj, seed=5, max_evals=1500, trace_every=10)
+    plain_reinit = sum(reinit_sizes)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = hybridopt.run(cfg, tracing.TracedObjective(obj, tracer), seed=5,
+                               max_evals=1500, trace_every=10)
+    finally:
+        tracer.uninstall()
+    assert hybridopt.executor.evaluate is hybridopt.core.evaluate   # restored
+    assert traced.best_fitness.hex() == plain.best_fitness.hex()
+    assert traced.best_position.tobytes() == plain.best_position.tobytes()
+    assert traced.module_evals == plain.module_evals
+    assert traced.trace == plain.trace
+    spans = tracer.arrays()["name"]
+    calls = {name: int((spans == nid).sum()) for nid, name in enumerate(tracer.names)}
+    assert calls[tracing.OBJECTIVE] == traced.evals_used == 1500
+    assert calls["executor.run"] == 1
+    assert calls["de.select_base_and_donors"] > 0
+    if "exec.reinit" in overrides:   # members were re-initialized, as untraced
+        assert calls["executor.apply_reinitialization"] > 0
+        assert sum(reinit_sizes) == 2 * plain_reinit > 0

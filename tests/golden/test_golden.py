@@ -138,6 +138,23 @@ CONFIGS = {
                                "pso.moi": "ranked_fully_informed",
                                "pso.topology": "random_edge",
                                "pso.vector_basis": "natural"},
+    # unperturbed informant models in the natural basis with uneven informant
+    # counts, ranked weights on a shrinking graph, and time-keyed schedules
+    # with the personal best ignored and no velocity clamping
+    "pso-fully-informed-wheel": {"exec.order": "pso", "pop.size": "20",
+                                 "pso.moi": "fully_informed",
+                                 "pso.topology": "wheel"},
+    "pso-fully-informed-vonneumann": {"exec.order": "pso", "pop.size": "20",
+                                      "pso.moi": "fully_informed",
+                                      "pso.topology": "von_neumann"},
+    "pso-ranked-time-varying": {"exec.order": "pso", "pop.size": "20",
+                                "pso.moi": "ranked_fully_informed",
+                                "pso.topology": "time_varying"},
+    "pso-ignore-pbest-schedules": {"exec.order": "pso", "pop.size": "20",
+                                   "pso.ignore_pbest": "true",
+                                   "pso.omega1_mode": "linear_decreasing",
+                                   "pso.ac_mode": "time_varying",
+                                   "pso.velocity_clamping": "false"},
 }
 
 # Objectives of other shapes than rastrigin's elementwise sum: a per-row dot

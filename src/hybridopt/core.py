@@ -153,6 +153,17 @@ class Population:
         self.v[idx] = V
         self.f[idx] = self.pf[idx] = F
 
+    def record_all(self, X: np.ndarray, F) -> np.ndarray:
+        """Move every member to its evaluated row of X; returns where personal
+        bests improved."""
+        F = np.asarray(F, dtype=float)
+        self.x[...] = X
+        self.f[...] = F
+        better = F < self.pf
+        self.p[better] = X[better]
+        self.pf[better] = F[better]
+        return better
+
     def record(self, i: int, x: np.ndarray, fx: float) -> bool:
         """Move member i to the evaluated point x; True iff its personal best improved."""
         self.x[i] = x

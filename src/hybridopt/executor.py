@@ -137,13 +137,12 @@ def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
 
 
 def sample_member(bounds: Bounds, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (X, V) of count new members: per member a uniform x, then a
-    random velocity."""
-    X, V = np.empty((2, count, bounds.d))
-    for j in range(count):
-        X[j] = bounds.sample_uniform(rng)
-        V[j] = pso_mod.random_velocity(bounds, rng)
-    return X, V
+    """Rows (X, V) of count new members from one draw: per member a uniform
+    x, then a random velocity."""
+    half = bounds.width() / 2.0
+    U = rng.uniform(np.stack((bounds.lower, -half)), np.stack((bounds.upper, half)),
+                    size=(count, 2, bounds.d))
+    return U[:, 0], U[:, 1]
 
 
 def apply_reinitialization(kind: str, pop: Population, best_position: np.ndarray,
@@ -237,21 +236,28 @@ class _Run:
                 if f != f:  # NaN
                     f = math.inf
             fs.append(f)
-            module = self.active_module if modules is None else modules[i]
-            self.module_evals[module] = self.module_evals.get(module, 0) + 1
-            if f < self.best_f:
-                self.best_f = f
-                self.best_x = X[i].copy()
-            if self.trace is not None:
-                mark = budget.used_evals // self.trace_every
-                if mark > self._trace_mark:
-                    self._trace_mark = mark
-                    self.trace.append((budget.used_evals, self.best_f))
+            self._book(X[i], f, self.active_module if modules is None else modules[i])
         return fs
 
-    def ev(self, x: np.ndarray) -> float:
-        """One FE at the point x: the one-row case of ``ev_block``."""
-        return self.ev_block(np.asarray(x, dtype=float)[None])[0]
+    def ev(self, x: np.ndarray, module: str | None = None) -> float:
+        """One FE at the point x, counted under module (the active module when
+        None): the one-row case of ``ev_block`` without its block handling."""
+        f = evaluate(self.obj, x, self.budget)
+        self._book(x, f, self.active_module if module is None else module)
+        return f
+
+    def _book(self, x: np.ndarray, f: float, module: str) -> None:
+        """Count one charged FE of value f at x under module, and update the
+        incumbent and the trace."""
+        self.module_evals[module] = self.module_evals.get(module, 0) + 1
+        if f < self.best_f:
+            self.best_f = f
+            self.best_x = np.array(x, dtype=float)
+        if self.trace is not None:
+            mark = self.budget.used_evals // self.trace_every
+            if mark > self._trace_mark:
+                self._trace_mark = mark
+                self.trace.append((self.budget.used_evals, self.best_f))
 
     # -- initialization -----------------------------------------------------
 
@@ -271,8 +277,7 @@ class _Run:
             self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
                                  mean=self.best_x, fes_used=self.budget.used_evals)
         elif module == "pso" and self.pop is not None:
-            for i in range(len(self.pop)):
-                self.pop.v[i] = pso_mod.random_velocity(self.bounds, self.rng)
+            self.pop.v = pso_mod.random_velocity(self.bounds, self.rng, len(self.pop))
 
     # -- generation ---------------------------------------------------------
 
@@ -303,14 +308,53 @@ class _Run:
         composed = self.cfg.execution.mode == "component_based" and "pso" in possible
         return not composed and self.cfg.de.recompute_velocity == "none"
 
+    def _swarm_alone(self, fixed_modules: tuple[str, ...] | None) -> bool:
+        """True when the generation is PSO alone (``exec.order`` pso in
+        component-based mode, or a PSO phase) under settings where
+        ``pso.swarm_step`` moves the whole swarm at once.
+
+        At d = 1 numpy sums each particle's informant terms pairwise, so the
+        padding of a whole-swarm step could change the sums; such swarms
+        move one particle at a time.
+        """
+        pso_alone = fixed_modules == ("pso",) or (
+            fixed_modules is None and self.order == ("pso",)
+            and self.cfg.execution.mode == "component_based")
+        return pso_alone and self.d > 1 and pso_mod.swarm_step_applies(self.cfg.pso)
+
+    def _swarm_generation(self) -> None:
+        """Move every particle with one ``swarm_step``, evaluate the moves as
+        one block and select them with one array step.
+
+        Draws, values and selections equal those of the per-particle loop bit
+        for bit.  The success windows stay as they are: only perturbation
+        magnitudes read them, and perturbed settings never come here.
+        """
+        par = self.cfg.pso
+        pop = self.pop
+        self.active_module = "pso"
+        L = informants = None
+        if par.moi == "best_of_neighborhood":
+            L = pop.p[pso_mod.neighborhood_best(self.topology, pop.pf)]
+        else:
+            informants = pso_mod.ranked_informants(self.topology.adjacency, pop.p, pop.pf)
+        X, pop.v = pso_mod.swarm_step(pop.x, pop.v, pop.p, L, informants, par,
+                                      self.exec_state.t, self.total_iters, self.rng,
+                                      self.bounds)
+        pop.record_all(X, self.ev_block(X))
+
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         """Propose, evaluate and select every individual in index order.
 
-        Proposals draw in the order of the per-individual loop.  When the
-        generation is one block, every proposal is made first, the block is
-        evaluated, and then every proposal is selected; otherwise each
-        individual's module stages are settled one at a time.
+        Proposals draw in the order of the per-individual loop.  A generation
+        of PSO alone under block settings moves the whole swarm at once.
+        Otherwise, when the generation is one block, every proposal is made
+        first, the block is evaluated, and then every proposal is selected;
+        else each individual's module stages are settled one at a time.
         """
+        if self._swarm_alone(fixed_modules):
+            self._swarm_generation()
+            return
         pop = self.pop
         n = len(pop)
         # DE donors and PSO informants read the state at the start of the generation
@@ -351,21 +395,28 @@ class _Run:
                     stage_rows.append(i)
                     stage_xs.append(x)
                     continue
-                improved = self._settle((module,), (i,), x[None])[0]
-                if module == "de" and improved and self.cfg.de.pso_only_on_fail:
+                if module == "pso":
+                    self._pso_select(i, x, self.ev(x, module))
+                    continue
+                # DE trials may leave the box; PSO moves never do
+                x = repair_to_bounds(x, self.bounds)
+                improved = self._de_select(i, x, self.ev(x, module))
+                if improved and self.cfg.de.pso_only_on_fail:
                     break
         if stage_rows:
             self._settle(stage_modules, stage_rows, np.array(stage_xs))
 
-    def _settle(self, modules, rows, X: np.ndarray) -> list[bool]:
+    def _settle(self, modules, rows, X: np.ndarray) -> None:
         """Evaluate the proposals X (row j from individual rows[j] under
-        modules[j]) as one block, then select each in order; returns whether
-        each improved on its target."""
-        if "de" in modules:  # DE trials may leave the box; PSO moves never do
+        modules[j]) as one block, then select each in order."""
+        if "de" in modules:
             X = repair_to_bounds(X, self.bounds)
         fs = self.ev_block(X, modules)
-        return [self._de_select(i, x, f) if module == "de" else self._pso_select(i, x, f)
-                for module, i, x, f in zip(modules, rows, X, fs)]
+        for module, i, x, f in zip(modules, rows, X, fs):
+            if module == "de":
+                self._de_select(i, x, f)
+            else:
+                self._pso_select(i, x, f)
 
     def _de_propose(self, i, positions, fitnesses, pbests, k, basis) -> np.ndarray:
         par = self.cfg.de
@@ -401,6 +452,17 @@ class _Run:
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
+        if pso_mod.swarm_step_applies(par):  # one row of the swarm step
+            informants = None
+            if par.moi != "best_of_neighborhood":
+                informants = pso_mod.ranked_informants(
+                    self.topology.adjacency[i:i + 1], pbests, pbest_fits)
+            X, V = pso_mod.swarm_step(pop.x[i:i + 1], pop.v[i:i + 1], pop.p[i:i + 1],
+                                      pbests[l_idx:l_idx + 1], informants, par,
+                                      self.exec_state.t, self.total_iters, self.rng,
+                                      self.bounds)
+            pop.v[i] = V[0]
+            return X[0]
         informants = None
         if par.moi != "best_of_neighborhood":
             nb = pso_mod.neighbors(self.topology, i)

@@ -127,6 +127,21 @@ def neighborhood_best(top: TopologyState, pf: np.ndarray) -> np.ndarray:
     return order[top.adjacency.take(order, axis=1).argmax(axis=1)]
 
 
+def ranked_informants(adjacency: np.ndarray, P: np.ndarray,
+                      pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, m): for each row of adjacency, the personal bests of its m informants.
+
+    Q is (rows, max m, d); row i holds its informants' rows of P in (pf,
+    index) order in its first m[i] slots, and rows of non-informants after.
+    """
+    order = pf.argsort(kind="stable")
+    ranked = adjacency.take(order, axis=1)
+    m = ranked.sum(axis=1)
+    # a stable sort of each negated row lists its informants first, in rank order
+    slots = (~ranked).argsort(axis=1, kind="stable")[:, :m.max()]
+    return P[order[slots]], m
+
+
 def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> None:
     """Per-iteration topology maintenance (edge removal / random rewiring)."""
     if top.kind == "random_edge":
@@ -364,6 +379,85 @@ def _omega_aux(mode: str, value: float, omega1: float, rng: np.random.Generator)
     raise ValueError(f"unknown omega mode {mode!r}")
 
 
+def _coefficients(params: PsoParams, t: int, total: int,
+                  rng: np.random.Generator) -> tuple[float, float, float, float, float]:
+    """(omega1, omega2, omega3, phi1, phi2) at iteration t, drawn in that order."""
+    omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
+                            lo=params.omega1_min, hi=params.omega1_max)
+    omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng)
+    omega3 = _omega_aux(params.omega3_mode, params.omega3, omega1, rng)
+    phi1, phi2 = acceleration_coeffs(params.ac_mode, t, total, params.phi1, params.phi2,
+                                     rng, params.phi1_min, params.phi1_max)
+    return omega1, omega2, omega3, phi1, phi2
+
+
+def swarm_step_applies(params: PsoParams) -> bool:
+    """True when `swarm_step` reproduces `compute_velocity` and `update_position`.
+
+    That holds for the rectangular DNPP in the natural basis with no
+    perturbation and no random omega or acceleration mode: every draw a
+    particle makes is then a plain U(0, 1), so the draws of consecutive
+    particles form one stream.  Stagnation detection is left to the
+    per-particle path, since its reset velocity comes between them.
+    """
+    return (params.dnpp == "rectangular" and params.vector_basis == "natural"
+            and params.pert_info == "none" and params.pert_rand == "none"
+            and not params.stagnation_detection
+            and "random" not in (params.omega1_mode, params.omega2_mode,
+                                 params.omega3_mode, params.ac_mode))
+
+
+def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None,
+               informants: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
+               t: int, total: int, rng: np.random.Generator,
+               bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """New positions and velocities (X', V') of a block of particles.
+
+    Each row gets v' = w1 v + w2 (phi1 U1 (p - x) + social) and then moves as
+    in `update_position`.  Valid only where `swarm_step_applies(params)`;
+    the result equals `compute_velocity` and `update_position` applied to
+    the rows in order, bit for bit.
+
+    Parameters
+    ----------
+    X, V, P : the rows' positions, velocities and personal bests.
+    L : the rows' neighbourhood bests; read by best-of-neighbourhood only.
+    informants : (Q, m) from `ranked_informants` for the fully-informed
+        models, None otherwise.
+    """
+    n, d = X.shape
+    omega1, omega2, _, phi1, phi2 = _coefficients(params, t, total, rng)
+    # row i draws its cognitive row, then one social row per informant
+    # (best-of-neighbourhood: one), all in one call
+    if informants is None:
+        U = rng.random((n, 2, d))
+    else:
+        Q, m = informants
+        width = Q.shape[1] + 1
+        if m.min() + 1 == width:
+            U = rng.random((n, width, d))
+        else:  # slots past a row's own repeat its last row; they are masked below
+            first = np.cumsum(m + 1) - (m + 1)
+            U = rng.random((first[-1] + m[-1] + 1, d))
+            U = U[first[:, None] + np.minimum(np.arange(width), m[:, None])]
+
+    cognitive = phi1 * U[:, 0] * ((X if params.ignore_pbest else P) - X)
+    if informants is None:
+        social = phi2 * U[:, 1] * (L - X)
+    else:
+        k = np.arange(width - 1)
+        if params.moi == "ranked_fully_informed":
+            coef = (m[:, None] - k) / (m * (m + 1) / 2.0)[:, None] * phi2
+        else:
+            coef = (1.0 / m * phi2)[:, None]
+        terms = coef[:, :, None] * U[:, 1:] * (Q - X[:, None])
+        # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
+        terms[k >= m[:, None]] = -0.0
+        social = np.add.reduce(terms, axis=1, initial=0.0)
+    return update_position(X, omega1 * V + omega2 * (cognitive + social), bounds,
+                           params.velocity_clamping)
+
+
 def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
                      l_best: np.ndarray,
                      informants: tuple[np.ndarray, np.ndarray] | None,
@@ -371,17 +465,12 @@ def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
     """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p).
 
-    informants is the (P, F) pair that `dnpp` takes: the neighbors' personal
-    bests in ascending index and their fitnesses, or None when the model of
-    influence is best-of-neighborhood.
+    This is the reference for every setting; runs use it only where
+    `swarm_step_applies` is false.  informants is the (P, F) pair that
+    `dnpp` takes: the neighbors' personal bests in ascending index and their
+    fitnesses, or None when the model of influence is best-of-neighborhood.
     """
-    omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
-                            lo=params.omega1_min, hi=params.omega1_max)
-    omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng)
-    omega3 = _omega_aux(params.omega3_mode, params.omega3, omega1, rng)
-    phi1, phi2 = acceleration_coeffs(params.ac_mode, t, total, params.phi1, params.phi2,
-                                     rng, params.phi1_min, params.phi1_max)
-
+    omega1, omega2, omega3, phi1, phi2 = _coefficients(params, t, total, rng)
     move = dnpp(params.dnpp, x, p, l_best, informants, params, phi1, phi2,
                 pm, rng, basis)
     v = omega1 * v + omega2 * move
@@ -399,14 +488,17 @@ def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
 
 def update_position(x: np.ndarray, velocity: np.ndarray, bounds: Bounds,
                     velocity_clamping: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Move x by the new velocity into the box; returns (new_x, new_v).
+    """Move x (one point or the rows of a block) by the new velocity into the
+    box; returns (new_x, new_v).
 
-    With velocity clamping on, the velocity magnitude is halved once before
-    the move whenever any component exceeds the width of the search space.
+    With velocity clamping on, a row's velocity is halved once before the
+    move whenever any of its components exceeds the width of the search space.
     """
     v = np.asarray(velocity, dtype=float)
-    if velocity_clamping and np.any(np.abs(v) > bounds.width()):
-        v = v / 2.0
+    if velocity_clamping:
+        wide = np.abs(v) > bounds.width()
+        if wide.any():
+            v = np.where(wide.any(axis=-1, keepdims=True), v / 2.0, v)
     return repair_to_bounds(x + v, bounds), v
 
 
@@ -417,7 +509,9 @@ def stagnation_check(velocity: np.ndarray, position: np.ndarray,
         <= STAGNATION_THRESHOLD
 
 
-def random_velocity(bounds: Bounds, rng: np.random.Generator) -> np.ndarray:
-    """Velocity drawn uniformly in [-(ub-lb)/2, (ub-lb)/2] per dimension."""
+def random_velocity(bounds: Bounds, rng: np.random.Generator,
+                    count: int | None = None) -> np.ndarray:
+    """Velocity drawn uniformly in [-(ub-lb)/2, (ub-lb)/2] per dimension; with
+    a count, that many such velocities as rows, from one draw."""
     half = bounds.width() / 2.0
-    return rng.uniform(-half, half)
+    return rng.uniform(-half, half, None if count is None else (count, bounds.d))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +74,18 @@ def test_population_record_personal_best_dominance():
     assert pop.record(0, np.array([0.5]), 3.0)       # better: pbest follows
     assert pop.pf[0] == 3.0
     assert pop.p[0] == pytest.approx([0.5])
+
+
+def test_population_record_all_equals_recording_each_row():
+    X = np.arange(8.0).reshape(4, 2)
+    a = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
+    b = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
+    moves, F = -X, [4.0, 2.0, 5.0, 0.5]   # worse, equal, finite after +inf, better
+    improved = a.record_all(moves, F)
+    assert improved.tolist() == [b.record(i, moves[i], F[i]) for i in range(4)] \
+        == [False, False, True, True]
+    for name in ("x", "v", "p", "f", "pf"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_population_extend_and_reset_take_blocks():

@@ -6,6 +6,7 @@ import pytest
 
 import hybridopt.cmaes as cmaes_mod
 import hybridopt.executor as executor_mod
+import hybridopt.pso as pso_mod
 from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
 from hybridopt.core import BudgetExhausted, EvalBudget, Population
@@ -618,3 +619,49 @@ def test_configuration_matrix_smoke(overrides):
     again = run(cfg, obj, seed=41, max_evals=900)
     assert result.evals_used == 900
     assert result.best_fitness == again.best_fitness
+
+
+_SWARM_STEP_SETTINGS = [
+    {"pso.topology": "ring"},
+    {"pso.topology": "fully_connected"},
+    {"pso.moi": "fully_informed", "pso.topology": "wheel"},
+    {"pso.moi": "fully_informed", "pso.topology": "von_neumann"},
+    {"pso.moi": "ranked_fully_informed", "pso.topology": "time_varying"},
+    {"pso.ignore_pbest": "true", "pso.omega1_mode": "linear_decreasing",
+     "pso.ac_mode": "time_varying", "pso.velocity_clamping": "false"},
+]
+
+
+@pytest.mark.parametrize("dim", [5, 1])
+@pytest.mark.parametrize("settings", _SWARM_STEP_SETTINGS)
+def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
+    """The whole-swarm step, the per-particle loop over one-row swarm steps
+    and the per-particle ``compute_velocity`` reference give one run."""
+    cfg = _cfg(**{"exec.order": "pso", "pop.size": 20, **settings})
+    obj = make_instance("shifted_rotated_rastrigin", dim, instance_seed=3)
+    assert pso_mod.swarm_step_applies(cfg.pso)
+    steps = []
+    swarm_step = pso_mod.swarm_step
+
+    def counted(X, *args):
+        steps.append(len(X))
+        return swarm_step(X, *args)
+
+    monkeypatch.setattr(pso_mod, "swarm_step", counted)
+    results = [run(cfg, obj, seed=9, max_evals=1500, trace_every=10)]
+    assert set(steps) == ({20} if dim > 1 else {1})   # see _Run._swarm_alone
+    steps.clear()
+    with monkeypatch.context() as m:
+        m.setattr(_Run, "_swarm_alone", lambda self, fixed_modules: False)
+        results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
+    assert set(steps) == {1}
+    steps.clear()
+    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params: False)
+    results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
+    assert not steps
+    block = results[0]
+    for other in results[1:]:
+        assert other.best_fitness.hex() == block.best_fitness.hex()
+        assert other.best_position.tobytes() == block.best_position.tobytes()
+        assert other.module_evals == block.module_evals == {"pso": 1500}
+        assert other.trace == block.trace

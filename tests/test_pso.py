@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
-from hybridopt.pso import (PsoParams, SuccessWindow, _from_basis, _perturb, _to_basis,
-                           acceleration_coeffs, advance_topology, build_topology,
-                           compute_velocity, dnpp, inertia_weight, mantegna_levy,
-                           neighborhood_best, neighbors, perturbation_magnitude,
-                           random_velocity, stagnation_check, update_position)
+from hybridopt.pso import (PsoParams, SuccessWindow, TopologyState, _from_basis,
+                           _perturb, _to_basis, acceleration_coeffs, advance_topology,
+                           build_topology, compute_velocity, dnpp, inertia_weight,
+                           mantegna_levy, neighborhood_best, neighbors,
+                           perturbation_magnitude, random_velocity, ranked_informants,
+                           stagnation_check, swarm_step, swarm_step_applies,
+                           update_position)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +383,48 @@ def test_velocity_clamping_halves_once():
                            velocity_clamping=True)
     assert v == pytest.approx([0.5, 0.1])  # inside: untouched
 
+    _, v = update_position(np.zeros((2, 2)), np.array([[5.0, 0.1], [0.5, 0.1]]), b,
+                           velocity_clamping=True)
+    assert v == pytest.approx(np.array([[2.5, 0.05], [0.5, 0.1]]))  # row by row
+
+
+@pytest.mark.parametrize("params", [
+    PsoParams(),
+    PsoParams(ignore_pbest=True, omega1_mode="linear_decreasing",
+              ac_mode="time_varying", velocity_clamping=False),
+    PsoParams(moi="fully_informed"),
+    PsoParams(moi="ranked_fully_informed", omega2_mode="constant", omega2=0.8),
+])
+def test_swarm_step_matches_the_per_particle_reference(params):
+    # uneven informant counts, some above 8, and velocities that need halving
+    n, d = 30, 4
+    rng = rng_stream(14)
+    b = Bounds.symmetric(5.0, d)
+    adj = rng.random((n, n)) < 0.3
+    adj = adj | adj.T
+    adj[0] = adj[:, 0] = True
+    np.fill_diagonal(adj, False)
+    top = TopologyState(kind="random_edge", adjacency=adj)
+    X, P = rng.uniform(-5.0, 5.0, (2, n, d))
+    V = rng.normal(0.0, 4.0, (n, d))
+    pf = rng.choice([1.0, 2.0, 3.0, math.inf], n)   # ties and +inf
+    L = P[neighborhood_best(top, pf)]
+    informants = None
+    if params.moi != "best_of_neighborhood":
+        informants = ranked_informants(adj, P, pf)
+    assert swarm_step_applies(params)
+    block_x, block_v = swarm_step(X, V, P, L, informants, params, 3, 10,
+                                  rng_stream(15), b)
+    ref = rng_stream(15)
+    for i in range(n):
+        nb = neighbors(top, i)
+        velocity = compute_velocity(
+            X[i], V[i], P[i], L[i],
+            None if informants is None else (P[nb], pf[nb]), params, 3, 10, ref)
+        x, v = update_position(X[i], velocity, b, params.velocity_clamping)
+        assert block_x[i].tobytes() == x.tobytes()
+        assert block_v[i].tobytes() == v.tobytes()
+
 
 def test_stagnation_check():
     assert stagnation_check(np.zeros(2), np.ones(2), np.ones(2))
@@ -396,3 +440,7 @@ def test_random_velocity_half_range():
     for _ in range(50):
         v = random_velocity(b, rng)
         assert np.all(np.abs(v) <= 10.0)
+    rows = random_velocity(b, rng_stream(13), 4)
+    one_by_one = rng_stream(13)
+    assert rows.tobytes() == np.array([random_velocity(b, one_by_one)
+                                       for _ in range(4)]).tobytes()

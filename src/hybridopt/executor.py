@@ -452,17 +452,6 @@ class _Run:
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
-        if pso_mod.swarm_step_applies(par):  # one row of the swarm step
-            informants = None
-            if par.moi != "best_of_neighborhood":
-                informants = pso_mod.ranked_informants(
-                    self.topology.adjacency[i:i + 1], pbests, pbest_fits)
-            X, V = pso_mod.swarm_step(pop.x[i:i + 1], pop.v[i:i + 1], pop.p[i:i + 1],
-                                      pbests[l_idx:l_idx + 1], informants, par,
-                                      self.exec_state.t, self.total_iters, self.rng,
-                                      self.bounds)
-            pop.v[i] = V[0]
-            return X[0]
         informants = None
         if par.moi != "best_of_neighborhood":
             nb = pso_mod.neighbors(self.topology, i)

@@ -465,8 +465,8 @@ def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
     """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p).
 
-    This is the reference for every setting; runs use it only where
-    `swarm_step_applies` is false.  informants is the (P, F) pair that
+    Every particle moved one at a time goes through it, and it is the
+    reference `swarm_step` must equal.  informants is the (P, F) pair that
     `dnpp` takes: the neighbors' personal bests in ascending index and their
     fitnesses, or None when the model of influence is best-of-neighborhood.
     """

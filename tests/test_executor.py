@@ -635,8 +635,8 @@ _SWARM_STEP_SETTINGS = [
 @pytest.mark.parametrize("dim", [5, 1])
 @pytest.mark.parametrize("settings", _SWARM_STEP_SETTINGS)
 def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
-    """The whole-swarm step, the per-particle loop over one-row swarm steps
-    and the per-particle ``compute_velocity`` reference give one run."""
+    """The whole-swarm step and the per-particle ``compute_velocity`` loop
+    give one run."""
     cfg = _cfg(**{"exec.order": "pso", "pop.size": 20, **settings})
     obj = make_instance("shifted_rotated_rastrigin", dim, instance_seed=3)
     assert pso_mod.swarm_step_applies(cfg.pso)
@@ -649,14 +649,9 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
 
     monkeypatch.setattr(pso_mod, "swarm_step", counted)
     results = [run(cfg, obj, seed=9, max_evals=1500, trace_every=10)]
-    assert set(steps) == ({20} if dim > 1 else {1})   # see _Run._swarm_alone
+    assert set(steps) == ({20} if dim > 1 else set())   # see _Run._swarm_alone
     steps.clear()
-    with monkeypatch.context() as m:
-        m.setattr(_Run, "_swarm_alone", lambda self, fixed_modules: False)
-        results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
-    assert set(steps) == {1}
-    steps.clear()
-    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params: False)
+    monkeypatch.setattr(_Run, "_swarm_alone", lambda self, fixed_modules: False)
     results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
     assert not steps
     block = results[0]

@@ -17,15 +17,15 @@ import numpy as np
 from .core import Bounds, ParseError, rng_stream
 
 
-class UnknownFunction(Exception):
+class UnknownFunction(ValueError):
     pass
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     pass
 
 
-class InvalidPartition(Exception):
+class InvalidPartition(ValueError):
     pass
 
 
@@ -317,8 +317,11 @@ def make_instance(function_id: str, d: int, instance_seed: int = 0,
 
     Ids take the form ``[shifted_][rotated_]<base>`` or ``hybrid`` (which
     requires ``parts``).  Generated shift/rotation data is reproducible from
-    instance_seed; explicit data files override generation.
+    instance_seed; explicit data files override generation.  Every input
+    error raises a ValueError (UnknownFunction, InvalidPartition, ...).
     """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     fid = function_id.strip().lower()
     shifted = rotated = False
     while True:

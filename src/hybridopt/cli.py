@@ -104,6 +104,8 @@ def _parse_switches(tokens: list[str]) -> dict[str, str]:
     for flag, value in zip(tokens[::2], tokens[1::2]):
         if not flag.startswith("--"):
             raise ValueError(f"expected a --name switch, got {flag!r}")
+        if flag[2:] in raw:
+            raise ValueError(f"switch {flag} given twice")
         raw[flag[2:]] = value
     return raw
 
@@ -112,18 +114,21 @@ def _cmd_target_runner(args) -> int:
     try:
         raw = _parse_switches(args.switches)
         pieces = args.instance.split(":")
+        if not 2 <= len(pieces) <= 3:
+            raise ValueError(f"instance {args.instance!r} is not function:dim[:instance-seed]")
         function = pieces[0]
         dim = int(pieces[1])
         instance_seed = int(pieces[2]) if len(pieces) > 2 else 0
-    except (ValueError, IndexError) as exc:
+        # every input error of make_instance is a ValueError
+        instance = make_instance(function, dim, instance_seed=instance_seed,
+                                 parts=raw.get("hybrid.parts"))
+    except ValueError as exc:
         print(f"bad target-runner invocation: {exc}", file=sys.stderr)
         return 2
     cfg = validate(raw)
     if not hasattr(cfg, "execution"):
         print(cfg.describe(), file=sys.stderr)
         return 1
-    instance = make_instance(function, dim, instance_seed=instance_seed,
-                             parts=raw.get("hybrid.parts"))
     result = run(cfg, instance, args.seed)
     print(f"{cap_reported_value(result.best_fitness):.10e}")
     return 0

@@ -16,7 +16,7 @@ class BudgetExhausted(Exception):
     """Raised by evaluate() once the FE or wall-clock budget is spent."""
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed text input (parameter file, shift/rotation data file)."""
 
 

@@ -181,7 +181,9 @@ class _Run:
             else cfg.population.size
         self.pop: Population | None = None
         self.topology = None
-        self.success: list[SuccessWindow] = []
+        # per-particle success windows, read only by pso.pm_mode = success_rate;
+        # a swarm never grows (validate allows growth schedules for DE only)
+        self.success: list[SuccessWindow] | None = None
         self.cma: CmaRunner | None = None
         self.nested_ls = NestedCmaes(cfg.ls.nested_cma, self.bounds) \
             if cfg.ls.algo == "cmaes" else None
@@ -208,8 +210,8 @@ class _Run:
         """Evaluate the rows of the (n, d) block X as n FEs, in index order.
 
         An objective with a ``batch`` method gets one call for the rows the
-        FE budget still covers; any other objective gets one ``evaluate`` per
-        row.  A NaN value counts as +inf.  Row by row, each FE is charged and
+        FE budget still covers; any other objective gets one ``ev`` per row.
+        A NaN value counts as +inf.  Row by row, each FE is charged and
         counted under ``modules[i]`` (the active module when modules is
         None), and the incumbent and the trace are updated.  Once a row no
         longer fits the budget, BudgetExhausted is raised, every row before
@@ -219,24 +221,24 @@ class _Run:
         n = len(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"block has shape {X.shape}, objective expects (n, {self.d})")
-        budget = self.budget
+        if modules is None:
+            modules = (self.active_module,) * n
         batch = getattr(self.obj, "batch", None)
-        if batch is not None:
-            fit = min(n, budget.max_evals - budget.used_evals)
-            values = []
-            if fit > 0:
-                values = np.asarray(batch(X if fit == n else X[:fit]), dtype=float).tolist()
+        if batch is None:
+            return [self.ev(x, module) for x, module in zip(X, modules)]
+        budget = self.budget
+        fit = min(n, budget.max_evals - budget.used_evals)
+        values = []
+        if fit > 0:
+            values = np.asarray(batch(X if fit == n else X[:fit]), dtype=float).tolist()
         fs = []
         for i in range(n):
-            if batch is None:
-                f = evaluate(self.obj, X[i], budget)
-            else:
-                budget.charge()
-                f = values[i]
-                if f != f:  # NaN
-                    f = math.inf
+            budget.charge()
+            f = values[i]
+            if f != f:  # NaN
+                f = math.inf
             fs.append(f)
-            self._book(X[i], f, self.active_module if modules is None else modules[i])
+            self._book(X[i], f, modules[i])
         return fs
 
     def ev(self, x: np.ndarray, module: str | None = None) -> float:
@@ -265,7 +267,8 @@ class _Run:
         if self.has_population:
             X, V = sample_member(self.bounds, self.rng, self.n)
             self.pop = Population.fresh(X, V, self.ev_block(X))
-            self.success = [SuccessWindow() for _ in range(self.n)]
+            if self.cfg.pso is not None and self.cfg.pso.pm_mode == "success_rate":
+                self.success = [SuccessWindow() for _ in range(self.n)]
             if "pso" in self.order:
                 self.topology = pso_mod.build_topology(
                     self.cfg.pso.topology, self.n, self.rng, self.total_iters)
@@ -311,58 +314,47 @@ class _Run:
     def _swarm_alone(self, fixed_modules: tuple[str, ...] | None) -> bool:
         """True when the generation is PSO alone (``exec.order`` pso in
         component-based mode, or a PSO phase) under settings where
-        ``pso.swarm_step`` moves the whole swarm at once.
-
-        At d = 1 numpy sums each particle's informant terms pairwise, so the
-        padding of a whole-swarm step could change the sums; such swarms
-        move one particle at a time.
-        """
+        ``pso.swarm_step`` moves the whole swarm at once."""
         pso_alone = fixed_modules == ("pso",) or (
             fixed_modules is None and self.order == ("pso",)
             and self.cfg.execution.mode == "component_based")
-        return pso_alone and self.d > 1 and pso_mod.swarm_step_applies(self.cfg.pso)
-
-    def _swarm_generation(self) -> None:
-        """Move every particle with one ``swarm_step``, evaluate the moves as
-        one block and select them with one array step.
-
-        Draws, values and selections equal those of the per-particle loop bit
-        for bit.  The success windows stay as they are: only perturbation
-        magnitudes read them, and perturbed settings never come here.
-        """
-        par = self.cfg.pso
-        pop = self.pop
-        self.active_module = "pso"
-        L = informants = None
-        if par.moi == "best_of_neighborhood":
-            L = pop.p[pso_mod.neighborhood_best(self.topology, pop.pf)]
-        else:
-            informants = pso_mod.ranked_informants(self.topology.adjacency, pop.p, pop.pf)
-        X, pop.v = pso_mod.swarm_step(pop.x, pop.v, pop.p, L, informants, par,
-                                      self.exec_state.t, self.total_iters, self.rng,
-                                      self.bounds)
-        pop.record_all(X, self.ev_block(X))
+        return pso_alone and pso_mod.swarm_step_applies(self.cfg.pso, self.d)
 
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         """Propose, evaluate and select every individual in index order.
 
-        Proposals draw in the order of the per-individual loop.  A generation
-        of PSO alone under block settings moves the whole swarm at once.
-        Otherwise, when the generation is one block, every proposal is made
-        first, the block is evaluated, and then every proposal is selected;
-        else each individual's module stages are settled one at a time.
+        PSO informants are ranked once, from the personal bests at the start
+        of the generation.  A generation of PSO alone under block settings
+        moves the whole swarm with one ``swarm_step``, evaluates the moves as
+        one block and selects them with one array step.  Otherwise proposals
+        draw in the order of the per-individual loop: when the generation is
+        one block, every proposal is made first, the block is evaluated, and
+        then every proposal is selected; else each individual's module
+        stages are settled one at a time.
         """
-        if self._swarm_alone(fixed_modules):
-            self._swarm_generation()
-            return
         pop = self.pop
         n = len(pop)
+        par = self.cfg.pso
+        l_best_idx = ranked = None
+        if "pso" in (fixed_modules or self.order):
+            if par.moi == "best_of_neighborhood":
+                l_best_idx = pso_mod.neighborhood_best(self.topology, pop.pf)
+            else:
+                ranked = idx, m = pso_mod.ranked_informants(self.topology.adjacency, pop.pf)
+                l_best_idx = idx[:, 0]
+        if self._swarm_alone(fixed_modules):
+            self.active_module = "pso"
+            X, pop.v = pso_mod.swarm_step(pop.x, pop.v, pop.p, pop.p[l_best_idx], ranked,
+                                          par, self.exec_state.t, self.total_iters,
+                                          self.rng, self.bounds)
+            pop.record_all(X, self.ev_block(X))
+            return
         # DE donors and PSO informants read the state at the start of the generation
         positions, fitnesses = pop.x.copy(), pop.f.copy()
         pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
 
         basis = None
-        wants_basis = ((self.cfg.pso and self.cfg.pso.vector_basis == "eigenvector")
+        wants_basis = ((par and par.vector_basis == "eigenvector")
                        or (self.cfg.de and self.cfg.de.vector_basis == "eigenvector"))
         if wants_basis:
             basis = de_mod.population_eigenbasis(positions)
@@ -371,14 +363,12 @@ class _Run:
         if self.cfg.de is not None:
             k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
 
-        l_best_idx = None
-        if self.topology is not None:
-            l_best_idx = pso_mod.neighborhood_best(self.topology, pbest_fits)
-
         def propose(module, i):
             if module == "de":
                 return self._de_propose(i, positions, fitnesses, pbests, k, basis)
-            return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], basis)
+            informants = None if ranked is None else pbests[idx[i, :m[i]]]
+            return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], informants,
+                                     basis)
 
         block = self._one_block(fixed_modules)
         stage_modules, stage_rows, stage_xs = [], [], []
@@ -448,14 +438,10 @@ class _Run:
             pop.record(i, trial, fitness)
         return improved
 
-    def _pso_propose(self, i, pbests, pbest_fits, l_idx, basis) -> np.ndarray:
+    def _pso_propose(self, i, pbests, pbest_fits, l_idx, informants, basis) -> np.ndarray:
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
-        informants = None
-        if par.moi != "best_of_neighborhood":
-            nb = pso_mod.neighbors(self.topology, i)
-            informants = (pbests.take(nb, axis=0), pbest_fits[nb])
         l_best = pbests[l_idx]
 
         if par.stagnation_detection and pso_mod.stagnation_check(
@@ -467,7 +453,7 @@ class _Run:
             pm = pso_mod.perturbation_magnitude(
                 par.pm_mode, par.pm, pop.p[i], l_best,
                 fp=float(pop.pf[i]), fl=float(pbest_fits[l_idx]),
-                success=self.success[i])
+                success=None if self.success is None else self.success[i])
 
         velocity = pso_mod.compute_velocity(
             pop.x[i], pop.v[i], pop.p[i], l_best, informants, par,
@@ -479,7 +465,8 @@ class _Run:
 
     def _pso_select(self, i, x, fitness) -> bool:
         improved = self.pop.record(i, x, fitness)
-        self.success[i].record(improved)
+        if self.success is not None:
+            self.success[i].record(improved)
         return improved
 
     # -- local search -------------------------------------------------------
@@ -521,7 +508,6 @@ class _Run:
         if count > 0:
             X, V = sample_member(self.bounds, self.rng, count)
             self.pop.extend(X, V, self.ev_block(X))
-            self.success.extend(SuccessWindow() for _ in range(count))
 
     # -- main loop ----------------------------------------------------------
 

@@ -127,19 +127,29 @@ def neighborhood_best(top: TopologyState, pf: np.ndarray) -> np.ndarray:
     return order[top.adjacency.take(order, axis=1).argmax(axis=1)]
 
 
-def ranked_informants(adjacency: np.ndarray, P: np.ndarray,
-                      pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, m): for each row of adjacency, the personal bests of its m informants.
+def ranked_informants(adjacency: np.ndarray, pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, m): for each row of adjacency, its m informants in (pf, index) order.
 
-    Q is (rows, max m, d); row i holds its informants' rows of P in (pf,
-    index) order in its first m[i] slots, and rows of non-informants after.
+    idx is (rows, max m); row i lists its informants' indices best first in
+    its first m[i] slots, and non-informants after.  A row's first informant
+    is its neighbourhood best, as `neighborhood_best` picks it.
     """
     order = pf.argsort(kind="stable")
     ranked = adjacency.take(order, axis=1)
     m = ranked.sum(axis=1)
     # a stable sort of each negated row lists its informants first, in rank order
     slots = (~ranked).argsort(axis=1, kind="stable")[:, :m.max()]
-    return P[order[slots]], m
+    return order[slots], m
+
+
+def informant_weights(moi: str, m, phi2: float) -> np.ndarray:
+    """phi2 times each ranked informant's weight: 1/m, or (m - k) / (m (m + 1) / 2)
+    for the k-th best (from 0) under the ranked model.  m is one count, or an
+    array of counts giving one row of weights each, as wide as the largest."""
+    m = np.asarray(m)[..., None]
+    if moi == "ranked_fully_informed":
+        return (m - np.arange(m.max())) / (m * (m + 1) / 2.0) * phi2
+    return 1.0 / m * phi2
 
 
 def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> None:
@@ -278,42 +288,35 @@ def _from_basis(v: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
     return v if basis is None else basis @ v
 
 
-def _fully_informed_social(x: np.ndarray, informants: tuple[np.ndarray, np.ndarray],
+def _fully_informed_social(x: np.ndarray, informants: np.ndarray,
                            params: PsoParams, phi2: float, pm: float,
                            rng: np.random.Generator,
                            basis: np.ndarray | None) -> np.ndarray:
-    """Sum over informants, best first, of w_k * phi2 * U_k * (p_k - x).
+    """Sum over the ranked informants, best first, of w_k * phi2 * U_k * (p_k - x).
 
-    The weight is 1/m, or (m - rank) / (m (m + 1) / 2) for the ranked model.
-    Informants are taken in (fitness, index) order; each draws its informed
-    perturbation and then its uniforms, so without a perturbation the
-    uniforms are one (m, d) block.  The terms are added one row at a time in
-    that order.
+    Each informant draws its informed perturbation and then its uniforms, so
+    without a perturbation the uniforms are one (m, d) block.  The terms are
+    added one row at a time in rank order.
     """
-    P, F = informants
-    m, d = P.shape
-    order = F.argsort(kind="stable")
+    m, d = informants.shape
     if params.pert_info == "none" or pm == 0.0:
-        diff = P.take(order, axis=0) - x
+        diff = informants - x
         u = rng.random((m, d))
     else:
         diff = np.empty((m, d))
         u = np.empty((m, d))
-        for r, k in enumerate(order):
-            diff[r] = _perturb(P[k], params.pert_info, pm, rng) - x
+        for r in range(m):
+            diff[r] = _perturb(informants[r], params.pert_info, pm, rng) - x
             u[r] = rng.uniform(size=d)
     if basis is not None:
         for r in range(m):
             diff[r] = basis.T @ diff[r]
-    if params.moi == "ranked_fully_informed":
-        coef = (np.arange(m, 0, -1) / (m * (m + 1) / 2.0) * phi2)[:, None]
-    else:
-        coef = 1.0 / m * phi2
+    coef = informant_weights(params.moi, m, phi2)[:, None]
     return np.add.reduce(coef * u * diff, axis=0, initial=0.0)
 
 
 def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
-         informants: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
+         informants: np.ndarray | None, params: PsoParams,
          phi1: float, phi2: float, pm: float, rng: np.random.Generator,
          basis: np.ndarray | None = None) -> np.ndarray:
     """Movement term mapping the particle and its informants to the next position.
@@ -322,9 +325,9 @@ def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
     ----------
     x, p : the particle's position and personal best.
     l_best : the informant (neighborhood-best personal best).
-    informants : (P, F), the personal bests of every neighbor as the rows of
-        P in ascending particle index and their fitnesses F; read only by the
-        fully-informed models, None otherwise.
+    informants : the (m, d) personal bests of every informant, best first
+        (the rows `ranked_informants` lists); read only by the fully-informed
+        models, None otherwise.
     basis : optional orthonormal eigenbasis; difference vectors are rotated
         into it before combining and the result rotated back.
     """
@@ -391,16 +394,18 @@ def _coefficients(params: PsoParams, t: int, total: int,
     return omega1, omega2, omega3, phi1, phi2
 
 
-def swarm_step_applies(params: PsoParams) -> bool:
+def swarm_step_applies(params: PsoParams, d: int) -> bool:
     """True when `swarm_step` reproduces `compute_velocity` and `update_position`.
 
     That holds for the rectangular DNPP in the natural basis with no
     perturbation and no random omega or acceleration mode: every draw a
     particle makes is then a plain U(0, 1), so the draws of consecutive
     particles form one stream.  Stagnation detection is left to the
-    per-particle path, since its reset velocity comes between them.
+    per-particle path, since its reset velocity comes between them.  At
+    d = 1 numpy sums a particle's (m, 1) informant terms pairwise, so the
+    padded sums of `swarm_step` could differ; d must be at least 2.
     """
-    return (params.dnpp == "rectangular" and params.vector_basis == "natural"
+    return (d > 1 and params.dnpp == "rectangular" and params.vector_basis == "natural"
             and params.pert_info == "none" and params.pert_rand == "none"
             and not params.stagnation_detection
             and "random" not in (params.omega1_mode, params.omega2_mode,
@@ -408,32 +413,32 @@ def swarm_step_applies(params: PsoParams) -> bool:
 
 
 def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None,
-               informants: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
+               ranked: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
                t: int, total: int, rng: np.random.Generator,
                bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """New positions and velocities (X', V') of a block of particles.
+    """New positions and velocities (X', V') of the whole swarm.
 
     Each row gets v' = w1 v + w2 (phi1 U1 (p - x) + social) and then moves as
-    in `update_position`.  Valid only where `swarm_step_applies(params)`;
+    in `update_position`.  Valid only where `swarm_step_applies(params, d)`;
     the result equals `compute_velocity` and `update_position` applied to
     the rows in order, bit for bit.
 
     Parameters
     ----------
-    X, V, P : the rows' positions, velocities and personal bests.
+    X, V, P : the positions, velocities and personal bests.
     L : the rows' neighbourhood bests; read by best-of-neighbourhood only.
-    informants : (Q, m) from `ranked_informants` for the fully-informed
-        models, None otherwise.
+    ranked : (idx, m) from `ranked_informants` for the fully-informed
+        models, None otherwise; the informants' rows are gathered from P.
     """
     n, d = X.shape
     omega1, omega2, _, phi1, phi2 = _coefficients(params, t, total, rng)
     # row i draws its cognitive row, then one social row per informant
     # (best-of-neighbourhood: one), all in one call
-    if informants is None:
+    if ranked is None:
         U = rng.random((n, 2, d))
     else:
-        Q, m = informants
-        width = Q.shape[1] + 1
+        idx, m = ranked
+        width = idx.shape[1] + 1
         if m.min() + 1 == width:
             U = rng.random((n, width, d))
         else:  # slots past a row's own repeat its last row; they are masked below
@@ -442,33 +447,28 @@ def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None
             U = U[first[:, None] + np.minimum(np.arange(width), m[:, None])]
 
     cognitive = phi1 * U[:, 0] * ((X if params.ignore_pbest else P) - X)
-    if informants is None:
+    if ranked is None:
         social = phi2 * U[:, 1] * (L - X)
     else:
-        k = np.arange(width - 1)
-        if params.moi == "ranked_fully_informed":
-            coef = (m[:, None] - k) / (m * (m + 1) / 2.0)[:, None] * phi2
-        else:
-            coef = (1.0 / m * phi2)[:, None]
-        terms = coef[:, :, None] * U[:, 1:] * (Q - X[:, None])
+        terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:] \
+            * (P[idx] - X[:, None])
         # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
-        terms[k >= m[:, None]] = -0.0
+        terms[np.arange(width - 1) >= m[:, None]] = -0.0
         social = np.add.reduce(terms, axis=1, initial=0.0)
     return update_position(X, omega1 * V + omega2 * (cognitive + social), bounds,
                            params.velocity_clamping)
 
 
 def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
-                     l_best: np.ndarray,
-                     informants: tuple[np.ndarray, np.ndarray] | None,
+                     l_best: np.ndarray, informants: np.ndarray | None,
                      params: PsoParams, t: int, total: int, rng: np.random.Generator,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
     """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p).
 
     Every particle moved one at a time goes through it, and it is the
-    reference `swarm_step` must equal.  informants is the (P, F) pair that
-    `dnpp` takes: the neighbors' personal bests in ascending index and their
-    fitnesses, or None when the model of influence is best-of-neighborhood.
+    reference `swarm_step` must equal.  informants is what `dnpp` takes: the
+    (m, d) personal bests of the particle's informants, best first, or None
+    when the model of influence is best-of-neighborhood.
     """
     omega1, omega2, omega3, phi1, phi2 = _coefficients(params, t, total, rng)
     move = dnpp(params.dnpp, x, p, l_best, informants, params, phi1, phi2,

@@ -87,3 +87,30 @@ def test_batch_command(tmp_path, capsys):
     assert code == 0
     records = json.loads(out.read_text())
     assert len(records) == 2
+
+
+def _bad_invocation(capsys, instance, switches):
+    code = main(["target-runner", "c1", instance, "1", "--", *switches])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+def test_target_runner_rejects_repeated_switch(capsys):
+    switches = _switches(default_config({"exec.order": "pso", "pop.size": "10"}))
+    err = _bad_invocation(capsys, "sphere:3", [*switches, "--pop.size", "12"])
+    assert "--pop.size" in err
+
+
+def test_target_runner_rejects_extra_instance_fields(capsys):
+    switches = _switches(default_config({"exec.order": "pso"}))
+    assert "sphere:3:0:junk" in _bad_invocation(capsys, "sphere:3:0:junk", switches)
+
+
+def test_target_runner_rejects_bad_instance(capsys):
+    switches = _switches(default_config({"exec.order": "pso"}))
+    assert "spherez" in _bad_invocation(capsys, "spherez:3", switches)
+    for dim in ("0", "-2"):
+        assert "dimension" in _bad_invocation(capsys, f"sphere:{dim}", switches)

@@ -391,7 +391,8 @@ def test_new_members_are_one_block(monkeypatch):
     obj.sizes.clear()
     runner.budget.used_evals = 500   # halfway: the target size is 6 + 12
     runner.update_population_parameters()
-    assert obj.sizes == [12] and len(runner.pop) == len(runner.success) == 18
+    assert obj.sizes == [12] and len(runner.pop) == 18
+    assert runner.success is None   # DE: no perturbation magnitude reads them
 
     # re-initialize the whole population after every generation
     monkeypatch.setattr(executor_mod, "reinit_indices",
@@ -540,6 +541,20 @@ def test_reinit_change_fires_on_an_undefined_objective(monkeypatch):
     assert any(k == 10 for k in fired)
 
 
+def test_success_windows_only_under_success_rate():
+    obj = make_instance("sphere", 4)
+    plain = _Run(_cfg(**{"exec.order": "pso", "pop.size": 8}), obj, seed=3,
+                 budget=EvalBudget(max_evals=400), trace_every=None)
+    plain.execute()
+    assert plain.success is None
+    cfg = _cfg(**{"exec.order": "pso", "pop.size": 8, "pso.pert_info": "gaussian",
+                  "pso.pm_mode": "success_rate", "pso.pm": 0.1})
+    rated = _Run(cfg, obj, seed=3, budget=EvalBudget(max_evals=400), trace_every=None)
+    rated.execute()
+    assert len(rated.success) == len(rated.pop) == 8
+    assert all(len(window.window) == 10 for window in rated.success)
+
+
 def test_nested_ls_grant_below_lambda_runs_once(monkeypatch):
     slices = []
     run_slice = NestedCmaes.run_slice
@@ -639,7 +654,7 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
     give one run."""
     cfg = _cfg(**{"exec.order": "pso", "pop.size": 20, **settings})
     obj = make_instance("shifted_rotated_rastrigin", dim, instance_seed=3)
-    assert pso_mod.swarm_step_applies(cfg.pso)
+    assert pso_mod.swarm_step_applies(cfg.pso, dim) == (dim > 1)
     steps = []
     swarm_step = pso_mod.swarm_step
 
@@ -649,7 +664,7 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
 
     monkeypatch.setattr(pso_mod, "swarm_step", counted)
     results = [run(cfg, obj, seed=9, max_evals=1500, trace_every=10)]
-    assert set(steps) == ({20} if dim > 1 else set())   # see _Run._swarm_alone
+    assert set(steps) == ({20} if dim > 1 else set())   # see pso.swarm_step_applies
     steps.clear()
     monkeypatch.setattr(_Run, "_swarm_alone", lambda self, fixed_modules: False)
     results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))

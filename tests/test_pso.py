@@ -9,7 +9,7 @@ from hybridopt import Bounds, default_config, make_instance, rng_stream, run, va
 from hybridopt.pso import (PsoParams, SuccessWindow, TopologyState, _from_basis,
                            _perturb, _to_basis, acceleration_coeffs, advance_topology,
                            build_topology, compute_velocity, dnpp, inertia_weight,
-                           mantegna_levy, neighborhood_best, neighbors,
+                           informant_weights, mantegna_levy, neighborhood_best, neighbors,
                            perturbation_magnitude, random_velocity, ranked_informants,
                            stagnation_check, swarm_step, swarm_step_applies,
                            update_position)
@@ -60,6 +60,33 @@ def test_time_varying_topology_shrinks_to_ring():
         nxt = [j for j in neighbors(top, cur) if j != prev]
         prev, cur = cur, int(nxt[0])
     assert len(seen) == n
+
+
+def test_ranked_informants_first_is_the_neighborhood_best():
+    rng = rng_stream(16)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        adj = rng.random((n, n)) < rng.uniform(0.05, 0.9)
+        adj = adj | adj.T
+        adj[0] = adj[:, 0] = True   # every row has an informant
+        np.fill_diagonal(adj, False)
+        top = TopologyState(kind="random_edge", adjacency=adj)
+        pf = rng.choice([0.5, 1.0, 2.0, math.inf], n)   # ties and +inf
+        idx, m = ranked_informants(adj, pf)
+        assert idx[:, 0].tolist() == neighborhood_best(top, pf).tolist()
+        assert m.tolist() == adj.sum(axis=1).tolist()
+        for i in range(n):
+            nb = neighbors(top, i)
+            # (pf, index) order over exactly the informants
+            assert idx[i, :m[i]].tolist() == sorted(nb.tolist(), key=lambda k: (pf[k], k))
+
+
+def test_ranked_informants_follow_fitness_not_row_order():
+    adj = np.array([[False, True, True], [True, False, False], [True, False, False]])
+    idx, m = ranked_informants(adj, np.array([0.0, 2.0, 1.0]))
+    assert m.tolist() == [2, 1, 1]
+    assert idx[0].tolist() == [2, 1]   # the better informant is the higher index
+    assert idx[1, 0] == idx[2, 0] == 0
 
 
 def test_random_edge_redrawn_each_iteration():
@@ -147,7 +174,7 @@ def test_dnpp_degenerate_inputs_give_zero():
     params = PsoParams()
     x = np.array([1.0, -2.0])
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
-        move = dnpp(kind, x, x.copy(), x.copy(), (x[None, :].copy(), np.zeros(1)),
+        move = dnpp(kind, x, x.copy(), x.copy(), x[None, :].copy(),
                     params, 1.5, 1.5, 0.0, rng)
         assert move == pytest.approx([0.0, 0.0], abs=1e-15), kind
 
@@ -184,24 +211,30 @@ def test_dnpp_eigenbasis_roundtrip():
 def test_dnpp_fully_informed_weights():
     params = PsoParams(moi="fully_informed")
     x = p = np.zeros(2)
-    informants = (np.array([[2.0, 0.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
+    informants = np.array([[2.0, 0.0], [0.0, 2.0]])   # ranked, best first
     # average over informants of phi2*U*(p_k - x); expectation is phi2/2 * mean
     rng = rng_stream(9)
-    draws = np.mean([dnpp("rectangular", x, p, informants[0][0], informants,
+    draws = np.mean([dnpp("rectangular", x, p, informants[0], informants,
                           params, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
     assert draws == pytest.approx([0.5, 0.5], abs=0.05)
 
     ranked = PsoParams(moi="ranked_fully_informed")
-    draws = np.mean([dnpp("rectangular", x, p, informants[0][0], informants,
+    draws = np.mean([dnpp("rectangular", x, p, informants[0], informants,
                           ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
     # rank weights 2/3 and 1/3, each times phi2*E[U]*(p_k - x)
     assert draws == pytest.approx([2 / 3, 1 / 3], abs=0.05)
 
-    # rank follows fitness, not row order: the better informant is the second row
-    swapped = (informants[0], np.array([2.0, 1.0]))
-    draws = np.mean([dnpp("rectangular", x, p, informants[0][1], swapped,
-                          ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
-    assert draws == pytest.approx([1 / 3, 2 / 3], abs=0.05)
+
+def test_informant_weights():
+    assert informant_weights("fully_informed", 4, 2.0).tolist() == [0.5]
+    assert informant_weights("ranked_fully_informed", 3, 1.0).tolist() \
+        == [3 / 6, 2 / 6, 1 / 6]
+    # one row per count; row i is the weights of a row with m[i] informants
+    rows = informant_weights("ranked_fully_informed", np.array([3, 1]), 1.5)
+    assert rows[0].tolist() == informant_weights("ranked_fully_informed", 3, 1.5).tolist()
+    assert rows[1, 0] == 1.5
+    assert informant_weights("fully_informed", np.array([3, 1]), 1.5)[:, 0].tolist() \
+        == [0.5, 1.5]
 
 
 def _reference_rectangular(x, p, l_best, informants, params, phi1, phi2, pm, rng,
@@ -241,8 +274,8 @@ def test_dnpp_fully_informed_matches_per_informant_loop(moi, pert_info, m):
             params = PsoParams(moi=moi, pert_info=pert_info,
                                vector_basis="natural" if b is None else "eigenvector")
             rng_a, rng_b = rng_stream(7), rng_stream(7)
-            got = dnpp("rectangular", x, p, P[0], (P, F), params, 1.3, 1.7, pm,
-                       rng_a, basis=b)
+            got = dnpp("rectangular", x, p, P[0], P[F.argsort(kind="stable")], params,
+                       1.3, 1.7, pm, rng_a, basis=b)
             want = _reference_rectangular(x, p, P[0], (P, F), params, 1.3, 1.7, pm,
                                           rng_b, b)
             assert np.array_equal(got, want), (pm, b is None)
@@ -409,18 +442,18 @@ def test_swarm_step_matches_the_per_particle_reference(params):
     V = rng.normal(0.0, 4.0, (n, d))
     pf = rng.choice([1.0, 2.0, 3.0, math.inf], n)   # ties and +inf
     L = P[neighborhood_best(top, pf)]
-    informants = None
-    if params.moi != "best_of_neighborhood":
-        informants = ranked_informants(adj, P, pf)
-    assert swarm_step_applies(params)
-    block_x, block_v = swarm_step(X, V, P, L, informants, params, 3, 10,
+    fully_informed = params.moi != "best_of_neighborhood"
+    ranked = ranked_informants(adj, pf) if fully_informed else None
+    assert swarm_step_applies(params, d) and not swarm_step_applies(params, 1)
+    block_x, block_v = swarm_step(X, V, P, L, ranked, params, 3, 10,
                                   rng_stream(15), b)
     ref = rng_stream(15)
     for i in range(n):
         nb = neighbors(top, i)
         velocity = compute_velocity(
             X[i], V[i], P[i], L[i],
-            None if informants is None else (P[nb], pf[nb]), params, 3, 10, ref)
+            P[nb[pf[nb].argsort(kind="stable")]] if fully_informed else None,
+            params, 3, 10, ref)
         x, v = update_position(X[i], velocity, b, params.velocity_clamping)
         assert block_x[i].tobytes() == x.tobytes()
         assert block_v[i].tobytes() == v.tobytes()

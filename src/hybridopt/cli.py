@@ -67,11 +67,15 @@ def _cmd_run(args) -> int:
     if not hasattr(cfg, "execution"):
         print(cfg.describe(), file=sys.stderr)
         return 1
-    instance = make_instance(args.function, args.dim,
-                             instance_seed=args.instance_seed,
-                             shift_file=args.shift_file,
-                             rotation_file=args.rotation_file,
-                             parts=raw.get("hybrid.parts"))
+    try:  # every input error of make_instance is a ValueError; data files may be missing
+        instance = make_instance(args.function, args.dim,
+                                 instance_seed=args.instance_seed,
+                                 shift_file=args.shift_file,
+                                 rotation_file=args.rotation_file,
+                                 parts=raw.get("hybrid.parts"))
+    except (ValueError, OSError) as exc:
+        print(f"bad run invocation: {exc}", file=sys.stderr)
+        return 2
     result = run(cfg, instance, args.seed, max_evals=args.fe_budget,
                  wallclock_ms=args.wallclock_ms, trace_every=args.trace_every)
     record = RunRecord(function=args.function, dim=args.dim, seed=args.seed,

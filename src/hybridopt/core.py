@@ -67,8 +67,10 @@ class Bounds:
 
 
 def repair_to_bounds(x: np.ndarray, b: Bounds) -> np.ndarray:
-    """Clamp every component into [lb_j, ub_j]; in-bounds components pass through."""
-    return np.clip(x, b.lower, b.upper)
+    """Clamp every component into [lb_j, ub_j]; in-bounds components pass
+    through bit for bit (np.maximum and np.minimum return their second
+    argument on a tie, so -0.0 at a zero bound stays -0.0)."""
+    return np.minimum(b.upper, np.maximum(b.lower, x))
 
 
 def spread(hi: float, lo: float) -> float:
@@ -163,6 +165,18 @@ class Population:
         self.p[better] = X[better]
         self.pf[better] = F[better]
         return better
+
+    def record_better(self, X: np.ndarray, F) -> np.ndarray:
+        """Move each member whose row of X has a strictly lower value than its
+        own to that row (greedy selection); returns which members moved."""
+        F = np.asarray(F, dtype=float)
+        moved = F < self.f
+        self.x[moved] = X[moved]
+        self.f[moved] = F[moved]
+        better = F < self.pf  # a subset of moved, as pf <= f
+        self.p[better] = X[better]
+        self.pf[better] = F[better]
+        return moved
 
     def record(self, i: int, x: np.ndarray, fx: float) -> bool:
         """Move member i to the evaluated point x; True iff its personal best improved."""

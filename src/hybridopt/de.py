@@ -1,6 +1,6 @@
-"""Differential-evolution updates: base-vector selection, differential mutation,
-binomial/exponential recombination, greedy selection, and the glue used when
-composing DE with a velocity-based update."""
+"""Differential-evolution updates on blocks of target rows: base-vector
+selection, differential mutation, binomial/exponential recombination, greedy
+selection, and the glue used when composing DE with a velocity-based update."""
 
 from __future__ import annotations
 
@@ -33,103 +33,120 @@ def num_vector_differences(diff_fraction: float, n: int) -> int:
     return int(np.clip(int(diff_fraction * n), 1, max(1, n // 4)))
 
 
-def _distinct_indices(count: int, n: int, exclude: set[int],
-                      rng: np.random.Generator) -> np.ndarray:
-    """count distinct picks from the ascending pool of 0..n-1 without exclude."""
-    size = n - len(exclude)
+def _uniform_indices(size: int, shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform integers in range(size) as floor(u * size) of one block of
+    doubles u in [0, 1): u * size rounds below size for every such u, and every
+    value's probability is within 2**-53 of 1/size.  One ``Generator.random``
+    call costs a fraction of an ``integers`` call on the one-row path."""
+    return (rng.random(shape) * size).astype(np.intp)
+
+
+def _distinct_picks(count: int, size: int, rows: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """A (rows, count) block of picks from range(size), no value twice in a row.
+
+    One block is drawn; then every entry that repeats an earlier entry of its
+    row is redrawn, until no row has a repeat.  Which entries are redrawn
+    depends on the picks only through which of them are equal, so every row is
+    uniform over the ordered count-tuples of distinct values.  Redrawing
+    entries rather than whole rows keeps large counts cheap: at n = 10 000 and
+    the default diff fraction a row of 401 picks has about 8 repeats.
+    """
     if size < count:
         raise InsufficientPopulation(
             f"need {count} distinct donors but only {size} candidates exist")
-    picks = rng.choice(size, size=count, replace=False)
-    for e in sorted(exclude):  # pool position -> index: step past each excluded one
-        picks += picks >= e
+    picks = _uniform_indices(size, (rows, count), rng)
+    ranked = np.sort(picks, axis=1)
+    while (ranked[:, 1:] == ranked[:, :-1]).any():
+        order = np.argsort(picks, axis=1, kind="stable")  # equal picks in entry order
+        ranked = np.take_along_axis(picks, order, axis=1)
+        repeat = np.zeros(picks.shape, dtype=bool)
+        np.put_along_axis(repeat, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+        picks[repeat] = _uniform_indices(size, np.count_nonzero(repeat), rng)
+        ranked = np.sort(picks, axis=1)
     return picks
 
 
-def _rows(idx, positions: np.ndarray, pbests: np.ndarray, mode: str,
-          rng: np.random.Generator) -> np.ndarray:
-    """The vectors of the member idx, or of the members idx in order; under
-    ``mixture`` a fair coin per member picks its personal best or its position."""
-    if mode == "positions":
-        return positions[idx]
-    if mode == "pbest":
-        return pbests[idx]
-    if mode == "mixture":
-        heads = rng.uniform(size=np.shape(idx)) < 0.5
-        return np.where(heads[..., None], pbests[idx], positions[idx])
-    raise ValueError(f"unknown vectors mode {mode!r}")
-
-
 def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
-                           fitnesses: np.ndarray, i: int, k: int, beta: float,
+                           fitnesses: np.ndarray, targets, k: int, beta: float,
                            vectors: str, rng: np.random.Generator):
-    """Pick the base vector and the (2k, d) donor block for target i.
+    """Pick the base vectors and the donor blocks of the target rows ``targets``.
 
-    The donor rows are ordered b1, c1, b2, c2, ...  All selected indices are
-    mutually distinct and different from i.  The directed kinds use a single
-    (b, c) pair ordered so the base has the best fitness of the three.
+    Returns the (r, d) base rows and the (r, 2k, d) donor blocks (r, 2, d for
+    the directed kinds), row j for target targets[j], every block ordered b1,
+    c1, b2, c2, ...  A target's
+    selected members are mutually distinct and differ from the target.
+    ``best`` and ``directed_best`` take as base the best member other than the
+    target (the runner-up on ties, by index); the directed kinds use a single
+    (b, c) pair, ordered so the base has the best (fitness, index) of the three.
+    Under ``mixture`` a fair coin per selected member picks its personal best
+    or its position.
     """
-    n = len(positions)
-    best = int(np.argmin(fitnesses))
-    # the best member other than the target (the runner-up on ties, by index)
-    top = best if best != i or n == 1 else int(np.argsort(fitnesses, kind="stable")[1])
-
-    if kind in ("random", "directed_random", "directed_best"):
-        if kind == "directed_best":
-            picks = [top, *_distinct_indices(2, n, {i, top}, rng)]
-        elif kind == "directed_random":  # ordered by (fitness, index)
-            picks = _distinct_indices(3, n, {i}, rng)
-            picks = picks[np.lexsort((picks, fitnesses[picks]))]
-        else:
-            picks = _distinct_indices(2 * k + 1, n, {i}, rng)
-        rows = _rows(picks, positions, pbests, vectors, rng)
-        return rows[0], rows[1:]
-    if kind == "best":
-        # the base's coin is drawn before the donor indices
-        base = _rows(top, positions, pbests, vectors, rng)
-        exclude = {i, top}
-    elif kind == "target_to_best":
-        base = positions[i] + beta * (positions[best] - positions[i])
-        exclude = {i}
+    targets = np.asarray(targets)
+    n, r = len(positions), len(targets)
+    if kind in ("best", "directed_best"):
+        picks = _distinct_picks(2 if kind == "directed_best" else 2 * k, n - 2, r, rng)
+        first, second = np.argsort(fitnesses, kind="stable")[:2]
+        top = np.where(targets == first, second, first)
+        for skip in (np.minimum(targets, top), np.maximum(targets, top)):
+            picks += picks >= skip[:, None]  # pool position -> index
+        picks = np.concatenate((top[:, None], picks), axis=1)
+    elif kind in ("random", "directed_random", "target_to_best"):
+        count = {"random": 2 * k + 1, "directed_random": 3, "target_to_best": 2 * k}[kind]
+        picks = _distinct_picks(count, n - 1, r, rng)
+        picks += picks >= targets[:, None]
+        if kind == "directed_random":
+            picks = np.take_along_axis(picks, np.lexsort((picks, fitnesses[picks])), axis=1)
     else:
         raise ValueError(f"unknown base-vector kind {kind!r}")
-    return base, _rows(_distinct_indices(2 * k, n, exclude, rng), positions, pbests,
-                       vectors, rng)
+    if vectors == "positions":
+        rows = positions[picks]
+    elif vectors == "pbest":
+        rows = pbests[picks]
+    elif vectors == "mixture":
+        heads = rng.random(picks.shape) < 0.5
+        rows = np.where(heads[..., None], pbests[picks], positions[picks])
+    else:
+        raise ValueError(f"unknown vectors mode {vectors!r}")
+    if kind == "target_to_best":
+        x = positions[targets]
+        return x + beta * (positions[np.argmin(fitnesses)] - x), rows
+    return rows[:, 0], rows[:, 1:]
 
 
 def mutate(base: np.ndarray, donors: np.ndarray, beta: float, kind: str) -> np.ndarray:
-    """Differential mutation with the donor rows b1, c1, b2, c2, ...
+    """Differential mutation of base rows with donor rows b1, c1, b2, c2, ...
+    along the second-to-last axis.
 
     Standard kinds add (beta/k) * sum of the k differences b_j - c_j to the
     base, summed in pair order; the directed kinds compute
     base + (beta/2) * (base - b - c).
     """
     if kind in ("directed_random", "directed_best"):
-        b, c = donors
+        b, c = donors[..., 0, :], donors[..., 1, :]
         return base + (beta / 2.0) * (base - b - c)
-    diffs = donors[0::2] - donors[1::2]
-    return base + (beta / len(diffs)) * np.add.reduce(diffs, axis=0, initial=0.0)
+    diffs = donors[..., 0::2, :] - donors[..., 1::2, :]
+    return base + (beta / diffs.shape[-2]) * np.add.reduce(diffs, axis=-2, initial=0.0)
 
 
 def recombine(kind: str, target: np.ndarray, mutant: np.ndarray, p_a: float,
               rng: np.random.Generator) -> np.ndarray:
-    """Build the trial vector; at least one mutant component is always taken."""
-    d = target.size
-    k_rand = int(rng.integers(d))
+    """Trial rows from (r, d) target and mutant rows.  Each trial takes the
+    mutant component at a uniform position k_rand; binomial recombination
+    takes each other one with probability 1 - p_a, exponential recombination
+    the run after k_rand (cyclically) that goes on while draws are >= p_a."""
+    r, d = target.shape
+    u = rng.random((r, d + 1))  # per row: k_rand, then d draws
+    k_rand = (u[:, 0] * d).astype(np.intp)
     if kind == "binomial":
-        take = rng.uniform(size=d) >= p_a
-        take[k_rand] = True
-        return np.where(take, mutant, target)
-    if kind == "exponential":
-        trial = target.copy()
-        length = 0
-        while True:
-            trial[(k_rand + length) % d] = mutant[(k_rand + length) % d]
-            length += 1
-            if length >= d or rng.uniform() < p_a:
-                break
-        return trial
-    raise ValueError(f"unknown recombination kind {kind!r}")
+        take = u[:, 1:] >= p_a
+        take[np.arange(r), k_rand] = True
+    elif kind == "exponential":
+        length = 1 + np.cumprod(u[:, 1:d] >= p_a, axis=1).sum(axis=1)
+        take = (np.arange(d) - k_rand[:, None]) % d < length[:, None]
+    else:
+        raise ValueError(f"unknown recombination kind {kind!r}")
+    return np.where(take, mutant, target)
 
 
 def select_greedy(target_fitness: float, trial_fitness: float) -> tuple[float, bool]:
@@ -141,12 +158,12 @@ def select_greedy(target_fitness: float, trial_fitness: float) -> tuple[float, b
 def recompute_velocity(kind: str, old_position: np.ndarray, new_position: np.ndarray,
                        velocity: np.ndarray, rng: np.random.Generator,
                        bounds: Bounds) -> np.ndarray:
-    """Re-derive a particle's velocity after DE improved its position."""
+    """Re-derive velocities (one row or a block) after DE improved positions."""
     if kind == "goBack":
         return new_position - old_position
     if kind == "random":
         half = bounds.width() / 2.0
-        return rng.uniform(-half, half)
+        return rng.uniform(-half, half, size=np.shape(new_position))
     if kind == "position":
         return new_position.copy()
     if kind == "none":
@@ -177,10 +194,11 @@ def population_eigenbasis(positions: np.ndarray) -> np.ndarray | None:
 
 def eigen_recombination_wrap(target: np.ndarray, mutant: np.ndarray,
                              basis: np.ndarray | None):
-    """Rotate target and mutant into the eigenbasis; returns them plus the inverse map.
+    """Rotate (r, d) target and mutant rows into the eigenbasis; returns them
+    plus the inverse map.
 
     A degenerate covariance (basis None) falls back to the natural basis.
     """
     if basis is None:
         return target, mutant, lambda v: v
-    return basis.T @ target, basis.T @ mutant, lambda v: basis @ v
+    return target @ basis, mutant @ basis, lambda v: v @ basis.T

@@ -19,6 +19,10 @@ from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 from .pso import PsoParams, SuccessWindow
 
+# Most donor-block elements (targets x donors x d) one DE proposal step holds.
+DONOR_BLOCK = 1 << 18
+
+
 @dataclass
 class ExecutionConfig:
     mode: str = "component_based"        # component_based | probabilistic | multiple_phases
@@ -311,26 +315,31 @@ class _Run:
         composed = self.cfg.execution.mode == "component_based" and "pso" in possible
         return not composed and self.cfg.de.recompute_velocity == "none"
 
+    def _alone(self, module: str, fixed_modules: tuple[str, ...] | None) -> bool:
+        """True when the generation applies module alone: ``exec.order`` is that
+        module in component-based mode, or the module's phase is on (the
+        probabilistic mode always has two modules)."""
+        return (fixed_modules or self.order) == (module,)
+
     def _swarm_alone(self, fixed_modules: tuple[str, ...] | None) -> bool:
-        """True when the generation is PSO alone (``exec.order`` pso in
-        component-based mode, or a PSO phase) under settings where
+        """True when the generation is PSO alone under settings where
         ``pso.swarm_step`` moves the whole swarm at once."""
-        pso_alone = fixed_modules == ("pso",) or (
-            fixed_modules is None and self.order == ("pso",)
-            and self.cfg.execution.mode == "component_based")
-        return pso_alone and pso_mod.swarm_step_applies(self.cfg.pso, self.d)
+        return self._alone("pso", fixed_modules) and pso_mod.swarm_step_applies(
+            self.cfg.pso, self.d)
 
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         """Propose, evaluate and select every individual in index order.
 
         PSO informants are ranked once, from the personal bests at the start
-        of the generation.  A generation of PSO alone under block settings
-        moves the whole swarm with one ``swarm_step``, evaluates the moves as
-        one block and selects them with one array step.  Otherwise proposals
-        draw in the order of the per-individual loop: when the generation is
-        one block, every proposal is made first, the block is evaluated, and
-        then every proposal is selected; else each individual's module
-        stages are settled one at a time.
+        of the generation, and DE donors are read from that state.  A
+        generation of PSO alone under block settings moves the whole swarm
+        with one ``swarm_step``; a generation of DE alone proposes every trial
+        as one block.  Either evaluates the block at once and selects it with
+        one array step.  Otherwise proposals draw in the order of the
+        per-individual loop: when the generation is one block, every proposal
+        is made first, the block is evaluated, and then every proposal is
+        selected; else each individual's module stages are settled one at a
+        time.
         """
         pop = self.pop
         n = len(pop)
@@ -349,7 +358,6 @@ class _Run:
                                           self.rng, self.bounds)
             pop.record_all(X, self.ev_block(X))
             return
-        # DE donors and PSO informants read the state at the start of the generation
         positions, fitnesses = pop.x.copy(), pop.f.copy()
         pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
 
@@ -362,10 +370,13 @@ class _Run:
         k = None
         if self.cfg.de is not None:
             k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
+        if self._alone("de", fixed_modules):
+            self._de_generation(positions, fitnesses, pbests, k, basis)
+            return
 
         def propose(module, i):
             if module == "de":
-                return self._de_propose(i, positions, fitnesses, pbests, k, basis)
+                return self._de_propose([i], positions, fitnesses, pbests, k, basis)[0]
             informants = None if ranked is None else pbests[idx[i, :m[i]]]
             return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], informants,
                                      basis)
@@ -396,6 +407,23 @@ class _Run:
         if stage_rows:
             self._settle(stage_modules, stage_rows, np.array(stage_xs))
 
+    def _de_generation(self, positions, fitnesses, pbests, k, basis) -> None:
+        """DE alone: propose every trial from the state at the start of the
+        generation, repair the block into the box, evaluate it and keep each
+        trial that is strictly better than its target."""
+        pop = self.pop
+        n = len(pop)
+        # bound the donor blocks to DONOR_BLOCK elements for large populations
+        chunks = min(n, -(-n * (2 * k + 1) * self.d // DONOR_BLOCK))
+        X = np.concatenate([self._de_propose(rows, positions, fitnesses, pbests, k, basis)
+                            for rows in np.array_split(np.arange(n), chunks)])
+        X = repair_to_bounds(X, self.bounds)
+        moved = pop.record_better(X, self.ev_block(X))
+        kind = self.cfg.de.recompute_velocity
+        if kind != "none":  # positions still holds the targets
+            pop.v[moved] = de_mod.recompute_velocity(kind, positions[moved], X[moved],
+                                                     pop.v[moved], self.rng, self.bounds)
+
     def _settle(self, modules, rows, X: np.ndarray) -> None:
         """Evaluate the proposals X (row j from individual rows[j] under
         modules[j]) as one block, then select each in order."""
@@ -408,23 +436,21 @@ class _Run:
             else:
                 self._pso_select(i, x, f)
 
-    def _de_propose(self, i, positions, fitnesses, pbests, k, basis) -> np.ndarray:
+    def _de_propose(self, targets, positions, fitnesses, pbests, k, basis) -> np.ndarray:
+        """Trial rows for the target rows ``targets``, read from the state at
+        the start of the generation."""
         par = self.cfg.de
         self.active_module = "de"
-        pop = self.pop
         base, donors = de_mod.select_base_and_donors(
-            par.base_vector, positions, pbests, fitnesses, i, k, par.beta,
+            par.base_vector, positions, pbests, fitnesses, targets, k, par.beta,
             par.vectors, self.rng)
         mutant = de_mod.mutate(base, donors, par.beta, par.base_vector)
+        target = positions[targets]
         if par.vector_basis == "eigenvector":
-            t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(
-                pop.x[i], mutant, basis)
-            trial = unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,
-                                              par.p_a, self.rng))
-        else:
-            trial = de_mod.recombine(par.recombination, pop.x[i], mutant,
-                                     par.p_a, self.rng)
-        return trial
+            t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(target, mutant, basis)
+            return unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,
+                                             par.p_a, self.rng))
+        return de_mod.recombine(par.recombination, target, mutant, par.p_a, self.rng)
 
     def _de_select(self, i, trial, fitness) -> bool:
         par = self.cfg.de

@@ -75,6 +75,22 @@ def test_run_command_validation_failure(tmp_path, capsys):
     assert "de.beta" in capsys.readouterr().err
 
 
+def test_run_command_rejects_bad_instance(tmp_path, capsys):
+    params = tmp_path / "algo.params"
+    params.write_text(format_parameter_file(default_config({"exec.order": "pso"})))
+    for extra in (["--function", "spherez", "--dim", "3"],
+                  ["--function", "sphere", "--dim", "0"],
+                  ["--function", "shifted_sphere", "--dim", "3",
+                   "--shift-file", str(tmp_path / "missing.txt")]):
+        code = main(["run", *extra, "--seed", "1", "--params", str(params),
+                     "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("bad run invocation: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_batch_command(tmp_path, capsys):
     plan = [{"config_id": "d", "params": default_config(
         {"exec.order": "de", "pop.size": "10"}),

@@ -51,6 +51,17 @@ def test_repair_always_lands_inside(xs):
     assert np.all(repaired[inside] == x[inside])
 
 
+def test_repair_passes_in_bound_components_bitwise():
+    # a signed zero at a zero bound is inside the box and keeps its sign
+    b = Bounds(np.array([0.0, -1.0, -2.0, -1e-300]), np.array([1.0, -0.0, 2.0, 5e-324]))
+    x = np.array([-0.0, 0.0, np.nextafter(2.0, 0.0), 5e-324])
+    assert repair_to_bounds(x, b).tobytes() == x.tobytes()
+    X = np.array([x, [0.0, -0.0, -2.0, -1e-300], [-1.0, 3.0, 0.5, 1.0]])
+    repaired = repair_to_bounds(X, b)
+    assert repaired[:2].tobytes() == X[:2].tobytes()
+    assert repaired[2].tolist() == [0.0, -0.0, 0.5, 5e-324]
+
+
 def test_cap_reported_value():
     assert cap_reported_value(3.2e4) == 3.2e4
     assert cap_reported_value(1.0e12) == 1.0e10
@@ -86,6 +97,18 @@ def test_population_record_all_equals_recording_each_row():
         == [False, False, True, True]
     for name in ("x", "v", "p", "f", "pf"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_population_record_better_is_greedy_selection():
+    X = np.arange(8.0).reshape(4, 2)
+    pop = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
+    pop.record(3, np.array([9.0, 9.0]), 4.0)   # x[3] worse than its pbest
+    trials, F = -X, [4.0, 2.0, 5.0, 2.0]   # worse, equal, finite after +inf, between
+    moved = pop.record_better(trials, F)
+    assert moved.tolist() == [False, False, True, True]
+    assert pop.f.tolist() == [3.0, 2.0, 5.0, 2.0] and pop.pf.tolist() == [3.0, 2.0, 5.0, 1.0]
+    assert pop.x.tolist() == [X[0].tolist(), X[1].tolist(), (-X[2]).tolist(), (-X[3]).tolist()]
+    assert pop.p[3].tolist() == [6.0, 7.0]   # its pbest stays
 
 
 def test_population_extend_and_reset_take_blocks():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,143 +26,105 @@ def _marker_population(n, d=3):
     return positions, pbests
 
 
+def _ids(rows):
+    """Member indices of marker rows (positions or personal bests)."""
+    return (rows[..., 0] % 100.0).astype(int) - 1
+
+
 def test_select_best_base():
-    rng = rng_stream(0)
     positions, pbests = _marker_population(6)
     fitnesses = np.array([5.0, 4.0, 3.0, 2.0, 0.5, 6.0])
     base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
-                                          i=0, k=1, beta=0.5,
-                                          vectors="positions", rng=rng)
-    assert base == pytest.approx(positions[4])
-    assert donors.shape == (2, 3)
+                                          np.arange(6), k=1, beta=0.5,
+                                          vectors="positions", rng=rng_stream(0))
+    assert donors.shape == (6, 2, 3)
+    # every target takes the best member, the best one takes the runner-up
+    assert list(_ids(base)) == [4, 4, 4, 4, 3, 4]
+    for t, (b, row) in enumerate(zip(_ids(base), _ids(donors))):
+        assert len({t, b, *row}) == 4   # distinct from the target and the base
 
 
 def test_select_random_distinctness():
+    # the minimum population n = 2k + 2: every target's three picks are the
+    # three other members, in each of the 6 orders equally often
     positions, pbests = _marker_population(4)
-    fitnesses = np.arange(4.0)
-    rng = rng_stream(1)
-    for _ in range(200):
-        base, donors = select_base_and_donors("random", positions, pbests,
-                                              fitnesses, i=0, k=1, beta=0.5,
-                                              vectors="positions", rng=rng)
-        ids = {base[0], *donors[:, 0]}
-        assert 1.0 not in ids          # never the target
-        assert len(ids) == 3           # mutually distinct
+    targets = np.tile(np.arange(4), 3000)
+    base, donors = select_base_and_donors("random", positions, pbests,
+                                          np.arange(4.0), targets, k=1, beta=0.5,
+                                          vectors="positions", rng=rng_stream(1))
+    picks = np.column_stack((_ids(base), _ids(donors)))
+    assert np.array_equal(np.sort(picks, axis=1),
+                          [[j for j in range(4) if j != t] for t in targets])
+    orders = Counter(map(tuple, picks[targets == 0]))
+    assert len(orders) == 6
+    expected = 3000 / 6   # 3-sigma band of a binomial(3000, 1/6) count
+    assert all(abs(c - expected) < 3 * math.sqrt(3000 * 5 / 36) for c in orders.values())
 
 
 def test_select_directed_ordering():
     positions, pbests = _marker_population(5)
-    fitnesses = np.array([9.0, 1.0, 2.0, 3.0, 8.0])
-    rng = rng_stream(2)
-    for _ in range(50):
-        base, (vb, vc) = select_base_and_donors(
-            "directed_random", positions, pbests, fitnesses, i=0, k=1,
-            beta=1.0, vectors="positions", rng=rng)
-        fa = fitnesses[int(base[0]) - 1]
-        assert fa <= fitnesses[int(vb[0]) - 1]
-        assert fa <= fitnesses[int(vc[0]) - 1]
+    fitnesses = np.array([9.0, 1.0, 1.0, 3.0, 8.0])   # a tie breaks by index
+    targets = np.tile(np.arange(5), 50)
+    base, donors = select_base_and_donors(
+        "directed_random", positions, pbests, fitnesses, targets, k=1,
+        beta=1.0, vectors="positions", rng=rng_stream(2))
+    picks = np.column_stack((_ids(base), _ids(donors)))
+    for t, row in zip(targets, picks):
+        assert t not in row and len(set(row)) == 3
+        keys = [(fitnesses[j], j) for j in row]
+        assert keys == sorted(keys)
 
 
 def test_select_target_to_best():
     positions, pbests = _marker_population(5)
     fitnesses = np.array([5.0, 1.0, 4.0, 3.0, 2.0])
-    rng = rng_stream(3)
-    base, _ = select_base_and_donors("target_to_best", positions, pbests,
-                                     fitnesses, i=0, k=1, beta=0.5,
-                                     vectors="positions", rng=rng)
-    expected = positions[0] + 0.5 * (positions[1] - positions[0])
-    assert base == pytest.approx(expected)
+    base, donors = select_base_and_donors("target_to_best", positions, pbests,
+                                          fitnesses, np.arange(5), k=1, beta=0.5,
+                                          vectors="positions", rng=rng_stream(3))
+    expected = positions + 0.5 * (positions[1] - positions)
+    assert base.tobytes() == expected.tobytes()
+    for t, row in enumerate(_ids(donors)):
+        assert t not in row and len(set(row)) == 2
 
 
 def test_select_insufficient_population():
     positions, pbests = _marker_population(4)
-    with pytest.raises(InsufficientPopulation):
-        select_base_and_donors("random", positions, pbests, np.arange(4.0),
-                               i=0, k=2, beta=0.5, vectors="positions",
-                               rng=rng_stream(4))
+    for kind, k in (("random", 2), ("best", 2), ("directed_best", 1),
+                    ("target_to_best", 2)):
+        with pytest.raises(InsufficientPopulation):
+            select_base_and_donors(kind, positions[:3], pbests[:3], np.arange(3.0),
+                                   [0], k=k, beta=0.5, vectors="positions",
+                                   rng=rng_stream(4))
 
 
 def test_select_pbest_vectors():
     positions, pbests = _marker_population(5)
     fitnesses = np.array([5.0, 1.0, 4.0, 3.0, 2.0])
     base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
-                                          i=0, k=1, beta=0.5, vectors="pbest",
+                                          [0, 2], k=1, beta=0.5, vectors="pbest",
                                           rng=rng_stream(5))
-    assert base == pytest.approx(pbests[1])
-    assert np.all(donors[:, 0] >= 100.0)
+    assert base.tobytes() == pbests[[1, 1]].tobytes()
+    assert np.all(donors[..., 0] >= 100.0)
 
 
-def test_mutate_standard():
-    a = np.array([1.0, 2.0])
-    b = np.array([3.0, 4.0])
-    c = np.array([0.0, 1.0])
-    assert mutate(a, np.array([b, c]), 0.5, "random") == pytest.approx([2.5, 3.5])
-    assert mutate(a, np.array([b, b]), 0.9, "random") == pytest.approx(a)
-    # two pairs divide beta by the pair count
-    two = mutate(np.zeros(2), np.array([b, c, b, c]), 0.5, "random")
-    assert two == pytest.approx(0.5 * (2 * (b - c)) / 2)
+def test_select_mixture_coin():
+    # a fair coin per selected member, base included, picks the personal best
+    positions, pbests = _marker_population(6)
+    base, donors = select_base_and_donors("best", positions, pbests, np.arange(6.0),
+                                          np.tile(np.arange(6), 2000), k=1,
+                                          beta=0.5, vectors="mixture",
+                                          rng=rng_stream(13))
+    heads = np.column_stack((base[:, 0], donors[..., 0])) >= 100.0
+    n = heads.size
+    assert abs(heads.mean() - 0.5) < 3 * math.sqrt(0.25 / n)
+    # the three coins of a row are independent: all agree with probability 1/4
+    agree = (heads.all(axis=1) | ~heads.any(axis=1)).mean()
+    assert abs(agree - 0.25) < 3 * math.sqrt(0.25 * 0.75 / len(heads))
 
 
-def test_mutate_directed():
-    a = np.array([2.0, 2.0])
-    b = np.array([1.0, 0.0])
-    c = np.array([0.0, 1.0])
-    assert mutate(a, np.array([b, c]), 1.0, "directed_random") \
-        == pytest.approx([2.5, 2.5])
-
-
-# The per-vector selection and pair-loop mutation that the donor block
-# replaced, kept as the reference the block form must equal bit for bit.
-
-def _ref_distinct_indices(count, n, exclude, rng):
-    pool = [j for j in range(n) if j not in exclude]
-    if len(pool) < count:
-        raise InsufficientPopulation("too few candidates")
-    picks = rng.choice(len(pool), size=count, replace=False)
-    return [pool[int(j)] for j in picks]
-
-
-def _ref_member_vector(idx, positions, pbests, mode, rng):
-    if mode == "positions":
-        return positions[idx]
-    if mode == "pbest":
-        return pbests[idx]
-    return pbests[idx] if rng.uniform() < 0.5 else positions[idx]
-
-
-def _ref_select_base_and_donors(kind, positions, pbests, fitnesses, i, k, beta,
-                                vectors, rng):
-    n = len(positions)
-    best = int(np.argmin(fitnesses))
-
-    def vec(idx):
-        return _ref_member_vector(idx, positions, pbests, vectors, rng)
-
-    if kind in ("directed_random", "directed_best"):
-        if kind == "directed_best":
-            a = best
-            if a == i and n > 1:
-                a = int(np.argsort(fitnesses, kind="stable")[1])
-            b, c = _ref_distinct_indices(2, n, {i, a}, rng)
-        else:
-            a, b, c = _ref_distinct_indices(3, n, {i}, rng)
-            a, b, c = sorted((a, b, c), key=lambda j: (fitnesses[j], j))
-        return vec(a), [(vec(b), vec(c))]
-    if kind == "random":
-        picks = _ref_distinct_indices(2 * k + 1, n, {i}, rng)
-        base = vec(picks[0])
-        rest = picks[1:]
-    elif kind == "best":
-        base_idx = best
-        if base_idx == i and n > 1:
-            base_idx = int(np.argsort(fitnesses, kind="stable")[1])
-        base = vec(base_idx)
-        rest = _ref_distinct_indices(2 * k, n, {i, base_idx}, rng)
-    else:
-        base = positions[i] + beta * (positions[best] - positions[i])
-        rest = _ref_distinct_indices(2 * k, n, {i}, rng)
-    return base, [(vec(rest[2 * j]), vec(rest[2 * j + 1])) for j in range(k)]
-
+# Each target's selection and mutation, built vector by vector from the
+# members the block selected, is the reference the block form must equal bit
+# for bit.
 
 def _ref_mutate(base, pairs, beta, kind):
     if kind in ("directed_random", "directed_best"):
@@ -173,71 +136,121 @@ def _ref_mutate(base, pairs, beta, kind):
     return base + (beta / len(pairs)) * acc
 
 
+def _members(rows, positions, pbests):
+    """(index, is personal best) of each row, matched bit for bit."""
+    out = []
+    for row in rows:
+        hit = np.flatnonzero((positions == row).all(axis=1))
+        if hit.size:
+            out.append((int(hit[0]), False))
+        else:
+            hit = np.flatnonzero((pbests == row).all(axis=1))
+            assert hit.size == 1
+            out.append((int(hit[0]), True))
+    return out
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("vectors", ["positions", "pbest", "mixture"])
 @pytest.mark.parametrize("kind", ["random", "best", "target_to_best",
                                   "directed_random", "directed_best"])
 def test_donor_block_matches_per_vector_reference(kind, vectors, k):
-    data = rng_stream(11)
-    new_rng, ref_rng = rng_stream(12), rng_stream(12)
-    for trial in range(40):
-        n, d = int(data.integers(2 * k + 2, 20)), int(data.integers(1, 8))
+    data, rng = rng_stream(11), rng_stream(12)
+    directed = kind.startswith("directed")
+    for trial in range(10):
+        # down to the minimum population of the kind
+        low = 2 * k + 1 if kind == "target_to_best" else 4 if directed else 2 * k + 2
+        n, d = int(data.integers(low, 20)), int(data.integers(1, 8))
         positions = data.normal(scale=10.0 ** data.integers(-3, 4), size=(n, d))
         pbests = positions + data.normal(size=(n, d))
         fitnesses = data.choice(np.arange(4.0), size=n)   # with ties
-        i = int(data.integers(n)) if trial % 4 else int(np.argmin(fitnesses))
+        targets = data.integers(n, size=12)
+        targets[0] = np.argmin(fitnesses)
         beta = float(data.uniform(0.1, 2.0))
         base, donors = select_base_and_donors(kind, positions, pbests, fitnesses,
-                                              i, k, beta, vectors, new_rng)
-        ref_base, pairs = _ref_select_base_and_donors(
-            kind, positions, pbests, fitnesses, i, k, beta, vectors, ref_rng)
-        assert base.tobytes() == ref_base.tobytes()
-        assert donors.tobytes() == np.array(pairs).reshape(-1, d).tobytes()
-        assert mutate(base, donors, beta, kind).tobytes() \
-            == _ref_mutate(ref_base, pairs, beta, kind).tobytes()
-        # both made the same draws
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+                                              targets, k, beta, vectors, rng)
+        pairs = 1 if directed else k
+        assert base.shape == (12, d) and donors.shape == (12, 2 * pairs, d)
+        mutant = mutate(base, donors, beta, kind)
+        order = sorted(range(n), key=lambda j: (fitnesses[j], j))
+        for t, b, rows, m in zip(targets, base, donors, mutant):
+            top = order[1] if order[0] == t else order[0]
+            members = _members(rows, positions, pbests)
+            if kind == "target_to_best":
+                ref_base = positions[t] + beta * (positions[order[0]] - positions[t])
+                assert b.tobytes() == ref_base.tobytes()
+            else:
+                members = _members([b], positions, pbests) + members
+            idx = [j for j, _ in members]
+            assert t not in idx and len(set(idx)) == len(idx)
+            if kind in ("best", "directed_best"):
+                assert idx[0] == top
+            if kind == "directed_random":
+                keys = [(fitnesses[j], j) for j in idx]
+                assert keys == sorted(keys)
+            if vectors != "mixture":
+                assert all(p == (vectors == "pbest") for _, p in members)
+            ref_pairs = [(rows[2 * j], rows[2 * j + 1]) for j in range(pairs)]
+            assert m.tobytes() == _ref_mutate(b, ref_pairs, beta, kind).tobytes()
+
+
+def test_mutate_standard():
+    a = np.array([[1.0, 2.0]])
+    b = np.array([3.0, 4.0])
+    c = np.array([0.0, 1.0])
+    assert mutate(a, np.array([[b, c]]), 0.5, "random") == pytest.approx(np.array([[2.5, 3.5]]))
+    assert mutate(a, np.array([[b, b]]), 0.9, "random") == pytest.approx(a)
+    # two pairs divide beta by the pair count; rows are independent
+    two = mutate(np.zeros((2, 2)), np.array([[b, c, b, c], [b, b, c, c]]), 0.5, "random")
+    assert two == pytest.approx(np.array([0.5 * (2 * (b - c)) / 2, [0.0, 0.0]]))
+
+
+def test_mutate_directed():
+    a = np.array([[2.0, 2.0], [0.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    c = np.array([0.0, 1.0])
+    assert mutate(a, np.array([[b, c], [b, c]]), 1.0, "directed_random") \
+        == pytest.approx(np.array([[2.5, 2.5], [-0.5, -0.5]]))
 
 
 def test_recombine_limits():
     rng = rng_stream(6)
-    target = np.zeros(6)
-    mutant = np.ones(6)
+    target = np.zeros((50, 6))
+    mutant = np.ones((50, 6))
     for kind in ("binomial", "exponential"):
         assert recombine(kind, target, mutant, 0.0, rng) == pytest.approx(mutant)
-        assert recombine(kind, np.zeros(1), np.ones(1), 1.0, rng) \
-            == pytest.approx([1.0])
-    for _ in range(50):
-        trial = recombine("binomial", target, mutant, 1.0, rng)
-        assert trial.sum() == pytest.approx(1.0)  # only k_rand survives
-        trial = recombine("exponential", target, mutant, 1.0, rng)
-        assert trial.sum() == pytest.approx(1.0)
+        assert recombine(kind, np.zeros((3, 1)), np.ones((3, 1)), 1.0, rng) \
+            == pytest.approx(np.ones((3, 1)))
+        # only k_rand survives, at a uniform position
+        trial = recombine(kind, target, mutant, 1.0, rng)
+        assert np.all(trial.sum(axis=1) == 1.0)
+        assert len(set(np.argmax(trial, axis=1))) > 1
 
 
 def test_recombine_guarantees_one_mutant_component():
     rng = rng_stream(7)
-    target = np.zeros(8)
-    mutant = np.ones(8)
+    target = np.zeros((2000, 8))
+    mutant = np.ones((2000, 8))
     for kind in ("binomial", "exponential"):
-        for _ in range(200):
-            trial = recombine(kind, target, mutant, 0.95, rng)
-            assert trial.sum() >= 1.0
+        assert np.all(recombine(kind, target, mutant, 0.95, rng).sum(axis=1) >= 1.0)
 
 
 def test_recombine_exponential_contiguous():
     rng = rng_stream(8)
-    target = np.zeros(10)
-    mutant = np.ones(10)
-    for _ in range(200):
-        trial = recombine("exponential", target, mutant, 0.5, rng)
-        idx = np.flatnonzero(trial)
-        length = idx.size
-        start = None
-        for cand in idx:  # block is contiguous modulo d
-            if all((cand + off) % 10 in set(idx) for off in range(length)):
-                start = cand
-                break
-        assert start is not None
+    d, rows, p_a = 10, 20000, 0.5
+    trial = recombine("exponential", np.zeros((rows, d)), np.ones((rows, d)), p_a, rng)
+    lengths = trial.sum(axis=1).astype(int)
+    for row, length in zip(trial[:500], lengths):
+        idx = np.flatnonzero(row)
+        # the run is contiguous modulo d: it starts where the component before it is 0
+        starts = [j for j in idx if row[(j - 1) % d] == 0.0] if length < d else [0]
+        assert len(starts) == 1
+        assert all(row[(starts[0] + off) % d] == 1.0 for off in range(length))
+    # the run goes on past each component with probability 1 - p_a, up to d
+    expected = [p_a * (1 - p_a) ** (m - 1) for m in range(1, d)] + [(1 - p_a) ** (d - 1)]
+    counts = np.bincount(lengths, minlength=d + 1)[1:]
+    for c, p in zip(counts, expected):
+        assert abs(c - rows * p) <= 4 * math.sqrt(rows * p * (1 - p)) + 1
 
 
 def test_select_greedy():
@@ -250,22 +263,23 @@ def test_select_greedy():
 def test_recompute_velocity():
     rng = rng_stream(9)
     bounds = Bounds.symmetric(10.0, 2)
-    old = np.array([1.0, 1.0])
-    new = np.array([2.0, 3.0])
-    vel = np.array([9.0, 9.0])
+    old = np.array([[1.0, 1.0], [0.0, 0.0]])
+    new = np.array([[2.0, 3.0], [1.0, 0.0]])
+    vel = np.array([[9.0, 9.0], [8.0, 8.0]])
     assert recompute_velocity("goBack", old, new, vel, rng, bounds) \
-        == pytest.approx([1.0, 2.0])
+        == pytest.approx(np.array([[1.0, 2.0], [1.0, 0.0]]))
     assert recompute_velocity("position", old, new, vel, rng, bounds) \
-        == pytest.approx([2.0, 3.0])
+        == pytest.approx(new)
     assert recompute_velocity("none", old, new, vel, rng, bounds) \
         == pytest.approx(vel)
     rnd = recompute_velocity("random", old, new, vel, rng, bounds)
-    assert np.all(np.abs(rnd) <= 10.0)
+    assert rnd.shape == (2, 2) and np.all(np.abs(rnd) <= 10.0)
+    assert recompute_velocity("random", old[0], new[0], vel[0], rng, bounds).shape == (2,)
 
 
 def test_eigen_wrap():
-    target = np.array([1.0, 2.0])
-    mutant = np.array([3.0, -1.0])
+    target = np.array([[1.0, 2.0], [0.5, -3.0]])
+    mutant = np.array([[3.0, -1.0], [2.0, 2.0]])
     t, m, unrot = eigen_recombination_wrap(target, mutant, np.eye(2))
     assert t == pytest.approx(target) and m == pytest.approx(mutant)
 
@@ -273,6 +287,7 @@ def test_eigen_wrap():
     basis = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
     t, m, unrot = eigen_recombination_wrap(target, mutant, basis)
+    assert t[0] == pytest.approx(basis.T @ target[0])   # coordinates in the basis
     assert unrot(t) == pytest.approx(target, abs=1e-12)
     assert unrot(m) == pytest.approx(mutant, abs=1e-12)
 
@@ -289,3 +304,16 @@ def test_population_eigenbasis_orthonormal():
     assert basis.shape == (4, 4)
     assert basis @ basis.T == pytest.approx(np.eye(4), abs=1e-10)
 
+
+def test_distinct_picks_at_large_counts():
+    # 401 picks from 9 999 candidates repeat about 8 times per row; only the
+    # repeated entries are redrawn, so the block settles in a few rounds
+    positions = np.arange(10000.0)[:, None]
+    targets = np.arange(0, 10000, 500)
+    base, donors = select_base_and_donors("random", positions, positions,
+                                          positions[:, 0], targets, k=200, beta=0.5,
+                                          vectors="positions", rng=rng_stream(14))
+    picks = np.column_stack((base[:, 0], donors[..., 0])).astype(int)
+    assert picks.shape == (20, 401)
+    for t, row in zip(targets, picks):
+        assert len(set(row)) == 401 and t not in row

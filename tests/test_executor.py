@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hybridopt.cmaes as cmaes_mod
+import hybridopt.de as de_mod
 import hybridopt.executor as executor_mod
 import hybridopt.pso as pso_mod
 from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
@@ -366,7 +367,8 @@ def test_wallclock_stops_a_block_at_its_next_row(kind):
     ({"exec.order": "cmaes"}, 4 + int(3 * math.log(4))),
     # a draw reads an evaluation of the same generation: one row per block
     ({"exec.order": "de,pso"}, 1),
-    ({"exec.order": "de", "de.recompute_velocity": "goBack"}, 1),
+    # DE alone recomputes velocities after its block's selection
+    ({"exec.order": "de", "de.recompute_velocity": "goBack"}, 10),
     ({**_PROBABILISTIC, "de.recompute_velocity": "random"}, 1),
 ])
 def test_generation_block_sizes(overrides, rows):
@@ -675,3 +677,37 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
         assert other.best_position.tobytes() == block.best_position.tobytes()
         assert other.module_evals == block.module_evals == {"pso": 1500}
         assert other.trace == block.trace
+
+
+@pytest.mark.parametrize("overrides, fes", [
+    # the initial 10 FEs, three generations and the proposal the budget stops
+    ({"exec.order": "de"}, 40),
+    ({"exec.order": "de", "de.base_vector": "best", "de.vectors": "mixture",
+      "de.recombination": "exponential", "de.vector_basis": "eigenvector",
+      "de.recompute_velocity": "random"}, 40),
+    # the DE phase: the initial 10 FEs and three generations
+    ({"exec.order": "de,pso", "exec.mode": "multiple_phases",
+      "exec.phases": "0.5,0.5"}, 80),
+])
+def test_de_alone_proposes_one_block(overrides, fes, monkeypatch):
+    """A DE-alone generation selects every target's donors in one call, or in
+    chunks of at most DONOR_BLOCK donor elements; DE∘PSO selects per target."""
+    calls = []
+    select = de_mod.select_base_and_donors
+
+    def counted(kind, positions, pbests, fitnesses, targets, *args):
+        calls.append(len(targets))
+        return select(kind, positions, pbests, fitnesses, targets, *args)
+
+    monkeypatch.setattr(de_mod, "select_base_and_donors", counted)
+    cfg = _cfg(**{"pop.size": 10, **overrides})
+    obj = make_instance("sphere", 4)
+    result = run(cfg, obj, seed=4, max_evals=fes)
+    assert calls == [10] * 3 + [10] * (fes == 40) and result.evals_used == fes
+    calls.clear()
+    monkeypatch.setattr(executor_mod, "DONOR_BLOCK", 3 * 4 * 4)   # 4 targets of k = 1
+    run(cfg, obj, seed=4, max_evals=fes)
+    assert calls == [4, 3, 3] * (3 + (fes == 40))
+    calls.clear()
+    run(_cfg(**{"exec.order": "de,pso", "pop.size": 10}), obj, seed=4, max_evals=20)
+    assert set(calls) == {1}

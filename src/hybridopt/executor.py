@@ -445,7 +445,7 @@ class _Run:
             par.base_vector, positions, pbests, fitnesses, targets, k, par.beta,
             par.vectors, self.rng)
         mutant = de_mod.mutate(base, donors, par.beta, par.base_vector)
-        target = positions[targets]
+        target = positions.take(targets, axis=0)
         if par.vector_basis == "eigenvector":
             t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(target, mutant, basis)
             return unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,

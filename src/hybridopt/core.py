@@ -171,11 +171,7 @@ class Population:
         own to that row (greedy selection); returns which members moved."""
         F = np.asarray(F, dtype=float)
         moved = F < self.f
-        self.x[moved] = X[moved]
-        self.f[moved] = F[moved]
-        better = F < self.pf  # a subset of moved, as pf <= f
-        self.p[better] = X[better]
-        self.pf[better] = F[better]
+        self.record_all(np.where(moved[:, None], X, self.x), np.where(moved, F, self.f))
         return moved
 
     def record(self, i: int, x: np.ndarray, fx: float) -> bool:

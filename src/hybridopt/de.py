@@ -33,12 +33,13 @@ def num_vector_differences(diff_fraction: float, n: int) -> int:
     return int(np.clip(int(diff_fraction * n), 1, max(1, n // 4)))
 
 
-def _uniform_indices(size: int, shape, rng: np.random.Generator) -> np.ndarray:
+def _uniform_indices(size: int, shape, rng: np.random.Generator,
+                     dtype=np.intp) -> np.ndarray:
     """Uniform integers in range(size) as floor(u * size) of one block of
     doubles u in [0, 1): u * size rounds below size for every such u, and every
     value's probability is within 2**-53 of 1/size.  One ``Generator.random``
     call costs a fraction of an ``integers`` call on the one-row path."""
-    return (rng.random(shape) * size).astype(np.intp)
+    return (rng.random(shape) * size).astype(dtype)
 
 
 def _distinct_picks(count: int, size: int, rows: int,
@@ -55,21 +56,36 @@ def _distinct_picks(count: int, size: int, rows: int,
     if size < count:
         raise InsufficientPopulation(
             f"need {count} distinct donors but only {size} candidates exist")
-    picks = _uniform_indices(size, (rows, count), rng)
+    # numpy sorts 8- and 16-bit integers stably by radix: faster than intp on
+    # rows of hundreds of picks, much slower on many short rows
+    dtype = np.min_scalar_type(size) if count >= 128 else np.intp
+    picks = _uniform_indices(size, (rows, count), rng, dtype)
+    flat = picks.reshape(-1)
     ranked = np.sort(picks, axis=1)
     while (ranked[:, 1:] == ranked[:, :-1]).any():
-        order = np.argsort(picks, axis=1, kind="stable")  # equal picks in entry order
-        ranked = np.take_along_axis(picks, order, axis=1)
-        repeat = np.zeros(picks.shape, dtype=bool)
-        np.put_along_axis(repeat, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-        picks[repeat] = _uniform_indices(size, np.count_nonzero(repeat), rng)
+        # flat positions of each row's picks in value order, equal picks in
+        # entry order; every one equal to its predecessor is redrawn, in
+        # entry order
+        order = (np.argsort(picks, axis=1, kind="stable")
+                 + np.arange(0, flat.size, count)[:, None])
+        ranked = flat.take(order)
+        repeat = np.sort(order[:, 1:][ranked[:, 1:] == ranked[:, :-1]])
+        flat[repeat] = _uniform_indices(size, repeat.size, rng)
         ranked = np.sort(picks, axis=1)
-    return picks
+    return picks.astype(np.intp)
+
+
+def best_two(fitnesses: np.ndarray) -> tuple[int, int]:
+    """Indices of the best member and the runner-up, ties broken by index."""
+    first = int(np.argmin(fitnesses))
+    rest = int(np.argmin(np.delete(fitnesses, first)))
+    return first, rest + (rest >= first)
 
 
 def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
                            fitnesses: np.ndarray, targets, k: int, beta: float,
-                           vectors: str, rng: np.random.Generator):
+                           vectors: str, rng: np.random.Generator,
+                           leaders: tuple[int, int] | None = None):
     """Pick the base vectors and the donor blocks of the target rows ``targets``.
 
     Returns the (r, d) base rows and the (r, 2k, d) donor blocks (r, 2, d for
@@ -80,13 +96,14 @@ def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
     target (the runner-up on ties, by index); the directed kinds use a single
     (b, c) pair, ordered so the base has the best (fitness, index) of the three.
     Under ``mixture`` a fair coin per selected member picks its personal best
-    or its position.
+    or its position.  ``leaders`` is ``best_two(fitnesses)``, which a caller
+    making several calls on one state passes in to find it once.
     """
     targets = np.asarray(targets)
     n, r = len(positions), len(targets)
     if kind in ("best", "directed_best"):
         picks = _distinct_picks(2 if kind == "directed_best" else 2 * k, n - 2, r, rng)
-        first, second = np.argsort(fitnesses, kind="stable")[:2]
+        first, second = leaders or best_two(fitnesses)
         top = np.where(targets == first, second, first)
         for skip in (np.minimum(targets, top), np.maximum(targets, top)):
             picks += picks >= skip[:, None]  # pool position -> index
@@ -112,7 +129,8 @@ def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
         raise ValueError(f"unknown vectors mode {vectors!r}")
     if kind == "target_to_best":
         x = positions.take(targets, axis=0)
-        return x + beta * (positions[np.argmin(fitnesses)] - x), rows
+        best = (leaders or best_two(fitnesses))[0]
+        return x + beta * (positions[best] - x), rows
     return rows[:, 0], rows[:, 1:]
 
 

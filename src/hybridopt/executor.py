@@ -367,16 +367,18 @@ class _Run:
         if wants_basis:
             basis = de_mod.population_eigenbasis(positions)
 
-        k = None
+        k = leaders = None
         if self.cfg.de is not None:
             k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
+            leaders = de_mod.best_two(fitnesses)
         if self._alone("de", fixed_modules):
-            self._de_generation(positions, fitnesses, pbests, k, basis)
+            self._de_generation(positions, fitnesses, pbests, k, leaders, basis)
             return
 
         def propose(module, i):
             if module == "de":
-                return self._de_propose([i], positions, fitnesses, pbests, k, basis)[0]
+                return self._de_propose([i], positions, fitnesses, pbests, k, leaders,
+                                        basis)[0]
             informants = None if ranked is None else pbests[idx[i, :m[i]]]
             return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], informants,
                                      basis)
@@ -407,7 +409,7 @@ class _Run:
         if stage_rows:
             self._settle(stage_modules, stage_rows, np.array(stage_xs))
 
-    def _de_generation(self, positions, fitnesses, pbests, k, basis) -> None:
+    def _de_generation(self, positions, fitnesses, pbests, k, leaders, basis) -> None:
         """DE alone: propose every trial from the state at the start of the
         generation, repair the block into the box, evaluate it and keep each
         trial that is strictly better than its target."""
@@ -415,7 +417,8 @@ class _Run:
         n = len(pop)
         # bound the donor blocks to DONOR_BLOCK elements for large populations
         chunks = min(n, -(-n * (2 * k + 1) * self.d // DONOR_BLOCK))
-        X = np.concatenate([self._de_propose(rows, positions, fitnesses, pbests, k, basis)
+        X = np.concatenate([self._de_propose(rows, positions, fitnesses, pbests, k, leaders,
+                                             basis)
                             for rows in np.array_split(np.arange(n), chunks)])
         X = repair_to_bounds(X, self.bounds)
         moved = pop.record_better(X, self.ev_block(X))
@@ -436,14 +439,15 @@ class _Run:
             else:
                 self._pso_select(i, x, f)
 
-    def _de_propose(self, targets, positions, fitnesses, pbests, k, basis) -> np.ndarray:
+    def _de_propose(self, targets, positions, fitnesses, pbests, k, leaders,
+                    basis) -> np.ndarray:
         """Trial rows for the target rows ``targets``, read from the state at
         the start of the generation."""
         par = self.cfg.de
         self.active_module = "de"
         base, donors = de_mod.select_base_and_donors(
             par.base_vector, positions, pbests, fitnesses, targets, k, par.beta,
-            par.vectors, self.rng)
+            par.vectors, self.rng, leaders)
         mutant = de_mod.mutate(base, donors, par.beta, par.base_vector)
         target = positions.take(targets, axis=0)
         if par.vector_basis == "eigenvector":

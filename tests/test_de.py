@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridopt import Bounds, rng_stream
-from hybridopt.de import (InsufficientPopulation, eigen_recombination_wrap,
+from hybridopt.de import (InsufficientPopulation, best_two, eigen_recombination_wrap,
                           mutate, num_vector_differences, population_eigenbasis,
                           recombine, recompute_velocity, select_base_and_donors,
                           select_greedy)
@@ -42,6 +42,26 @@ def test_select_best_base():
     assert list(_ids(base)) == [4, 4, 4, 4, 3, 4]
     for t, (b, row) in enumerate(zip(_ids(base), _ids(donors))):
         assert len({t, b, *row}) == 4   # distinct from the target and the base
+
+
+def test_best_two_breaks_ties_by_index():
+    assert best_two(np.array([5.0, 4.0, 3.0, 2.0, 0.5, 6.0])) == (4, 3)
+    assert best_two(np.array([9.0, 1.0, 1.0, 3.0])) == (1, 2)
+    assert best_two(np.array([2.0, 7.0, 2.0, 2.0])) == (0, 2)
+    assert best_two(np.array([np.inf, np.inf, np.inf])) == (0, 1)
+    fitnesses = rng_stream(14).integers(0, 4, size=50).astype(float)
+    assert best_two(fitnesses) == tuple(np.argsort(fitnesses, kind="stable")[:2])
+
+
+@pytest.mark.parametrize("kind", ["best", "directed_best", "target_to_best"])
+def test_select_with_leaders_passed_in(kind):
+    # the leaders found once per generation give the same selection
+    positions, pbests = _marker_population(8)
+    fitnesses = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+    args = (kind, positions, pbests, fitnesses, np.arange(8), 1, 0.5, "mixture")
+    found = select_base_and_donors(*args, rng_stream(15))
+    passed = select_base_and_donors(*args, rng_stream(15), leaders=best_two(fitnesses))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(found, passed))
 
 
 def test_select_random_distinctness():
@@ -317,3 +337,19 @@ def test_distinct_picks_at_large_counts():
     assert picks.shape == (20, 401)
     for t, row in zip(targets, picks):
         assert len(set(row)) == 401 and t not in row
+
+
+def test_distinct_picks_in_eight_bits():
+    # 128 picks from the 255 candidates of n = 257 are drawn as 8-bit
+    # integers; stepping past the target and the best must reach index 256
+    positions = np.arange(257.0)[:, None]
+    fitnesses = positions[:, 0].copy()
+    targets = np.array([0, 1, 128, 255, 256] * 20)
+    base, donors = select_base_and_donors("best", positions, positions, fitnesses,
+                                          targets, k=64, beta=0.5,
+                                          vectors="positions", rng=rng_stream(16))
+    picks = np.column_stack((base[:, 0], donors[..., 0])).astype(int)
+    assert picks.shape == (100, 129) and picks.max() == 256
+    for t, row in zip(targets, picks):
+        assert row[0] == (1 if t == 0 else 0)
+        assert len(set(row)) == 129 and t not in row

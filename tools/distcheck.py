@@ -9,11 +9,11 @@ of each side and a two-sided Mann-Whitney rank-sum p-value, and flags the
 cells a Holm correction rejects at a family-wise alpha of 0.05.  It exits 1
 if any cell is flagged.
 
-    python tools/distcheck.py --base <git rev> [--head HEAD] [--seeds 10]
+    python tools/distcheck.py --base <git rev> [--seeds 10]
 
-Run it from inside the repository; the worktrees go to a temporary
-directory and are removed afterwards.  The statistics are plain numpy, so
-the check needs no scipy.
+The changed side is HEAD.  Run it from inside the repository; the
+worktrees go to a temporary directory and are removed afterwards.  The
+statistics are plain numpy, so the check needs no scipy.
 """
 
 from __future__ import annotations
@@ -122,21 +122,21 @@ def holm(pvalues, alpha: float = ALPHA) -> np.ndarray:
 
 # -- running ------------------------------------------------------------------
 
-def collect(configs: dict, functions=FUNCTIONS, seeds=range(1, 11), fes: int = FES,
-            dim: int = DIM) -> dict[str, list[float]]:
+def collect(configs: dict, functions=FUNCTIONS,
+            seeds=range(1, 11)) -> dict[str, list[float]]:
     """log10 of the best fitness (floored at FLOOR) of every seed, per cell
     "<config>@<function>", from the hybridopt that is on the import path."""
     from hybridopt import default_config, make_instance, run, validate
 
     out = {}
     for function in functions:
-        obj = make_instance(function, dim, instance_seed=INSTANCE_SEED)
+        obj = make_instance(function, DIM, instance_seed=INSTANCE_SEED)
         for name, overrides in configs.items():
             cfg = validate(default_config(overrides))
             if not hasattr(cfg, "execution"):
                 raise ValueError(f"{name}: {cfg.describe()}")
             out[f"{name}@{function}"] = [
-                math.log10(max(run(cfg, obj, seed, max_evals=fes).best_fitness, FLOOR))
+                math.log10(max(run(cfg, obj, seed, max_evals=FES).best_fitness, FLOOR))
                 for seed in seeds]
     return out
 
@@ -162,11 +162,11 @@ def _worktree(repo: Path, rev: str, where: Path) -> Path:
     return where
 
 
-def _run_side(tree: Path, seeds: int, fes: int) -> subprocess.Popen:
+def _run_side(tree: Path, seeds: int) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
-         "--seeds", str(seeds), "--fes", str(fes)],
+         "--seeds", str(seeds)],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
 
 
@@ -180,9 +180,7 @@ def _results(proc: subprocess.Popen) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", help="git revision of the reference side")
-    p.add_argument("--head", default="HEAD", help="git revision of the changed side")
     p.add_argument("--seeds", type=int, default=10, help="run seeds 1..N per cell")
-    p.add_argument("--fes", type=int, default=FES, help="FE budget per run")
     p.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.seeds < 2:
@@ -192,8 +190,7 @@ def main(argv=None) -> int:
         tree = Path(args.worker).resolve()
         if tree not in Path(hybridopt.__file__).resolve().parents:
             raise RuntimeError(f"imported {hybridopt.__file__}, not the one in {tree}")
-        json.dump(collect(CONFIGS, seeds=range(1, args.seeds + 1), fes=args.fes),
-                  sys.stdout)
+        json.dump(collect(CONFIGS, seeds=range(1, args.seeds + 1)), sys.stdout)
         return 0
     if not args.base:
         p.error("--base is required")
@@ -203,9 +200,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="distcheck-") as tmp:
         trees = []
         try:
-            for side, rev in (("base", args.base), ("head", args.head)):
+            for side, rev in (("base", args.base), ("head", "HEAD")):
                 trees.append(_worktree(repo, rev, Path(tmp) / side))
-            procs = [_run_side(tree, args.seeds, args.fes) for tree in trees]
+            procs = [_run_side(tree, args.seeds) for tree in trees]
             base, head = (_results(proc) for proc in procs)
         finally:
             for tree in trees:
@@ -213,8 +210,8 @@ def main(argv=None) -> int:
                                 str(tree)], check=False)
 
     rows = compare(base, head)
-    print(f"base {args.base} vs head {args.head}: {len(rows)} cells x {args.seeds} "
-          f"seeds, d={DIM}, {args.fes} FEs; median log10 best; two-sided rank-sum "
+    print(f"base {args.base} vs HEAD: {len(rows)} cells x {args.seeds} "
+          f"seeds, d={DIM}, {FES} FEs; median log10 best; two-sided rank-sum "
           f"p; Holm at family-wise alpha {ALPHA}")
     width = max(len(r["cell"]) for r in rows)
     for r in rows:

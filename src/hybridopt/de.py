@@ -85,7 +85,7 @@ def best_two(fitnesses: np.ndarray) -> tuple[int, int]:
 def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
                            fitnesses: np.ndarray, targets, k: int, beta: float,
                            vectors: str, rng: np.random.Generator,
-                           leaders: tuple[int, int] | None = None):
+                           leaders: tuple[int, int]):
     """Pick the base vectors and the donor blocks of the target rows ``targets``.
 
     Returns the (r, d) base rows and the (r, 2k, d) donor blocks (r, 2, d for
@@ -96,14 +96,14 @@ def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
     target (the runner-up on ties, by index); the directed kinds use a single
     (b, c) pair, ordered so the base has the best (fitness, index) of the three.
     Under ``mixture`` a fair coin per selected member picks its personal best
-    or its position.  ``leaders`` is ``best_two(fitnesses)``, which a caller
-    making several calls on one state passes in to find it once.
+    or its position.  ``leaders`` is ``best_two(fitnesses)``, found once
+    for all the calls that read one state.
     """
     targets = np.asarray(targets)
     n, r = len(positions), len(targets)
     if kind in ("best", "directed_best"):
         picks = _distinct_picks(2 if kind == "directed_best" else 2 * k, n - 2, r, rng)
-        first, second = leaders or best_two(fitnesses)
+        first, second = leaders
         top = np.where(targets == first, second, first)
         for skip in (np.minimum(targets, top), np.maximum(targets, top)):
             picks += picks >= skip[:, None]  # pool position -> index
@@ -129,8 +129,7 @@ def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,
         raise ValueError(f"unknown vectors mode {vectors!r}")
     if kind == "target_to_best":
         x = positions.take(targets, axis=0)
-        best = (leaders or best_two(fitnesses))[0]
-        return x + beta * (positions[best] - x), rows
+        return x + beta * (positions[leaders[0]] - x), rows
     return rows[:, 0], rows[:, 1:]
 
 

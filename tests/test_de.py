@@ -36,7 +36,8 @@ def test_select_best_base():
     fitnesses = np.array([5.0, 4.0, 3.0, 2.0, 0.5, 6.0])
     base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
                                           np.arange(6), k=1, beta=0.5,
-                                          vectors="positions", rng=rng_stream(0))
+                                          vectors="positions", rng=rng_stream(0),
+                                          leaders=best_two(fitnesses))
     assert donors.shape == (6, 2, 3)
     # every target takes the best member, the best one takes the runner-up
     assert list(_ids(base)) == [4, 4, 4, 4, 3, 4]
@@ -53,25 +54,16 @@ def test_best_two_breaks_ties_by_index():
     assert best_two(fitnesses) == tuple(np.argsort(fitnesses, kind="stable")[:2])
 
 
-@pytest.mark.parametrize("kind", ["best", "directed_best", "target_to_best"])
-def test_select_with_leaders_passed_in(kind):
-    # the leaders found once per generation give the same selection
-    positions, pbests = _marker_population(8)
-    fitnesses = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
-    args = (kind, positions, pbests, fitnesses, np.arange(8), 1, 0.5, "mixture")
-    found = select_base_and_donors(*args, rng_stream(15))
-    passed = select_base_and_donors(*args, rng_stream(15), leaders=best_two(fitnesses))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(found, passed))
-
-
 def test_select_random_distinctness():
     # the minimum population n = 2k + 2: every target's three picks are the
     # three other members, in each of the 6 orders equally often
     positions, pbests = _marker_population(4)
     targets = np.tile(np.arange(4), 3000)
+    fitnesses = np.arange(4.0)
     base, donors = select_base_and_donors("random", positions, pbests,
-                                          np.arange(4.0), targets, k=1, beta=0.5,
-                                          vectors="positions", rng=rng_stream(1))
+                                          fitnesses, targets, k=1, beta=0.5,
+                                          vectors="positions", rng=rng_stream(1),
+                                          leaders=best_two(fitnesses))
     picks = np.column_stack((_ids(base), _ids(donors)))
     assert np.array_equal(np.sort(picks, axis=1),
                           [[j for j in range(4) if j != t] for t in targets])
@@ -87,7 +79,7 @@ def test_select_directed_ordering():
     targets = np.tile(np.arange(5), 50)
     base, donors = select_base_and_donors(
         "directed_random", positions, pbests, fitnesses, targets, k=1,
-        beta=1.0, vectors="positions", rng=rng_stream(2))
+        beta=1.0, vectors="positions", rng=rng_stream(2), leaders=best_two(fitnesses))
     picks = np.column_stack((_ids(base), _ids(donors)))
     for t, row in zip(targets, picks):
         assert t not in row and len(set(row)) == 3
@@ -100,7 +92,8 @@ def test_select_target_to_best():
     fitnesses = np.array([5.0, 1.0, 4.0, 3.0, 2.0])
     base, donors = select_base_and_donors("target_to_best", positions, pbests,
                                           fitnesses, np.arange(5), k=1, beta=0.5,
-                                          vectors="positions", rng=rng_stream(3))
+                                          vectors="positions", rng=rng_stream(3),
+                                          leaders=best_two(fitnesses))
     expected = positions + 0.5 * (positions[1] - positions)
     assert base.tobytes() == expected.tobytes()
     for t, row in enumerate(_ids(donors)):
@@ -114,7 +107,7 @@ def test_select_insufficient_population():
         with pytest.raises(InsufficientPopulation):
             select_base_and_donors(kind, positions[:3], pbests[:3], np.arange(3.0),
                                    [0], k=k, beta=0.5, vectors="positions",
-                                   rng=rng_stream(4))
+                                   rng=rng_stream(4), leaders=(0, 1))
 
 
 def test_select_pbest_vectors():
@@ -122,7 +115,7 @@ def test_select_pbest_vectors():
     fitnesses = np.array([5.0, 1.0, 4.0, 3.0, 2.0])
     base, donors = select_base_and_donors("best", positions, pbests, fitnesses,
                                           [0, 2], k=1, beta=0.5, vectors="pbest",
-                                          rng=rng_stream(5))
+                                          rng=rng_stream(5), leaders=best_two(fitnesses))
     assert base.tobytes() == pbests[[1, 1]].tobytes()
     assert np.all(donors[..., 0] >= 100.0)
 
@@ -133,7 +126,7 @@ def test_select_mixture_coin():
     base, donors = select_base_and_donors("best", positions, pbests, np.arange(6.0),
                                           np.tile(np.arange(6), 2000), k=1,
                                           beta=0.5, vectors="mixture",
-                                          rng=rng_stream(13))
+                                          rng=rng_stream(13), leaders=(0, 1))
     heads = np.column_stack((base[:, 0], donors[..., 0])) >= 100.0
     n = heads.size
     assert abs(heads.mean() - 0.5) < 3 * math.sqrt(0.25 / n)
@@ -188,7 +181,8 @@ def test_donor_block_matches_per_vector_reference(kind, vectors, k):
         targets[0] = np.argmin(fitnesses)
         beta = float(data.uniform(0.1, 2.0))
         base, donors = select_base_and_donors(kind, positions, pbests, fitnesses,
-                                              targets, k, beta, vectors, rng)
+                                              targets, k, beta, vectors, rng,
+                                              best_two(fitnesses))
         pairs = 1 if directed else k
         assert base.shape == (12, d) and donors.shape == (12, 2 * pairs, d)
         mutant = mutate(base, donors, beta, kind)
@@ -332,7 +326,8 @@ def test_distinct_picks_at_large_counts():
     targets = np.arange(0, 10000, 500)
     base, donors = select_base_and_donors("random", positions, positions,
                                           positions[:, 0], targets, k=200, beta=0.5,
-                                          vectors="positions", rng=rng_stream(14))
+                                          vectors="positions", rng=rng_stream(14),
+                                          leaders=(0, 1))
     picks = np.column_stack((base[:, 0], donors[..., 0])).astype(int)
     assert picks.shape == (20, 401)
     for t, row in zip(targets, picks):
@@ -347,7 +342,8 @@ def test_distinct_picks_in_eight_bits():
     targets = np.array([0, 1, 128, 255, 256] * 20)
     base, donors = select_base_and_donors("best", positions, positions, fitnesses,
                                           targets, k=64, beta=0.5,
-                                          vectors="positions", rng=rng_stream(16))
+                                          vectors="positions", rng=rng_stream(16),
+                                          leaders=best_two(fitnesses))
     picks = np.column_stack((base[:, 0], donors[..., 0])).astype(int)
     assert picks.shape == (100, 129) and picks.max() == 256
     for t, row in zip(targets, picks):

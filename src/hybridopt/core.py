@@ -155,15 +155,17 @@ class Population:
         self.v[idx] = V
         self.f[idx] = self.pf[idx] = F
 
-    def record_all(self, X: np.ndarray, F) -> np.ndarray:
-        """Move every member to its evaluated row of X; returns where personal
-        bests improved."""
+    def record_all(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:
+        """Move the members rows (every member by default), row j of X and F
+        for the j-th of them, to their evaluated rows; returns where personal
+        bests improved, one entry per row of X."""
         F = np.asarray(F, dtype=float)
-        self.x[...] = X
-        self.f[...] = F
-        better = F < self.pf
-        self.p[better] = X[better]
-        self.pf[better] = F[better]
+        self.x[rows] = X
+        self.f[rows] = F
+        better = F < self.pf[rows]
+        improved = np.arange(len(self))[rows][better]
+        self.p[improved] = X[better]
+        self.pf[improved] = F[better]
         return better
 
     def record_better(self, X: np.ndarray, F) -> np.ndarray:

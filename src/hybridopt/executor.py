@@ -1,6 +1,7 @@
-"""Run template: initialization, the generation loop with per-individual
-dispatch under the three execution modes, the local-search hook, optional
-population re-initialization, and dynamic parameter updates."""
+"""Run template: initialization, the generation loop under the three
+execution modes (array steps of DE and PSO, and a per-individual gate in the
+probabilistic mode), the local-search hook, optional population
+re-initialization, and dynamic parameter updates."""
 
 from __future__ import annotations
 
@@ -303,116 +304,83 @@ class _Run:
         else:
             self._population_generation(fixed_modules=(module,))
 
-    def _one_block(self, fixed_modules: tuple[str, ...] | None) -> bool:
-        """True when no draw of the generation reads one of its own evaluations.
-
-        That holds unless an individual passes through DE and then PSO, or DE
-        may recompute a velocity after its selection.
-        """
-        possible = fixed_modules or self.order
-        if "de" not in possible:
-            return True
-        composed = self.cfg.execution.mode == "component_based" and "pso" in possible
-        return not composed and self.cfg.de.recompute_velocity == "none"
-
-    def _alone(self, module: str, fixed_modules: tuple[str, ...] | None) -> bool:
-        """True when the generation applies module alone: ``exec.order`` is that
-        module in component-based mode, or the module's phase is on (the
-        probabilistic mode always has two modules)."""
-        return (fixed_modules or self.order) == (module,)
-
-    def _swarm_alone(self, fixed_modules: tuple[str, ...] | None) -> bool:
-        """True when the generation is PSO alone under settings where
-        ``pso.swarm_step`` moves the whole swarm at once."""
-        return self._alone("pso", fixed_modules) and pso_mod.swarm_step_applies(
-            self.cfg.pso, self.d)
+    def _one_block(self) -> bool:
+        """True when no draw of a probabilistic generation reads one of its own
+        evaluations: DE may not recompute a velocity after its selection."""
+        return self.cfg.de.recompute_velocity == "none"
 
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
-        """Propose, evaluate and select every individual in index order.
+        """Propose, evaluate and select every individual once.
 
         PSO informants are ranked once, from the personal bests at the start
         of the generation, and DE donors are read from that state.  A
-        generation of PSO alone under block settings moves the whole swarm
-        with one ``swarm_step``; a generation of DE alone proposes every trial
-        as one block.  Either evaluates the block at once and selects it with
-        one array step.  Otherwise proposals draw in the order of the
-        per-individual loop: when the generation is one block, every proposal
-        is made first, the block is evaluated, and then every proposal is
-        selected; else each individual's module stages are settled one at a
-        time.
+        generation of PSO alone is one PSO step over the swarm, and one of DE
+        alone is one DE step.  Component-based DE∘PSO is a DE step and then a
+        PSO step over every member (under ``de.pso_only_on_fail`` over those
+        DE did not move); PSO on member i reads its position, velocity and
+        personal best after DE, and its neighbourhood best and informants
+        from the start of the generation.  The probabilistic mode draws each
+        individual's module in index order; when the generation is one
+        block, every proposal is made first, the block is evaluated, and
+        then every proposal is selected; else each individual is settled
+        one at a time.
         """
         pop = self.pop
         n = len(pop)
-        par = self.cfg.pso
+        par, de_par = self.cfg.pso, self.cfg.de
+        modules = fixed_modules or self.order
         l_best_idx = ranked = None
-        if "pso" in (fixed_modules or self.order):
+        if "pso" in modules:
             if par.moi == "best_of_neighborhood":
                 l_best_idx = pso_mod.neighborhood_best(self.topology, pop.pf)
             else:
-                ranked = idx, m = pso_mod.ranked_informants(self.topology.adjacency, pop.pf)
-                l_best_idx = idx[:, 0]
-        if self._swarm_alone(fixed_modules):
-            self.active_module = "pso"
-            X, pop.v = pso_mod.swarm_step(pop.x, pop.v, pop.p, pop.p[l_best_idx], ranked,
-                                          par, self.exec_state.t, self.total_iters,
-                                          self.rng, self.bounds)
-            pop.record_all(X, self.ev_block(X))
+                ranked = pso_mod.ranked_informants(self.topology.adjacency, pop.pf)
+                l_best_idx = ranked[0][:, 0]
+        basis = None
+        if (("pso" in modules and par.vector_basis == "eigenvector")
+                or ("de" in modules and de_par.vector_basis == "eigenvector")):
+            basis = de_mod.population_eigenbasis(pop.x)
+        if modules == ("pso",):
+            self._pso_generation(slice(None), pop.p, pop.pf, l_best_idx, ranked, basis)
             return
         positions, fitnesses = pop.x.copy(), pop.f.copy()
         pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
-
-        basis = None
-        wants_basis = ((par and par.vector_basis == "eigenvector")
-                       or (self.cfg.de and self.cfg.de.vector_basis == "eigenvector"))
-        if wants_basis:
-            basis = de_mod.population_eigenbasis(positions)
-
-        k = leaders = None
-        if self.cfg.de is not None:
-            k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, n)
-            leaders = de_mod.best_two(fitnesses)
-        if self._alone("de", fixed_modules):
-            self._de_generation(positions, fitnesses, pbests, k, leaders, basis)
+        k = de_mod.num_vector_differences(de_par.diff_fraction, n)
+        leaders = de_mod.best_two(fitnesses)
+        if self.cfg.execution.mode != "probabilistic":
+            moved = self._de_generation(positions, fitnesses, pbests, k, leaders, basis)
+            if "pso" in modules:
+                rows = np.flatnonzero(~moved) if de_par.pso_only_on_fail else slice(None)
+                self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
             return
 
-        def propose(module, i):
-            if module == "de":
-                return self._de_propose([i], positions, fitnesses, pbests, k, leaders,
-                                        basis)[0]
-            informants = None if ranked is None else pbests[idx[i, :m[i]]]
-            return self._pso_propose(i, pbests, pbest_fits, l_best_idx[i], informants,
-                                     basis)
-
-        block = self._one_block(fixed_modules)
+        block = self._one_block()
         stage_modules, stage_rows, stage_xs = [], [], []
         for i in range(n):
-            if fixed_modules is not None:
-                modules = fixed_modules
-            else:  # DE before PSO when both apply
-                modules = dispatch_update(self.cfg.execution, self.exec_state,
-                                          self.budget.used_evals, self.rng)
-            for module in modules:
-                x = propose(module, i)
-                if block:
-                    stage_modules.append(module)
-                    stage_rows.append(i)
-                    stage_xs.append(x)
-                    continue
-                if module == "pso":
-                    self._pso_select(i, x, self.ev(x, module))
-                    continue
-                # DE trials may leave the box; PSO moves never do
+            module, = dispatch_update(self.cfg.execution, self.exec_state,
+                                      self.budget.used_evals, self.rng)
+            if module == "de":
+                x = self._de_propose([i], positions, fitnesses, pbests, k, leaders,
+                                     basis)[0]
+            else:
+                x = self._pso_propose(i, pbests, pbest_fits, l_best_idx, ranked, basis)
+            if block:
+                stage_modules.append(module)
+                stage_rows.append(i)
+                stage_xs.append(x)
+            elif module == "pso":
+                self._pso_select(i, x, self.ev(x, module))
+            else:  # DE trials may leave the box; PSO moves never do
                 x = repair_to_bounds(x, self.bounds)
-                improved = self._de_select(i, x, self.ev(x, module))
-                if improved and self.cfg.de.pso_only_on_fail:
-                    break
+                self._de_select(i, x, self.ev(x, module))
         if stage_rows:
             self._settle(stage_modules, stage_rows, np.array(stage_xs))
 
-    def _de_generation(self, positions, fitnesses, pbests, k, leaders, basis) -> None:
-        """DE alone: propose every trial from the state at the start of the
+    def _de_generation(self, positions, fitnesses, pbests, k, leaders, basis) -> np.ndarray:
+        """One DE step: propose every trial from the state at the start of the
         generation, repair the block into the box, evaluate it and keep each
-        trial that is strictly better than its target."""
+        trial that is strictly better than its target.  Returns which members
+        moved."""
         pop = self.pop
         n = len(pop)
         # bound the donor blocks to DONOR_BLOCK elements for large populations
@@ -426,6 +394,33 @@ class _Run:
         if kind != "none":  # positions still holds the targets
             pop.v[moved] = de_mod.recompute_velocity(kind, positions[moved], X[moved],
                                                      pop.v[moved], self.rng, self.bounds)
+        return moved
+
+    def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
+        """One PSO step of the members rows (an index array in ascending order,
+        or a slice), evaluated as one block.  Member i moves from its own x, v
+        and p, toward its neighbourhood best pbests[l_best_idx[i]] and its
+        informants' rows of pbests (the start of the generation's personal
+        bests, with their fitnesses pbest_fits).  ``pso.swarm_step`` moves
+        the rows at once where it applies; else each row is proposed in
+        index order and then they are settled."""
+        pop = self.pop
+        par = self.cfg.pso
+        members = np.arange(len(pop))[rows]
+        if members.size == 0:
+            return
+        if not pso_mod.swarm_step_applies(par, self.d):
+            X = np.array([self._pso_propose(i, pbests, pbest_fits, l_best_idx, ranked, basis)
+                          for i in members])
+            self._settle(("pso",) * len(members), members, X)
+            return
+        self.active_module = "pso"
+        if ranked is not None:
+            ranked = ranked[0][rows], ranked[1][rows]
+        X, pop.v[rows] = pso_mod.swarm_step(
+            pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_best_idx[rows]], ranked, par,
+            self.exec_state.t, self.total_iters, self.rng, self.bounds, source=pbests)
+        pop.record_all(X, self.ev_block(X), rows)
 
     def _settle(self, modules, rows, X: np.ndarray) -> None:
         """Evaluate the proposals X (row j from individual rows[j] under
@@ -468,11 +463,15 @@ class _Run:
             pop.record(i, trial, fitness)
         return improved
 
-    def _pso_propose(self, i, pbests, pbest_fits, l_idx, informants, basis) -> np.ndarray:
+    def _pso_propose(self, i, pbests, pbest_fits, l_best_idx, ranked, basis) -> np.ndarray:
+        """Member i's next position, toward its neighbourhood best and
+        informants among pbests, as in ``_pso_generation``."""
         par = self.cfg.pso
         self.active_module = "pso"
         pop = self.pop
+        l_idx = l_best_idx[i]
         l_best = pbests[l_idx]
+        informants = None if ranked is None else pbests[ranked[0][i, :ranked[1][i]]]
 
         if par.stagnation_detection and pso_mod.stagnation_check(
                 pop.v[i], pop.x[i], l_best):

@@ -414,9 +414,9 @@ def swarm_step_applies(params: PsoParams, d: int) -> bool:
 
 def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None,
                ranked: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
-               t: int, total: int, rng: np.random.Generator,
-               bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """New positions and velocities (X', V') of the whole swarm.
+               t: int, total: int, rng: np.random.Generator, bounds: Bounds,
+               source: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """New positions and velocities (X', V') of the rows of a swarm.
 
     Each row gets v' = w1 v + w2 (phi1 U1 (p - x) + social) and then moves as
     in `update_position`.  Valid only where `swarm_step_applies(params, d)`;
@@ -425,10 +425,12 @@ def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None
 
     Parameters
     ----------
-    X, V, P : the positions, velocities and personal bests.
+    X, V, P : the positions, velocities and personal bests of the rows moved.
     L : the rows' neighbourhood bests; read by best-of-neighbourhood only.
     ranked : (idx, m) from `ranked_informants` for the fully-informed
-        models, None otherwise; the informants' rows are gathered from P.
+        models, None otherwise, one row per row of X.
+    source : the personal bests idx indexes, from which the informants'
+        rows are gathered; P when None.
     """
     n, d = X.shape
     omega1, omega2, _, phi1, phi2 = _coefficients(params, t, total, rng)
@@ -451,7 +453,7 @@ def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None
         social = phi2 * U[:, 1] * (L - X)
     else:
         terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:] \
-            * (P[idx] - X[:, None])
+            * ((P if source is None else source)[idx] - X[:, None])
         # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
         terms[np.arange(width - 1) >= m[:, None]] = -0.0
         social = np.add.reduce(terms, axis=1, initial=0.0)

@@ -99,6 +99,19 @@ def test_population_record_all_equals_recording_each_row():
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def test_population_record_all_on_some_rows_equals_recording_each_row():
+    X = np.arange(10.0).reshape(5, 2)
+    a = Population.fresh(X, np.zeros((5, 2)), [3.0, 2.0, math.inf, 1.0, 6.0])
+    b = Population.fresh(X, np.zeros((5, 2)), [3.0, 2.0, math.inf, 1.0, 6.0])
+    rows = np.array([0, 2, 3])
+    moves, F = -X[rows], [4.0, 5.0, 0.5]   # worse, finite after +inf, better
+    improved = a.record_all(moves, F, rows)
+    assert improved.tolist() == [b.record(i, x, f) for i, x, f in zip(rows, moves, F)] \
+        == [False, True, True]
+    for name in ("x", "v", "p", "f", "pf"):   # rows 1 and 4 stay as they were
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_population_record_better_is_greedy_selection():
     X = np.arange(8.0).reshape(4, 2)
     pop = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])

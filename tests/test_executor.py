@@ -203,14 +203,14 @@ def test_component_based_pso_only_on_fail_accounting():
                       trace_every=None)
         runner.initialize()
         improvements = []
-        inner = runner._de_select
+        inner = runner._de_generation
 
-        def spy(*args, **kwargs):
-            improved = inner(*args, **kwargs)
-            improvements.append(improved)
-            return improved
+        def spy(*args):
+            moved = inner(*args)
+            improvements.append(int(moved.sum()))
+            return moved
 
-        runner._de_select = spy
+        runner._de_generation = spy
         before = dict(runner.module_evals)
         runner.generation()
         de_fes = runner.module_evals["de"] - before.get("de", 0)
@@ -365,10 +365,11 @@ def test_wallclock_stops_a_block_at_its_next_row(kind):
     ({"exec.order": "de,pso", "exec.mode": "multiple_phases",
       "exec.phases": "0.5,0.5"}, 10),
     ({"exec.order": "cmaes"}, 4 + int(3 * math.log(4))),
-    # a draw reads an evaluation of the same generation: one row per block
-    ({"exec.order": "de,pso"}, 1),
+    # DE∘PSO: a DE block, then a PSO block
+    ({"exec.order": "de,pso"}, 10),
     # DE alone recomputes velocities after its block's selection
     ({"exec.order": "de", "de.recompute_velocity": "goBack"}, 10),
+    # a draw reads an evaluation of the same generation: one row per block
     ({**_PROBABILISTIC, "de.recompute_velocity": "random"}, 1),
 ])
 def test_generation_block_sizes(overrides, rows):
@@ -660,15 +661,15 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
     steps = []
     swarm_step = pso_mod.swarm_step
 
-    def counted(X, *args):
+    def counted(X, *args, **kwargs):
         steps.append(len(X))
-        return swarm_step(X, *args)
+        return swarm_step(X, *args, **kwargs)
 
     monkeypatch.setattr(pso_mod, "swarm_step", counted)
     results = [run(cfg, obj, seed=9, max_evals=1500, trace_every=10)]
     assert set(steps) == ({20} if dim > 1 else set())   # see pso.swarm_step_applies
     steps.clear()
-    monkeypatch.setattr(_Run, "_swarm_alone", lambda self, fixed_modules: False)
+    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params, d: False)
     results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
     assert not steps
     block = results[0]
@@ -691,7 +692,7 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
 ])
 def test_de_alone_proposes_one_block(overrides, fes, monkeypatch):
     """A DE-alone generation selects every target's donors in one call, or in
-    chunks of at most DONOR_BLOCK donor elements; DE∘PSO selects per target."""
+    chunks of at most DONOR_BLOCK donor elements, and so does DE∘PSO's DE step."""
     calls = []
     select = de_mod.select_base_and_donors
 
@@ -709,5 +710,113 @@ def test_de_alone_proposes_one_block(overrides, fes, monkeypatch):
     run(cfg, obj, seed=4, max_evals=fes)
     assert calls == [4, 3, 3] * (3 + (fes == 40))
     calls.clear()
-    run(_cfg(**{"exec.order": "de,pso", "pop.size": 10}), obj, seed=4, max_evals=20)
-    assert set(calls) == {1}
+    # the initial 10 FEs, three generations of 20 and the DE step the budget stops
+    run(_cfg(**{"exec.order": "de,pso", "pop.size": 10}), obj, seed=4, max_evals=70)
+    assert calls == [4, 3, 3] * 4
+
+
+# DE∘PSO's PSO step on the swarm-step path (best of neighbourhood, and
+# informants gathered from the generation-start personal bests) and on the
+# per-particle path
+_DE_PSO_STEPS = [
+    {"pso.topology": "ring"},
+    {"pso.moi": "fully_informed", "pso.topology": "von_neumann"},
+    {"pso.moi": "fully_informed", "pso.topology": "von_neumann",
+     "pso.pert_info": "gaussian", "pso.pm_mode": "constant", "pso.pm": "0.05"},
+]
+
+
+@pytest.mark.parametrize("only_on_fail", [False, True])
+@pytest.mark.parametrize("settings", _DE_PSO_STEPS)
+def test_de_pso_moves_the_de_outcome_toward_start_informants(settings, only_on_fail,
+                                                             monkeypatch):
+    """PSO on member i reads its x, v and p after DE (velocities recomputed)
+    and its neighbourhood best and informants from the personal bests at the
+    start of the generation; under de.pso_only_on_fail it moves exactly the
+    members DE did not move."""
+    cfg = _cfg(**{"exec.order": "de,pso", "pop.size": 12,
+                  "de.recompute_velocity": "goBack",
+                  "de.pso_only_on_fail": str(only_on_fail).lower(), **settings})
+    obj = make_instance("shifted_rastrigin", 5, instance_seed=2)
+    runner = _Run(cfg, obj, seed=3, budget=EvalBudget(max_evals=10 ** 6),
+                  trace_every=None)
+    runner.initialize()
+    for _ in range(3):   # personal bests then differ from positions
+        runner.generation()
+    pop = runner.pop
+    start_p, start_pf = pop.p.copy(), pop.pf.copy()
+    after_de = {}
+    de_generation = runner._de_generation
+
+    def spy_de(*args):
+        moved = de_generation(*args)
+        after_de.update(x=pop.x.copy(), v=pop.v.copy(), p=pop.p.copy(), moved=moved)
+        return moved
+
+    runner._de_generation = spy_de
+    seen = []   # (x, v, p, l_best, informants) per row PSO moves, in order
+    swarm_step, compute_velocity = pso_mod.swarm_step, pso_mod.compute_velocity
+
+    def spy_swarm(X, V, P, L, ranked, *args, source):
+        for j in range(len(X)):   # X, V and P may be views of the population
+            informants = None if ranked is None else source[ranked[0][j, :ranked[1][j]]]
+            seen.append((X[j].copy(), V[j].copy(), P[j].copy(), L[j], informants))
+        return swarm_step(X, V, P, L, ranked, *args, source=source)
+
+    def spy_particle(x, v, p, l_best, informants, *args, **kwargs):
+        seen.append((x.copy(), v.copy(), p.copy(), l_best.copy(), informants))
+        return compute_velocity(x, v, p, l_best, informants, *args, **kwargs)
+
+    monkeypatch.setattr(pso_mod, "swarm_step", spy_swarm)
+    monkeypatch.setattr(pso_mod, "compute_velocity", spy_particle)
+    pso_fes = runner.module_evals["pso"]
+    runner.generation()
+
+    moved = after_de["moved"]
+    rows = np.flatnonzero(~moved) if only_on_fail else np.arange(len(pop))
+    assert moved.any() and rows.size   # both kinds of member occur
+    assert (after_de["p"] != start_p).any()   # DE improved some personal best
+    assert runner.module_evals["pso"] - pso_fes == len(seen) == rows.size
+    if cfg.pso.moi == "best_of_neighborhood":
+        l_best_idx, ranked = neighborhood_best(runner.topology, start_pf), None
+    else:
+        ranked = idx, m = pso_mod.ranked_informants(runner.topology.adjacency, start_pf)
+        l_best_idx = idx[:, 0]
+    for i, (x, v, p, l_best, informants) in zip(rows, seen):
+        assert np.array_equal(x, after_de["x"][i])
+        assert np.array_equal(v, after_de["v"][i])
+        assert np.array_equal(p, after_de["p"][i])
+        assert np.array_equal(l_best, start_p[l_best_idx[i]])
+        if ranked is not None:
+            assert np.array_equal(informants, start_p[idx[i, :m[i]]])
+
+
+@pytest.mark.parametrize("settings", [
+    {"pso.topology": "ring"},
+    {"pso.moi": "fully_informed", "pso.topology": "wheel"},
+    {"pso.moi": "ranked_fully_informed", "pso.topology": "von_neumann",
+     "de.recompute_velocity": "goBack", "de.pso_only_on_fail": "true"},
+])
+def test_de_pso_swarm_step_equals_the_per_particle_path(settings, monkeypatch):
+    """DE∘PSO gives one run whether its PSO step moves the rows at once or
+    one particle at a time."""
+    cfg = _cfg(**{"exec.order": "de,pso", "pop.size": 20, **settings})
+    obj = make_instance("shifted_rotated_rastrigin", 5, instance_seed=3)
+    steps = []
+    swarm_step = pso_mod.swarm_step
+
+    def counted(X, *args, **kwargs):
+        steps.append(len(X))
+        return swarm_step(X, *args, **kwargs)
+
+    monkeypatch.setattr(pso_mod, "swarm_step", counted)
+    block = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
+    assert steps
+    steps.clear()
+    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params, d: False)
+    other = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
+    assert not steps
+    assert other.best_fitness.hex() == block.best_fitness.hex()
+    assert other.best_position.tobytes() == block.best_position.tobytes()
+    assert other.module_evals == block.module_evals
+    assert other.trace == block.trace

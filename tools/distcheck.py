@@ -34,7 +34,9 @@ import numpy as np
 # probabilistic gate, LS after DE, exponential recombination in the
 # eigenbasis, both directed kinds, the mixture of vectors with random
 # velocities, goBack with PSO only on failure, the best base with
-# re-initialisation, and target-to-best.
+# re-initialisation, and target-to-best; and DE∘PSO's PSO step with
+# fully-informed particles, whose informants are read from the personal
+# bests at the start of the generation, and with a per-particle setting.
 CONFIGS = {
     "de-rand1bin": {"exec.order": "de", "pop.size": "50",
                     "de.base_vector": "random", "de.recombination": "binomial"},
@@ -63,6 +65,9 @@ CONFIGS = {
     "de-pso-target-to-best": {"exec.order": "de,pso", "pop.size": "20",
                               "de.recompute_velocity": "position",
                               "de.base_vector": "target_to_best"},
+    "de-pso-fully-informed": {"exec.order": "de,pso", "pso.moi": "fully_informed"},
+    "de-pso-gaussian": {"exec.order": "de,pso", "pso.pert_info": "gaussian",
+                        "pso.pm_mode": "constant", "pso.pm": "0.05"},
 }
 FUNCTIONS = ("shifted_rotated_rastrigin", "shifted_rotated_elliptic",
              "shifted_rotated_weierstrass")

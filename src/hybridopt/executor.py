@@ -304,11 +304,6 @@ class _Run:
         else:
             self._population_generation(fixed_modules=(module,))
 
-    def _one_block(self) -> bool:
-        """True when no draw of a probabilistic generation reads one of its own
-        evaluations: DE may not recompute a velocity after its selection."""
-        return self.cfg.de.recompute_velocity == "none"
-
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         """Propose, evaluate and select every individual once.
 
@@ -354,7 +349,9 @@ class _Run:
                 self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
             return
 
-        block = self._one_block()
+        # one block unless DE recomputes velocities: whether a recomputation
+        # happens (and draws, under `random`) depends on its trial's value
+        block = de_par.recompute_velocity == "none"
         stage_modules, stage_rows, stage_xs = [], [], []
         for i in range(n):
             module, = dispatch_update(self.cfg.execution, self.exec_state,

@@ -168,12 +168,14 @@ class Population:
         self.pf[improved] = F[better]
         return better
 
-    def record_better(self, X: np.ndarray, F) -> np.ndarray:
-        """Move each member whose row of X has a strictly lower value than its
-        own to that row (greedy selection); returns which members moved."""
+    def record_better(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:
+        """Move each of the members rows (every member by default) whose row
+        of X has a strictly lower value than its own to that row (greedy
+        selection); returns which of them moved, one entry per row of X."""
         F = np.asarray(F, dtype=float)
-        moved = F < self.f
-        self.record_all(np.where(moved[:, None], X, self.x), np.where(moved, F, self.f))
+        x, f = self.x[rows], self.f[rows]
+        moved = F < f
+        self.record_all(np.where(moved[:, None], X, x), np.where(moved, F, f), rows)
         return moved
 
     def record(self, i: int, x: np.ndarray, fx: float) -> bool:

@@ -1,5 +1,5 @@
 """Run template: initialization, the generation loop under the three
-execution modes (array steps of DE and PSO, and a per-individual gate in the
+execution modes (array steps of DE and PSO, split by a gate mask in the
 probabilistic mode), the local-search hook, optional population
 re-initialization, and dynamic parameter updates."""
 
@@ -78,33 +78,32 @@ def phase_windows(order, fractions, max_evals: int):
     return tuple(windows)
 
 
-def _gate_sample(cfg: ExecutionConfig, state: ExecState, rng) -> float:
+def gate_mask(cfg: ExecutionConfig, state: ExecState, n: int, rng) -> np.ndarray:
+    """The probabilistic gate of n individuals as one block of draws: True
+    where the draw is at most pr, which sends the row to the first module of
+    the order."""
     if cfg.gate_dist == "uniform":
-        return float(rng.uniform())
-    if cfg.gate_dist == "normal":
-        return abs(float(rng.normal(0.0, cfg.par_std)))
-    if cfg.gate_dist == "levy":
+        draws = rng.random(n)
+    elif cfg.gate_dist == "normal":
+        draws = np.abs(rng.normal(0.0, cfg.par_std, n))
+    elif cfg.gate_dist == "levy":
         # gamma_t in {10..20} maps to stability index gamma_t/10 in [1, 2]
-        return abs(cfg.par_std * float(pso_mod.mantegna_levy(state.gamma_t / 10.0, rng)))
-    raise ValueError(f"unknown gate distribution {cfg.gate_dist!r}")
+        draws = np.abs(cfg.par_std * pso_mod.mantegna_levy(state.gamma_t / 10.0, rng, n))
+    else:
+        raise ValueError(f"unknown gate distribution {cfg.gate_dist!r}")
+    return draws <= cfg.pr
 
 
 def dispatch_update(cfg: ExecutionConfig, state: ExecState, fes_used: int,
                     rng) -> tuple[str, ...]:
-    """Modules to apply to the next individual updated this generation."""
-    if cfg.mode == "probabilistic":
-        first, second = cfg.module_order
-        return (first,) if _gate_sample(cfg, state, rng) <= cfg.pr else (second,)
+    """Modules of the next generation when it runs one module: the current
+    phase under multiple-phases execution, else the order (CMA-ES alone)."""
     if cfg.mode == "multiple_phases":
         for module, start, end in state.windows:
             if start <= fes_used < end:
                 return (module,)
         return (state.windows[-1][0],)
-    # component-based: the fixed composed pipeline, DE before PSO
-    order = cfg.module_order
-    if "de" in order and "pso" in order:
-        return ("de", "pso")
-    return tuple(order)
+    return tuple(cfg.module_order)
 
 
 def update_execution_parameters(cfg: ExecutionConfig, state: ExecState, rng,
@@ -211,31 +210,30 @@ class _Run:
 
     # -- evaluation funnel --------------------------------------------------
 
-    def ev_block(self, X: np.ndarray, modules=None) -> list[float]:
+    def ev_block(self, X: np.ndarray) -> list[float]:
         """Evaluate the rows of the (n, d) block X as n FEs, in index order.
 
         An objective with a ``batch`` method gets one call for the rows the
         FE budget still covers; any other objective gets one ``ev`` per row.
         A NaN value counts as +inf.  Row by row, each FE is charged and
-        counted under ``modules[i]`` (the active module when modules is
-        None), and the incumbent and the trace are updated.  Once a row no
-        longer fits the budget, BudgetExhausted is raised, every row before
-        it being counted.  Returns the n values as floats.
+        counted under the active module, and the incumbent and the trace are
+        updated.  Once a row no longer fits the budget, BudgetExhausted is
+        raised, every row before it being counted.  Returns the n values as
+        floats.
         """
         X = np.asarray(X, dtype=float)
         n = len(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"block has shape {X.shape}, objective expects (n, {self.d})")
-        if modules is None:
-            modules = (self.active_module,) * n
         batch = getattr(self.obj, "batch", None)
         if batch is None:
-            return [self.ev(x, module) for x, module in zip(X, modules)]
+            return [self.ev(x) for x in X]
         budget = self.budget
         fit = min(n, budget.max_evals - budget.used_evals)
         values = []
         if fit > 0:
             values = np.asarray(batch(X if fit == n else X[:fit]), dtype=float).tolist()
+        module = self.active_module
         fs = []
         for i in range(n):
             budget.charge()
@@ -243,14 +241,14 @@ class _Run:
             if f != f:  # NaN
                 f = math.inf
             fs.append(f)
-            self._book(X[i], f, modules[i])
+            self._book(X[i], f, module)
         return fs
 
-    def ev(self, x: np.ndarray, module: str | None = None) -> float:
-        """One FE at the point x, counted under module (the active module when
-        None): the one-row case of ``ev_block`` without its block handling."""
+    def ev(self, x: np.ndarray) -> float:
+        """One FE at the point x, counted under the active module: the
+        one-row case of ``ev_block`` without its block handling."""
         f = evaluate(self.obj, x, self.budget)
-        self._book(x, f, self.active_module if module is None else module)
+        self._book(x, f, self.active_module)
         return f
 
     def _book(self, x: np.ndarray, f: float, module: str) -> None:
@@ -314,11 +312,9 @@ class _Run:
         PSO step over every member (under ``de.pso_only_on_fail`` over those
         DE did not move); PSO on member i reads its position, velocity and
         personal best after DE, and its neighbourhood best and informants
-        from the start of the generation.  The probabilistic mode draws each
-        individual's module in index order; when the generation is one
-        block, every proposal is made first, the block is evaluated, and
-        then every proposal is selected; else each individual is settled
-        one at a time.
+        from the start of the generation.  The probabilistic mode draws one
+        gate block, then makes a DE step over the rows the gate sends to DE
+        and a PSO step over the others.
         """
         pop = self.pop
         n = len(pop)
@@ -342,55 +338,43 @@ class _Run:
         pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
         k = de_mod.num_vector_differences(de_par.diff_fraction, n)
         leaders = de_mod.best_two(fitnesses)
-        if self.cfg.execution.mode != "probabilistic":
-            moved = self._de_generation(positions, fitnesses, pbests, k, leaders, basis)
-            if "pso" in modules:
-                rows = np.flatnonzero(~moved) if de_par.pso_only_on_fail else slice(None)
-                self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
-            return
+        if self.cfg.execution.mode == "probabilistic":
+            first = gate_mask(self.cfg.execution, self.exec_state, n, self.rng)
+            to_de = first if self.order[0] == "de" else ~first
+            self._de_generation(np.flatnonzero(to_de), positions, fitnesses, pbests, k,
+                                leaders, basis)
+            rows = np.flatnonzero(~to_de)
+        else:
+            moved = self._de_generation(np.arange(n), positions, fitnesses, pbests, k,
+                                        leaders, basis)
+            if "pso" not in modules:
+                return
+            rows = np.flatnonzero(~moved) if de_par.pso_only_on_fail else slice(None)
+        self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
 
-        # one block unless DE recomputes velocities: whether a recomputation
-        # happens (and draws, under `random`) depends on its trial's value
-        block = de_par.recompute_velocity == "none"
-        stage_modules, stage_rows, stage_xs = [], [], []
-        for i in range(n):
-            module, = dispatch_update(self.cfg.execution, self.exec_state,
-                                      self.budget.used_evals, self.rng)
-            if module == "de":
-                x = self._de_propose([i], positions, fitnesses, pbests, k, leaders,
-                                     basis)[0]
-            else:
-                x = self._pso_propose(i, pbests, pbest_fits, l_best_idx, ranked, basis)
-            if block:
-                stage_modules.append(module)
-                stage_rows.append(i)
-                stage_xs.append(x)
-            elif module == "pso":
-                self._pso_select(i, x, self.ev(x, module))
-            else:  # DE trials may leave the box; PSO moves never do
-                x = repair_to_bounds(x, self.bounds)
-                self._de_select(i, x, self.ev(x, module))
-        if stage_rows:
-            self._settle(stage_modules, stage_rows, np.array(stage_xs))
-
-    def _de_generation(self, positions, fitnesses, pbests, k, leaders, basis) -> np.ndarray:
-        """One DE step: propose every trial from the state at the start of the
+    def _de_generation(self, targets, positions, fitnesses, pbests, k, leaders,
+                       basis) -> np.ndarray:
+        """One DE step of the members targets (an index array in ascending
+        order): propose their trials from the state at the start of the
         generation, repair the block into the box, evaluate it and keep each
-        trial that is strictly better than its target.  Returns which members
+        trial that is strictly better than its target.  Returns which targets
         moved."""
         pop = self.pop
-        n = len(pop)
+        r = len(targets)
+        if r == 0:
+            return np.zeros(0, dtype=bool)
         # bound the donor blocks to DONOR_BLOCK elements for large populations
-        chunks = min(n, -(-n * (2 * k + 1) * self.d // DONOR_BLOCK))
+        chunks = min(r, -(-r * (2 * k + 1) * self.d // DONOR_BLOCK))
         X = np.concatenate([self._de_propose(rows, positions, fitnesses, pbests, k, leaders,
                                              basis)
-                            for rows in np.array_split(np.arange(n), chunks)])
+                            for rows in np.array_split(targets, chunks)])
         X = repair_to_bounds(X, self.bounds)
-        moved = pop.record_better(X, self.ev_block(X))
+        moved = pop.record_better(X, self.ev_block(X), targets)
         kind = self.cfg.de.recompute_velocity
         if kind != "none":  # positions still holds the targets
-            pop.v[moved] = de_mod.recompute_velocity(kind, positions[moved], X[moved],
-                                                     pop.v[moved], self.rng, self.bounds)
+            members = targets[moved]
+            pop.v[members] = de_mod.recompute_velocity(kind, positions[members], X[moved],
+                                                       pop.v[members], self.rng, self.bounds)
         return moved
 
     def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
@@ -400,7 +384,7 @@ class _Run:
         informants' rows of pbests (the start of the generation's personal
         bests, with their fitnesses pbest_fits).  ``pso.swarm_step`` moves
         the rows at once where it applies; else each row is proposed in
-        index order and then they are settled."""
+        index order."""
         pop = self.pop
         par = self.cfg.pso
         members = np.arange(len(pop))[rows]
@@ -409,7 +393,10 @@ class _Run:
         if not pso_mod.swarm_step_applies(par, self.d):
             X = np.array([self._pso_propose(i, pbests, pbest_fits, l_best_idx, ranked, basis)
                           for i in members])
-            self._settle(("pso",) * len(members), members, X)
+            improved = pop.record_all(X, self.ev_block(X), members)
+            if self.success is not None:
+                for i, better in zip(members, improved):
+                    self.success[i].record(better)
             return
         self.active_module = "pso"
         if ranked is not None:
@@ -418,18 +405,6 @@ class _Run:
             pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_best_idx[rows]], ranked, par,
             self.exec_state.t, self.total_iters, self.rng, self.bounds, source=pbests)
         pop.record_all(X, self.ev_block(X), rows)
-
-    def _settle(self, modules, rows, X: np.ndarray) -> None:
-        """Evaluate the proposals X (row j from individual rows[j] under
-        modules[j]) as one block, then select each in order."""
-        if "de" in modules:
-            X = repair_to_bounds(X, self.bounds)
-        fs = self.ev_block(X, modules)
-        for module, i, x, f in zip(modules, rows, X, fs):
-            if module == "de":
-                self._de_select(i, x, f)
-            else:
-                self._pso_select(i, x, f)
 
     def _de_propose(self, targets, positions, fitnesses, pbests, k, leaders,
                     basis) -> np.ndarray:
@@ -447,18 +422,6 @@ class _Run:
             return unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,
                                              par.p_a, self.rng))
         return de_mod.recombine(par.recombination, target, mutant, par.p_a, self.rng)
-
-    def _de_select(self, i, trial, fitness) -> bool:
-        par = self.cfg.de
-        pop = self.pop
-        fitness, improved = de_mod.select_greedy(pop.f[i], fitness)
-        if improved:
-            if par.recompute_velocity != "none":  # pop.x[i] is still the target
-                pop.v[i] = de_mod.recompute_velocity(
-                    par.recompute_velocity, pop.x[i], trial, pop.v[i],
-                    self.rng, self.bounds)
-            pop.record(i, trial, fitness)
-        return improved
 
     def _pso_propose(self, i, pbests, pbest_fits, l_best_idx, ranked, basis) -> np.ndarray:
         """Member i's next position, toward its neighbourhood best and
@@ -488,12 +451,6 @@ class _Run:
         x, pop.v[i] = pso_mod.update_position(pop.x[i], velocity, self.bounds,
                                               par.velocity_clamping)
         return x
-
-    def _pso_select(self, i, x, fitness) -> bool:
-        improved = self.pop.record(i, x, fitness)
-        if self.success is not None:
-            self.success[i].record(improved)
-        return improved
 
     # -- local search -------------------------------------------------------
 

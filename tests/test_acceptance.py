@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from hybridopt import (CmaParams, CmaRunner, aggregate, default_config,
-                       dispatch_update, export_parameter_space, make_instance,
+                       export_parameter_space, make_instance,
                        parse_parameter_file, rng_stream, run, validate)
 from hybridopt.cmaes import covariance_step, init_state, recombination_weights
 from hybridopt.config import PARAMETER_SPACE, format_parameter_file
 from hybridopt.core import Bounds, BudgetExhausted
 from hybridopt.de import mutate, recombine
-from hybridopt.executor import ExecState, ExecutionConfig
+from hybridopt.executor import ExecState, ExecutionConfig, gate_mask
 from hybridopt.localsearch import LsParams, bound_penalty, mtsls_run
 from hybridopt.reporting import run_batch
 
@@ -321,7 +321,6 @@ def test_probabilistic_gate_frequency():
                           pr=0.5, gate_dist="uniform")
     rng = rng_stream(10)
     n = 100_000
-    hits = sum(dispatch_update(cfg, ExecState(), 0, rng) == ("pso",)
-               for _ in range(n))
+    hits = int(gate_mask(cfg, ExecState(), n, rng).sum())
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 3 * sigma

@@ -124,6 +124,18 @@ def test_population_record_better_is_greedy_selection():
     assert pop.p[3].tolist() == [6.0, 7.0]   # its pbest stays
 
 
+def test_population_record_better_on_some_rows_leaves_the_others():
+    X = np.arange(8.0).reshape(4, 2)
+    a = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
+    b = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
+    rows = np.array([1, 2])
+    assert a.record_better(-X[rows], [1.0, 5.0], rows).tolist() == [True, True]
+    # the same selection over every member, rows 0 and 3 with ties
+    assert b.record_better(-X, [3.0, 1.0, 5.0, 1.0]).tolist() == [False, True, True, False]
+    for name in ("x", "v", "p", "f", "pf"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_population_extend_and_reset_take_blocks():
     pop = Population.fresh(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)),
                            [3.0, 2.0, 1.0])

@@ -12,7 +12,7 @@ from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
                        rng_stream, run, validate)
 from hybridopt.core import BudgetExhausted, EvalBudget, Population
 from hybridopt.executor import (ExecState, ExecutionConfig, _Run,
-                                apply_reinitialization, phase_windows,
+                                apply_reinitialization, gate_mask, phase_windows,
                                 reinit_indices, update_execution_parameters)
 from hybridopt.localsearch import NestedCmaes
 from hybridopt.pso import neighborhood_best, neighbors, random_velocity
@@ -89,24 +89,17 @@ def test_phase_windows_arithmetic():
     assert dispatch_update(cfg, state, 9999, rng) == ("b",)
 
 
-def test_dispatch_component_puts_de_first():
-    cfg = ExecutionConfig(mode="component_based", module_order=("pso", "de"))
-    assert dispatch_update(cfg, ExecState(), 0, rng_stream(0)) == ("de", "pso")
-
-
 def test_dispatch_probabilistic_uniform():
     state = ExecState()
     rng = rng_stream(1)
     sure = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                            pr=1.0, gate_dist="uniform")
-    assert all(dispatch_update(sure, state, 0, rng) == ("pso",)
-               for _ in range(10000))
+    assert gate_mask(sure, state, 10000, rng).all()
 
     half = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                            pr=0.5, gate_dist="uniform")
     n = 100000
-    hits = sum(dispatch_update(half, state, 0, rng) == ("pso",)
-               for _ in range(n))
+    hits = int(gate_mask(half, state, n, rng).sum())
     sigma = (0.25 / n) ** 0.5
     assert abs(hits / n - 0.5) < 3 * sigma
 
@@ -117,8 +110,8 @@ def test_dispatch_gate_distributions():
     for dist in ("normal", "levy"):
         cfg = ExecutionConfig(mode="probabilistic", module_order=("pso", "de"),
                               pr=0.8, gate_dist=dist, par_std=0.5)
-        picks = {dispatch_update(cfg, state, 0, rng)[0] for _ in range(500)}
-        assert picks == {"pso", "de"}   # both sides reachable
+        first = gate_mask(cfg, state, 500, rng)
+        assert first.any() and not first.all()   # both sides reachable
 
 
 def test_update_execution_parameters_levy_gamma():
@@ -336,11 +329,12 @@ def test_budget_ending_mid_block_counts_each_row(kind):
     runner.initialize()
     assert runner.module_evals == {"pso": 4} and runner.best_f > 9.0
     X = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    runner.active_module = "de"
     with pytest.raises(BudgetExhausted):
-        runner.ev_block(X, ("de", "pso", "de", "pso"))
+        runner.ev_block(X)
     assert runner.budget.used_evals == 7
     assert sum(obj.sizes) == 7   # the row past the budget is never evaluated
-    assert runner.module_evals == {"pso": 5, "de": 2}   # each row under its module
+    assert runner.module_evals == {"pso": 4, "de": 3}   # under the active module
     assert runner.best_f == 1.0 and np.array_equal(runner.best_x, X[2])
     assert runner.trace[-3:] == [(5, 9.0), (6, 4.0), (7, 1.0)]
 
@@ -361,6 +355,7 @@ def test_wallclock_stops_a_block_at_its_next_row(kind):
 @pytest.mark.parametrize("overrides, rows", [
     ({"exec.order": "pso"}, 10),
     ({"exec.order": "de"}, 10),
+    # the probabilistic gate: a DE block and a PSO block that split the rows
     (_PROBABILISTIC, 10),
     ({"exec.order": "de,pso", "exec.mode": "multiple_phases",
       "exec.phases": "0.5,0.5"}, 10),
@@ -369,18 +364,42 @@ def test_wallclock_stops_a_block_at_its_next_row(kind):
     ({"exec.order": "de,pso"}, 10),
     # DE alone recomputes velocities after its block's selection
     ({"exec.order": "de", "de.recompute_velocity": "goBack"}, 10),
-    # a draw reads an evaluation of the same generation: one row per block
-    ({**_PROBABILISTIC, "de.recompute_velocity": "random"}, 1),
+    # and so does the DE block of the probabilistic gate
+    ({**_PROBABILISTIC, "de.recompute_velocity": "random"}, 10),
 ])
 def test_generation_block_sizes(overrides, rows):
     obj = _Blocks(make_instance("sphere", 4))
     runner = _Run(_cfg(**{"pop.size": 10, **overrides}), obj, seed=2,
                   budget=EvalBudget(max_evals=10 ** 6), trace_every=None)
     runner.initialize()
+    split = []   # the members of the DE step and of the PSO step
+    for name in ("_de_generation", "_pso_generation"):
+        def spy(members, *args, step=getattr(runner, name)):
+            split.append(np.arange(10)[members])
+            return step(members, *args)
+
+        setattr(runner, name, spy)
     for _ in range(3):
         obj.sizes.clear()
+        split.clear()
         runner.generation()
-        assert set(obj.sizes) == {rows}
+        if overrides.get("exec.mode") == "probabilistic":
+            assert len(obj.sizes) <= 2 and sum(obj.sizes) == rows
+            assert np.array_equal(np.sort(np.concatenate(split)), np.arange(rows))
+        else:
+            assert set(obj.sizes) == {rows}
+
+
+@pytest.mark.parametrize("order", ["pso,de", "de,pso"])
+def test_gate_sending_every_row_to_one_module(order):
+    """With pr = 1 the gate sends the whole population to the first module of
+    the order, and the other module's step has no rows."""
+    obj = _Blocks(make_instance("sphere", 4))
+    cfg = _cfg(**{**_PROBABILISTIC, "exec.order": order, "exec.pr": "1.0",
+                  "pop.size": 10, "de.recompute_velocity": "goBack"})
+    result = run(cfg, obj, seed=2, max_evals=60)
+    assert result.module_evals == {order.split(",")[0]: 60}
+    assert obj.sizes == [10] * 6
 
 
 def test_new_members_are_one_block(monkeypatch):

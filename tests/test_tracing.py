@@ -20,6 +20,9 @@ _SPEC.loader.exec_module(tracing)
     {"exec.order": "de,pso", "pop.size": "10"},
     {"exec.order": "de", "pop.size": "6", "exec.reinit": "similarity",
      "de.base_vector": "best"},
+    {"exec.mode": "probabilistic", "exec.order": "pso,de", "pop.size": "10",
+     "exec.pr": "0.5", "exec.gate_dist": "levy", "exec.par_std": "1.0",
+     "de.recompute_velocity": "random"},
 ])
 def test_traced_run_equals_untraced_run(overrides, monkeypatch):
     reinit_sizes = []

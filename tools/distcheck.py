@@ -34,9 +34,11 @@ import numpy as np
 # probabilistic gate, LS after DE, exponential recombination in the
 # eigenbasis, both directed kinds, the mixture of vectors with random
 # velocities, goBack with PSO only on failure, the best base with
-# re-initialisation, and target-to-best; and DE∘PSO's PSO step with
+# re-initialisation, and target-to-best; DE∘PSO's PSO step with
 # fully-informed particles, whose informants are read from the personal
-# bests at the start of the generation, and with a per-particle setting.
+# bests at the start of the generation, and with a per-particle setting; and
+# the probabilistic gate's DE step with random velocities after it, and its
+# PSO step with a per-particle setting under a normal gate.
 CONFIGS = {
     "de-rand1bin": {"exec.order": "de", "pop.size": "50",
                     "de.base_vector": "random", "de.recombination": "binomial"},
@@ -68,6 +70,13 @@ CONFIGS = {
     "de-pso-fully-informed": {"exec.order": "de,pso", "pso.moi": "fully_informed"},
     "de-pso-gaussian": {"exec.order": "de,pso", "pso.pert_info": "gaussian",
                         "pso.pm_mode": "constant", "pso.pm": "0.05"},
+    "prob-uniform-random": {"exec.mode": "probabilistic", "exec.order": "pso,de",
+                            "exec.pr": "0.5", "exec.gate_dist": "uniform",
+                            "de.recompute_velocity": "random"},
+    "prob-normal-gaussian": {"exec.mode": "probabilistic", "exec.order": "pso,de",
+                             "exec.pr": "0.5", "exec.gate_dist": "normal",
+                             "exec.par_std": "1.0", "pso.pert_info": "gaussian",
+                             "pso.pm_mode": "constant", "pso.pm": "0.05"},
 }
 FUNCTIONS = ("shifted_rotated_rastrigin", "shifted_rotated_elliptic",
              "shifted_rotated_weierstrass")

@@ -196,10 +196,13 @@ def recompute_velocity(kind: str, old_position: np.ndarray, new_position: np.nda
 
 def population_eigenbasis(positions: np.ndarray) -> np.ndarray | None:
     """Orthonormal eigenbasis of the population covariance, or None if degenerate."""
-    if len(positions) < 2:
+    n = len(positions)
+    if n < 2:
         return None
-    cov = np.cov(positions, rowvar=False)
-    cov = np.atleast_2d(cov)
+    # np.cov(positions, rowvar=False) bit for bit, without its Python wrapper
+    centred = (positions - positions.mean(axis=0)).T
+    cov = np.dot(centred, centred.T)
+    cov *= 1.0 / (n - 1)
     if not np.all(np.isfinite(cov)):
         return None
     try:

@@ -18,7 +18,7 @@ from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
                    evaluate, repair_to_bounds, rng_stream, spread)
 from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
-from .pso import PsoParams, SuccessWindow
+from .pso import PsoParams
 
 # Most donor-block elements (targets x donors x d) one DE proposal step holds.
 DONOR_BLOCK = 1 << 18
@@ -125,7 +125,10 @@ def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
     """Members to re-initialize under RI-change / RI-similarity (empty if none)."""
     n = len(positions)
     if kind == "change":
-        diversity = float(np.mean(np.std(positions, axis=0)))
+        # np.mean(np.std(positions, axis=0)) bit for bit, without numpy's wrappers
+        centred = positions - positions.sum(axis=0) / n
+        centred *= centred
+        diversity = float(np.sqrt(centred.sum(axis=0) / n).sum() / positions.shape[1])
         window = math.ceil(10.0 * d / n)
         # equal ends (two +inf too) are no improvement
         stalled = (len(best_history) > window
@@ -154,6 +157,8 @@ def apply_reinitialization(kind: str, pop: Population, best_position: np.ndarray
     """Re-initialize the selected members uniformly; ``evaluator`` gets their
     positions as one block.  Returns their indices."""
     idx = reinit_indices(kind, pop.x, best_position, best_history, bounds.d)
+    if not idx:
+        return []
     X, V = sample_member(bounds, rng, len(idx))
     pop.reset(idx, X, V, evaluator(X))
     return idx
@@ -185,9 +190,10 @@ class _Run:
             else cfg.population.size
         self.pop: Population | None = None
         self.topology = None
-        # per-particle success windows, read only by pso.pm_mode = success_rate;
-        # a swarm never grows (validate allows growth schedules for DE only)
-        self.success: list[SuccessWindow] | None = None
+        # per-particle success windows (see pso.perturbation_magnitude), read
+        # only by pso.pm_mode = success_rate; a swarm never grows (validate
+        # allows growth schedules for DE only)
+        self.success: np.ndarray | None = None
         self.cma: CmaRunner | None = None
         self.nested_ls = NestedCmaes(cfg.ls.nested_cma, self.bounds) \
             if cfg.ls.algo == "cmaes" else None
@@ -271,7 +277,7 @@ class _Run:
             X, V = sample_member(self.bounds, self.rng, self.n)
             self.pop = Population.fresh(X, V, self.ev_block(X))
             if self.cfg.pso is not None and self.cfg.pso.pm_mode == "success_rate":
-                self.success = [SuccessWindow() for _ in range(self.n)]
+                self.success = np.full((self.n, pso_mod.SUCCESS_WINDOW), -1, np.int8)
             if "pso" in self.order:
                 self.topology = pso_mod.build_topology(
                     self.cfg.pso.topology, self.n, self.rng, self.total_iters)
@@ -379,32 +385,31 @@ class _Run:
 
     def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
         """One PSO step of the members rows (an index array in ascending order,
-        or a slice), evaluated as one block.  Member i moves from its own x, v
-        and p, toward its neighbourhood best pbests[l_best_idx[i]] and its
+        or a slice): ``pso.swarm_step`` moves them at once from their own x, v
+        and p toward their neighbourhood bests pbests[l_best_idx[i]] and their
         informants' rows of pbests (the start of the generation's personal
-        bests, with their fitnesses pbest_fits).  ``pso.swarm_step`` moves
-        the rows at once where it applies; else each row is proposed in
-        index order."""
+        bests, with their fitnesses pbest_fits).  The moves are evaluated as
+        one block, and the success windows record which personal bests
+        improved."""
         pop = self.pop
         par = self.cfg.pso
-        members = np.arange(len(pop))[rows]
-        if members.size == 0:
-            return
-        if not pso_mod.swarm_step_applies(par, self.d):
-            X = np.array([self._pso_propose(i, pbests, pbest_fits, l_best_idx, ranked, basis)
-                          for i in members])
-            improved = pop.record_all(X, self.ev_block(X), members)
-            if self.success is not None:
-                for i, better in zip(members, improved):
-                    self.success[i].record(better)
+        if np.arange(len(pop))[rows].size == 0:
             return
         self.active_module = "pso"
+        l_idx = l_best_idx[rows]
         if ranked is not None:
             ranked = ranked[0][rows], ranked[1][rows]
+        windows = self.success
         X, pop.v[rows] = pso_mod.swarm_step(
-            pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_best_idx[rows]], ranked, par,
-            self.exec_state.t, self.total_iters, self.rng, self.bounds, source=pbests)
-        pop.record_all(X, self.ev_block(X), rows)
+            pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_idx], ranked, par,
+            self.exec_state.t, self.total_iters, self.rng, self.bounds, source=pbests,
+            fp=pop.pf[rows], fl=pbest_fits[l_idx],
+            success=None if windows is None else windows[rows],
+            basis=basis if par.vector_basis == "eigenvector" else None)
+        improved = pop.record_all(X, self.ev_block(X), rows)
+        if windows is not None:   # shift each window by one update
+            windows[rows, :-1] = windows[rows, 1:]
+            windows[rows, -1] = improved
 
     def _de_propose(self, targets, positions, fitnesses, pbests, k, leaders,
                     basis) -> np.ndarray:
@@ -422,35 +427,6 @@ class _Run:
             return unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,
                                              par.p_a, self.rng))
         return de_mod.recombine(par.recombination, target, mutant, par.p_a, self.rng)
-
-    def _pso_propose(self, i, pbests, pbest_fits, l_best_idx, ranked, basis) -> np.ndarray:
-        """Member i's next position, toward its neighbourhood best and
-        informants among pbests, as in ``_pso_generation``."""
-        par = self.cfg.pso
-        self.active_module = "pso"
-        pop = self.pop
-        l_idx = l_best_idx[i]
-        l_best = pbests[l_idx]
-        informants = None if ranked is None else pbests[ranked[0][i, :ranked[1][i]]]
-
-        if par.stagnation_detection and pso_mod.stagnation_check(
-                pop.v[i], pop.x[i], l_best):
-            pop.v[i] = pso_mod.random_velocity(self.bounds, self.rng)
-
-        pm = 0.0
-        if par.pert_info != "none" or par.pert_rand != "none":
-            pm = pso_mod.perturbation_magnitude(
-                par.pm_mode, par.pm, pop.p[i], l_best,
-                fp=float(pop.pf[i]), fl=float(pbest_fits[l_idx]),
-                success=None if self.success is None else self.success[i])
-
-        velocity = pso_mod.compute_velocity(
-            pop.x[i], pop.v[i], pop.p[i], l_best, informants, par,
-            self.exec_state.t, self.total_iters, self.rng, pm=pm,
-            basis=basis if par.vector_basis == "eigenvector" else None)
-        x, pop.v[i] = pso_mod.update_position(pop.x[i], velocity, self.bounds,
-                                              par.velocity_clamping)
-        return x
 
     # -- local search -------------------------------------------------------
 

@@ -11,14 +11,14 @@ acceleration coefficients, perturbations and safeguards.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, repair_to_bounds, spread
+from .core import Bounds, repair_to_bounds
 
 STAGNATION_THRESHOLD = 1e-3
+SUCCESS_WINDOW = 10   # updates the success_rate magnitude looks back on
 # objfunc_distance magnitude where the fitness ratio is not finite; pso.pm is
 # inactive under that mode, so the argument would only ever be its default
 _OBJFUNC_FALLBACK_PM = 0.01
@@ -179,8 +179,9 @@ def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> No
 # ---------------------------------------------------------------------------
 
 def inertia_weight(mode: str, t: int, total: int, rng: np.random.Generator,
-                   value: float = 0.729, lo: float = 0.4, hi: float = 0.9) -> float:
-    """Inertia weight w1 at iteration t of a run with `total` iterations."""
+                   value: float = 0.729, lo: float = 0.4, hi: float = 0.9, size=None):
+    """Inertia weight w1 at iteration t of a run with `total` iterations; the
+    random mode draws an array of that size when one is given."""
     total = max(1, total)
     if mode == "constant":
         return value
@@ -189,19 +190,20 @@ def inertia_weight(mode: str, t: int, total: int, rng: np.random.Generator,
     if mode == "linear_increasing":
         return lo + (hi - lo) * t / total
     if mode == "random":
-        return float(rng.uniform(lo, hi))
+        return rng.uniform(lo, hi, size)
     raise ValueError(f"unknown inertia mode {mode!r}")
 
 
 def acceleration_coeffs(mode: str, t: int, total: int, phi1: float, phi2: float,
                         rng: np.random.Generator, phi1_min: float = 0.5,
-                        phi1_max: float = 2.5) -> tuple[float, float]:
-    """phi1/phi2 pair: fixed, random in (0, phi], or linearly crossing over time."""
+                        phi1_max: float = 2.5, size=None) -> tuple:
+    """phi1/phi2 pair: fixed, random in (0, phi] (arrays of that size when one
+    is given), or linearly crossing over time."""
     total = max(1, total)
     if mode == "constant":
         return phi1, phi2
     if mode == "random":
-        return float(rng.uniform(0.0, phi1)), float(rng.uniform(0.0, phi2))
+        return rng.uniform(0.0, phi1, size), rng.uniform(0.0, phi2, size)
     if mode == "time_varying":
         frac = t / total
         p1 = phi1_max - (phi1_max - phi1_min) * frac
@@ -226,54 +228,53 @@ def mantegna_levy(alpha: float, rng: np.random.Generator, size=None):
     return u / np.maximum(v, 1e-300) ** (1.0 / alpha)
 
 
-@dataclass
-class SuccessWindow:
-    """Last-10-updates success counter driving the success-rate pm mode."""
-    window: deque = field(default_factory=lambda: deque(maxlen=10))
-
-    def record(self, improved: bool) -> None:
-        self.window.append(bool(improved))
-
-    def rate(self) -> float:
-        if not self.window:
-            return 0.5
-        return sum(self.window) / len(self.window)
-
-
 def perturbation_magnitude(mode: str, pm: float, p: np.ndarray, l: np.ndarray,
-                           fp: float = 0.0, fl: float = 0.0,
-                           success: SuccessWindow | None = None) -> float:
-    """Magnitude of the informed/random perturbation for one particle."""
+                           fp=0.0, fl=0.0, success: np.ndarray | None = None) -> np.ndarray:
+    """Magnitude of the informed/random perturbation of each row of the block
+    (p, l) of personal and neighbourhood bests, with fitnesses fp and fl; one
+    row gives a 0-d array.
+
+    success holds each row's last SUCCESS_WINDOW updates, oldest first: 1 where
+    the personal best improved, 0 where not, -1 before the first update.  The
+    success rate of a row is its share of 1s, 0.5 before the first update.
+    """
     if mode == "constant":
-        return pm
+        return np.full(p.shape[:-1], pm)
     if mode == "euclidean_distance":
-        return float(np.linalg.norm(p - l) / math.sqrt(p.size))
+        return _norms(p - l) / math.sqrt(p.shape[-1])
     if mode == "objfunc_distance":
         # equal ends (two +inf too) are a distance of 0; any other
         # non-finite ratio falls back to a fixed magnitude
-        ratio = abs(spread(fp, fl)) / (1.0 + abs(fl))
-        return ratio if math.isfinite(ratio) else _OBJFUNC_FALLBACK_PM
+        fp, fl = np.asarray(fp, dtype=float), np.asarray(fl, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ratio = np.abs(np.where(fp == fl, 0.0, fp - fl)) / (1.0 + np.abs(fl))
+        return np.where(np.isfinite(ratio), ratio, _OBJFUNC_FALLBACK_PM)
     if mode == "success_rate":
-        rate = success.rate() if success is not None else 0.5
-        if rate > 0.5:
-            return pm * 2.0
-        if rate < 0.25:
-            return pm * 0.5
-        return pm
+        # rate = wins / tried, compared with 0.5 and 0.25 in integers
+        wins, tried = (success == 1).sum(axis=-1), (success >= 0).sum(axis=-1)
+        return np.where(2 * wins > tried, pm * 2.0, np.where(4 * wins < tried, pm * 0.5, pm))
     raise ValueError(f"unknown perturbation-magnitude mode {mode!r}")
 
 
-def _perturb(vec: np.ndarray, kind: str, pm: float, rng: np.random.Generator) -> np.ndarray:
-    if kind == "none" or pm == 0.0:
-        return vec
-    d = vec.size
+def _noise(kind: str, shape, rng: np.random.Generator) -> np.ndarray:
+    """One block of N(0, 1), U(-1, 1) or Levy(1.5) draws."""
     if kind == "gaussian":
-        return vec + rng.normal(0.0, pm, d)
+        return rng.standard_normal(shape)
     if kind == "uniform":
-        return vec + rng.uniform(-pm, pm, d)
+        return rng.uniform(-1.0, 1.0, shape)
     if kind == "levy":
-        return vec + pm * mantegna_levy(1.5, rng, d)
+        return mantegna_levy(1.5, rng, shape)
     raise ValueError(f"unknown informed perturbation {kind!r}")
+
+
+def _perturb(vec: np.ndarray, kind: str, pm, rng: np.random.Generator) -> np.ndarray:
+    """vec plus pm times one block of noise of the kind (none: vec itself);
+    pm broadcasts against vec, as a number or an (n, 1) column of magnitudes."""
+    return vec if kind == "none" else vec + pm * _noise(kind, vec.shape, rng)
+
+
+# pso.pert_rand's noise, as the informed perturbation of the same distribution
+_RANDOM_PERTURBATION = {"rectangular": "uniform", "noisy": "gaussian"}
 
 
 # ---------------------------------------------------------------------------
@@ -281,89 +282,90 @@ def _perturb(vec: np.ndarray, kind: str, pm: float, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 def _to_basis(v: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    return v if basis is None else basis.T @ v
+    """The rows of v (any leading shape) in the basis, as one product."""
+    if basis is None:
+        return v
+    return (v.reshape(-1, v.shape[-1]) @ basis).reshape(v.shape)
 
 
 def _from_basis(v: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    return v if basis is None else basis @ v
+    return v if basis is None else _to_basis(v, basis.T)
 
 
-def _fully_informed_social(x: np.ndarray, informants: np.ndarray,
-                           params: PsoParams, phi2: float, pm: float,
-                           rng: np.random.Generator,
-                           basis: np.ndarray | None) -> np.ndarray:
-    """Sum over the ranked informants, best first, of w_k * phi2 * U_k * (p_k - x).
+def _fully_informed_social(X: np.ndarray, informants, params: PsoParams, phi2, pm,
+                           rng: np.random.Generator, basis: np.ndarray | None):
+    """(U, social): the rows' uniforms, and per row the sum over its ranked
+    informants, best first, of w_k * phi2 * U_k * (p_k - x).
 
-    Each informant draws its informed perturbation and then its uniforms, so
-    without a perturbation the uniforms are one (m, d) block.  The terms are
-    added one row at a time in rank order.
+    Row i draws its cognitive row of U and then one row per informant, all
+    rows in one call.  Shorter rows are padded with -0.0 terms, so one
+    reduction adds every row's terms in rank order.
     """
-    m, d = informants.shape
-    if params.pert_info == "none" or pm == 0.0:
-        diff = informants - x
-        u = rng.random((m, d))
-    else:
-        diff = np.empty((m, d))
-        u = np.empty((m, d))
-        for r in range(m):
-            diff[r] = _perturb(informants[r], params.pert_info, pm, rng) - x
-            u[r] = rng.uniform(size=d)
-    if basis is not None:
-        for r in range(m):
-            diff[r] = basis.T @ diff[r]
-    coef = informant_weights(params.moi, m, phi2)[:, None]
-    return np.add.reduce(coef * u * diff, axis=0, initial=0.0)
+    S, m = informants
+    n, width, d = len(X), S.shape[1] + 1, X.shape[1]
+    if params.pert_info != "none":
+        S = _perturb(S, params.pert_info, pm[:, None], rng)
+    diff = _to_basis(S - X[:, None], basis)
+    if m.min() + 1 == width:
+        U = rng.random((n, width, d))
+    else:  # slots past a row's own repeat its last row; they are masked below
+        first = np.cumsum(m + 1) - (m + 1)
+        U = rng.random((first[-1] + m[-1] + 1, d))
+        U = U[first[:, None] + np.minimum(np.arange(width), m[:, None])]
+    terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:] * diff
+    # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
+    terms[np.arange(width - 1) >= m[:, None]] = -0.0
+    return U, np.add.reduce(terms, axis=1, initial=0.0)
 
 
-def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
-         informants: np.ndarray | None, params: PsoParams,
-         phi1: float, phi2: float, pm: float, rng: np.random.Generator,
+def dnpp(kind: str, X: np.ndarray, P: np.ndarray, L: np.ndarray, informants,
+         params: PsoParams, phi1, phi2, pm, rng: np.random.Generator,
          basis: np.ndarray | None = None) -> np.ndarray:
-    """Movement term mapping the particle and its informants to the next position.
+    """Movement terms mapping the rows of a swarm to their next positions.
 
     Parameters
     ----------
-    x, p : the particle's position and personal best.
-    l_best : the informant (neighborhood-best personal best).
-    informants : the (m, d) personal bests of every informant, best first
-        (the rows `ranked_informants` lists); read only by the fully-informed
-        models, None otherwise.
+    X, P, L : (n, d) positions, personal bests and neighbourhood bests.
+    informants : (S, m) for a fully-informed rectangular DNPP: row i of the
+        (n, w, d) block S holds the personal bests of its m[i] informants,
+        best first, in its first m[i] slots.  None otherwise.
+    phi1, phi2 : numbers, or (n, 1) columns of one value per row.
+    pm : the rows' perturbation magnitudes as an (n, 1) column.
     basis : optional orthonormal eigenbasis; difference vectors are rotated
         into it before combining and the result rotated back.
+
+    Draws come as one block per kind: the perturbations of P, then of L or
+    of the informants, then the DNPP's own draws.  A spherical row of zero
+    radius moves by its centre offset g.
     """
-    p = x if params.ignore_pbest else p
-    p = _perturb(p, params.pert_info, pm, rng)
-    l = _perturb(l_best, params.pert_info, pm, rng)
-    dp = _to_basis(p - x, basis)
-    dl = _to_basis(l - x, basis)
-    d = x.size
+    n, d = X.shape
+    P = _perturb(X if params.ignore_pbest else P, params.pert_info, pm, rng)
+    dP = _to_basis(P - X, basis)
+    if informants is None:
+        dL = _to_basis(_perturb(L, params.pert_info, pm, rng) - X, basis)
 
     if kind == "rectangular":
-        cognitive = phi1 * rng.uniform(size=d) * dp
-        if params.moi in ("fully_informed", "ranked_fully_informed"):
-            social = _fully_informed_social(x, informants, params, phi2, pm, rng, basis)
+        if informants is None:
+            U = rng.random((n, 2, d))
+            social = phi2 * U[:, 1] * dL
         else:
-            social = phi2 * rng.uniform(size=d) * dl
-        return _from_basis(cognitive + social, basis)
+            U, social = _fully_informed_social(X, informants, params, phi2, pm, rng, basis)
+        return _from_basis(phi1 * U[:, 0] * dP + social, basis)
 
     if kind == "standard":
-        return _from_basis(dp / 2.0 + dl / 2.0, basis)
+        return _from_basis(dP / 2.0 + dL / 2.0, basis)
 
     if kind == "gaussian":
-        mean = (dp + dl) / 2.0
-        sd = np.abs(dp - dl)
-        return _from_basis(mean + sd * rng.standard_normal(d), basis)
+        return _from_basis((dP + dL) / 2.0 + np.abs(dP - dL) * rng.standard_normal((n, d)),
+                           basis)
 
     if kind == "spherical":
-        g = (phi1 * dp + phi2 * dl) / 3.0  # centre offset of the hypersphere
-        radius = float(np.linalg.norm(g))
-        if radius == 0.0:
-            return _from_basis(g, basis)
-        direction = rng.standard_normal(d)
-        norm = np.linalg.norm(direction)
-        direction = direction / norm if norm > 0 else direction
-        magnitude = radius * rng.uniform() ** (1.0 / d)
-        return _from_basis(g + magnitude * direction, basis)
+        g = (phi1 * dP + phi2 * dL) / 3.0  # centre offsets of the hyperspheres
+        radius = _norms(g)[:, None]
+        direction = rng.standard_normal((n, d))
+        direction = direction / np.maximum(_norms(direction), 1e-300)[:, None]
+        magnitude = radius * rng.random((n, 1)) ** (1.0 / d)
+        return _from_basis(np.where(radius == 0.0, g, g + magnitude * direction), basis)
 
     raise ValueError(f"unknown DNPP kind {kind!r}")
 
@@ -372,120 +374,103 @@ def dnpp(kind: str, x: np.ndarray, p: np.ndarray, l_best: np.ndarray,
 # velocity / position updates
 # ---------------------------------------------------------------------------
 
-def _omega_aux(mode: str, value: float, omega1: float, rng: np.random.Generator) -> float:
+def _omega_aux(mode: str, value: float, omega1, rng: np.random.Generator, size=None):
     if mode == "equal_to_omega1":
         return omega1
     if mode == "constant":
         return value
     if mode == "random":
-        return float(rng.uniform())
+        return rng.uniform(0.0, 1.0, size)
     raise ValueError(f"unknown omega mode {mode!r}")
 
 
-def _coefficients(params: PsoParams, t: int, total: int,
-                  rng: np.random.Generator) -> tuple[float, float, float, float, float]:
-    """(omega1, omega2, omega3, phi1, phi2) at iteration t, drawn in that order."""
+def _coefficients(params: PsoParams, t: int, total: int, rng: np.random.Generator,
+                  n: int) -> tuple:
+    """(omega1, omega2, omega3, phi1, phi2) at iteration t for n rows, drawn in
+    that order: numbers, or (n, 1) columns of one draw per row under the
+    random modes."""
+    size = (n, 1)
     omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
-                            lo=params.omega1_min, hi=params.omega1_max)
-    omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng)
-    omega3 = _omega_aux(params.omega3_mode, params.omega3, omega1, rng)
+                            lo=params.omega1_min, hi=params.omega1_max, size=size)
+    omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng, size)
+    omega3 = _omega_aux(params.omega3_mode, params.omega3, omega1, rng, size)
     phi1, phi2 = acceleration_coeffs(params.ac_mode, t, total, params.phi1, params.phi2,
-                                     rng, params.phi1_min, params.phi1_max)
+                                     rng, params.phi1_min, params.phi1_max, size)
     return omega1, omega2, omega3, phi1, phi2
 
 
-def swarm_step_applies(params: PsoParams, d: int) -> bool:
-    """True when `swarm_step` reproduces `compute_velocity` and `update_position`.
-
-    That holds for the rectangular DNPP in the natural basis with no
-    perturbation and no random omega or acceleration mode: every draw a
-    particle makes is then a plain U(0, 1), so the draws of consecutive
-    particles form one stream.  Stagnation detection is left to the
-    per-particle path, since its reset velocity comes between them.  At
-    d = 1 numpy sums a particle's (m, 1) informant terms pairwise, so the
-    padded sums of `swarm_step` could differ; d must be at least 2.
-    """
-    return (d > 1 and params.dnpp == "rectangular" and params.vector_basis == "natural"
-            and params.pert_info == "none" and params.pert_rand == "none"
-            and not params.stagnation_detection
-            and "random" not in (params.omega1_mode, params.omega2_mode,
-                                 params.omega3_mode, params.ac_mode))
+def _velocities(X, V, P, L, informants, params: PsoParams, t: int, total: int,
+                rng: np.random.Generator, pm, basis) -> np.ndarray:
+    """w1 V + w2 DNPP + w3 PertRand for the rows (X, V, P); the arguments are
+    those of `dnpp`."""
+    omega1, omega2, omega3, phi1, phi2 = _coefficients(params, t, total, rng, len(X))
+    V = omega1 * V + omega2 * dnpp(params.dnpp, X, P, L, informants, params,
+                                   phi1, phi2, pm, rng, basis)
+    if params.pert_rand != "none":
+        V = V + omega3 * (pm * _noise(_RANDOM_PERTURBATION[params.pert_rand], X.shape, rng))
+    return V
 
 
-def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray | None,
+def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray,
                ranked: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
                t: int, total: int, rng: np.random.Generator, bounds: Bounds,
-               source: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """New positions and velocities (X', V') of the rows of a swarm.
+               source: np.ndarray | None = None, fp=None, fl=None,
+               success: np.ndarray | None = None,
+               basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """New positions and velocities (X', V') of the rows of a swarm: the PSO step.
 
-    Each row gets v' = w1 v + w2 (phi1 U1 (p - x) + social) and then moves as
-    in `update_position`.  Valid only where `swarm_step_applies(params, d)`;
-    the result equals `compute_velocity` and `update_position` applied to
-    the rows in order, bit for bit.
+    Under stagnation detection the rows `stagnation_check` flags restart from
+    one block of random velocities.  Then each row gets
+    v' = w1 v + w2 DNPP + w3 PertRand, with the perturbation magnitudes of
+    `perturbation_magnitude`, and moves as in `update_position`.  Every kind
+    of draw is one block over the rows, in the order of `_coefficients` and
+    `dnpp`; under the rectangular DNPP in the natural basis with no
+    perturbation and no random mode, each row draws only its cognitive row of
+    uniforms and then one row per informant, so the rows' draws form one
+    stream as if each particle were moved in turn.
 
     Parameters
     ----------
     X, V, P : the positions, velocities and personal bests of the rows moved.
-    L : the rows' neighbourhood bests; read by best-of-neighbourhood only.
+    L : the rows' neighbourhood bests.
     ranked : (idx, m) from `ranked_informants` for the fully-informed
         models, None otherwise, one row per row of X.
     source : the personal bests idx indexes, from which the informants'
         rows are gathered; P when None.
+    fp, fl : the fitnesses of P and L, read by the objfunc_distance magnitude.
+    success : the rows' success windows, read by the success_rate magnitude.
+    basis : the orthonormal basis difference vectors are rotated into, or None.
     """
-    n, d = X.shape
-    omega1, omega2, _, phi1, phi2 = _coefficients(params, t, total, rng)
-    # row i draws its cognitive row, then one social row per informant
-    # (best-of-neighbourhood: one), all in one call
-    if ranked is None:
-        U = rng.random((n, 2, d))
-    else:
-        idx, m = ranked
-        width = idx.shape[1] + 1
-        if m.min() + 1 == width:
-            U = rng.random((n, width, d))
-        else:  # slots past a row's own repeat its last row; they are masked below
-            first = np.cumsum(m + 1) - (m + 1)
-            U = rng.random((first[-1] + m[-1] + 1, d))
-            U = U[first[:, None] + np.minimum(np.arange(width), m[:, None])]
-
-    cognitive = phi1 * U[:, 0] * ((X if params.ignore_pbest else P) - X)
-    if ranked is None:
-        social = phi2 * U[:, 1] * (L - X)
-    else:
-        terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:] \
-            * ((P if source is None else source)[idx] - X[:, None])
-        # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
-        terms[np.arange(width - 1) >= m[:, None]] = -0.0
-        social = np.add.reduce(terms, axis=1, initial=0.0)
-    return update_position(X, omega1 * V + omega2 * (cognitive + social), bounds,
-                           params.velocity_clamping)
+    if params.stagnation_detection:
+        stuck = stagnation_check(V, X, L)
+        if stuck.any():
+            V = V.copy()
+            V[stuck] = random_velocity(bounds, rng, int(stuck.sum()))
+    pm = None
+    if params.pert_info != "none" or params.pert_rand != "none":
+        pm = perturbation_magnitude(params.pm_mode, params.pm, P, L, fp, fl, success)[:, None]
+    informants = None
+    if ranked is not None and params.dnpp == "rectangular":
+        informants = (P if source is None else source)[ranked[0]], ranked[1]
+    return update_position(X, _velocities(X, V, P, L, informants, params, t, total, rng,
+                                           pm, basis),
+                            bounds, params.velocity_clamping)
 
 
 def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
                      l_best: np.ndarray, informants: np.ndarray | None,
                      params: PsoParams, t: int, total: int, rng: np.random.Generator,
                      pm: float = 0.0, basis: np.ndarray | None = None) -> np.ndarray:
-    """New velocity w1*v + w2*DNPP + w3*PertRand for the particle (x, v, p).
-
-    Every particle moved one at a time goes through it, and it is the
-    reference `swarm_step` must equal.  informants is what `dnpp` takes: the
-    (m, d) personal bests of the particle's informants, best first, or None
-    when the model of influence is best-of-neighborhood.
-    """
-    omega1, omega2, omega3, phi1, phi2 = _coefficients(params, t, total, rng)
-    move = dnpp(params.dnpp, x, p, l_best, informants, params, phi1, phi2,
-                pm, rng, basis)
-    v = omega1 * v + omega2 * move
-    if params.pert_rand != "none":
-        d = x.size
-        if params.pert_rand == "rectangular":
-            noise = rng.uniform(-pm, pm, d)
-        elif params.pert_rand == "noisy":
-            noise = rng.normal(0.0, pm, d) if pm > 0 else np.zeros(d)
-        else:
-            raise ValueError(f"unknown random perturbation {params.pert_rand!r}")
-        v = v + omega3 * noise
-    return v
+    """New velocity w1*v + w2*DNPP + w3*PertRand of the one particle (x, v, p)
+    with perturbation magnitude pm: the one-row case of `swarm_step` before
+    its move.  informants are the (m, d) personal bests of its informants,
+    best first, or None under best-of-neighbourhood."""
+    if informants is not None and params.dnpp == "rectangular":
+        informants = informants[None], np.array([len(informants)])
+    else:
+        informants = None
+    return _velocities(x[None], v[None], p[None], l_best[None], informants, params, t,
+                       total, rng, np.full((1, 1), pm), basis)[0]
 
 
 def update_position(x: np.ndarray, velocity: np.ndarray, bounds: Bounds,
@@ -505,10 +490,15 @@ def update_position(x: np.ndarray, velocity: np.ndarray, bounds: Bounds,
 
 
 def stagnation_check(velocity: np.ndarray, position: np.ndarray,
-                     informant_best: np.ndarray) -> bool:
-    """True when ||v|| + ||l - x|| has collapsed below 1e-3."""
-    return float(np.linalg.norm(velocity) + np.linalg.norm(informant_best - position)) \
-        <= STAGNATION_THRESHOLD
+                     informant_best: np.ndarray) -> np.ndarray:
+    """Per row (one particle: a 0-d array), whether ||v|| + ||l - x|| has
+    collapsed below 1e-3."""
+    return _norms(velocity) + _norms(informant_best - position) <= STAGNATION_THRESHOLD
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of v (of v itself when it is one row)."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def random_velocity(bounds: Bounds, rng: np.random.Generator,

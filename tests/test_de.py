@@ -319,6 +319,27 @@ def test_population_eigenbasis_orthonormal():
     assert basis @ basis.T == pytest.approx(np.eye(4), abs=1e-10)
 
 
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 4), (6, 5), (7, 2), (15, 5), (40, 10),
+                                  (5, 1), (3, 30)])
+def test_population_eigenbasis_covariance_is_np_cov(n, d, monkeypatch):
+    """The covariance handed to eigh is np.cov(positions, rowvar=False) bit
+    for bit."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(cov):
+        seen.append(cov)
+        return eigh(cov)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    rng = rng_stream(40 + n * d)
+    for _ in range(20):
+        positions = rng.normal(size=(n, d)) * rng.uniform(1e-3, 100.0) + rng.normal() * 50
+        population_eigenbasis(positions)
+        expected = np.atleast_2d(np.cov(positions, rowvar=False))
+        assert seen.pop().tobytes() == expected.tobytes()
+
+
 def test_distinct_picks_at_large_counts():
     # 401 picks from 9 999 candidates repeat about 8 times per row; only the
     # repeated entries are redrawn, so the block settles in a few rounds

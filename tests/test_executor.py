@@ -168,6 +168,38 @@ def test_reinit_change():
     assert reinit_indices("change", spread, np.zeros(4), found, 4) == []
 
 
+def test_reinit_change_diversity_is_the_mean_column_std():
+    """RI-change fires below a diversity of 1e-3, the mean over columns of
+    np.std(positions, axis=0), also on blocks within rounding of it."""
+    rng = rng_stream(30)
+    fired = 0
+    for _ in range(400):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 12))
+        z = rng.normal(size=(n, d))
+        positions = rng.normal(size=d) * 50 + z * (1e-3 / np.mean(np.std(z, axis=0)))
+        positions *= 1.0 + rng.normal() * 1e-12
+        expected = np.mean(np.std(positions, axis=0)) < 1e-3
+        got = reinit_indices("change", positions, np.zeros(d), [], d)
+        assert got == (list(range(n)) if expected else [])
+        fired += expected
+    assert 0 < fired < 400
+
+
+def test_apply_reinitialization_selecting_nobody_draws_nothing():
+    obj = make_instance("sphere", 3)
+    rng = rng_stream(5)
+    pop = _uniform_population(6, 3, rng, obj.bounds, obj.batch)
+    before = [a.copy() for a in (pop.x, pop.v, pop.p, pop.f, pop.pf)]
+    state = rng.bit_generator.state
+    calls = []
+    changed = apply_reinitialization("similarity", pop, np.full(3, 50.0), obj.bounds, [],
+                                     rng, lambda X: calls.append(X) or obj.batch(X))
+    assert changed == [] and calls == []
+    assert rng.bit_generator.state == state
+    for a, old in zip((pop.x, pop.v, pop.p, pop.f, pop.pf), before):
+        assert a.tobytes() == old.tobytes()
+
+
 def test_apply_reinitialization_keeps_incumbent():
     obj = make_instance("sphere", 3)
     rng = rng_stream(4)
@@ -573,8 +605,40 @@ def test_success_windows_only_under_success_rate():
                   "pso.pm_mode": "success_rate", "pso.pm": 0.1})
     rated = _Run(cfg, obj, seed=3, budget=EvalBudget(max_evals=400), trace_every=None)
     rated.execute()
-    assert len(rated.success) == len(rated.pop) == 8
-    assert all(len(window.window) == 10 for window in rated.success)
+    assert rated.success.shape == (len(rated.pop), pso_mod.SUCCESS_WINDOW) == (8, 10)
+    assert set(np.unique(rated.success)) <= {0, 1}   # every window is full by now
+
+
+def test_success_windows_record_the_record_all_mask(monkeypatch):
+    """Each PSO step shifts its rows' windows by one update: the personal
+    bests ``record_all`` reports improved."""
+    cfg = _cfg(**{"exec.mode": "probabilistic", "exec.order": "pso,de", "pop.size": 10,
+                  "exec.pr": 0.5, "exec.gate_dist": "uniform",
+                  "pso.pert_info": "gaussian", "pso.pm_mode": "success_rate",
+                  "pso.pm": 0.1})
+    runner = _Run(cfg, make_instance("sphere", 4), seed=8,
+                  budget=EvalBudget(max_evals=10 ** 6), trace_every=None)
+    runner.initialize()
+    assert runner.success.tolist() == [[-1] * 10] * 10
+    seen = []
+    record_all = Population.record_all
+
+    def spy(pop, X, F, rows=slice(None)):
+        improved = record_all(pop, X, F, rows)
+        seen.append((np.arange(len(pop))[rows], improved))
+        return improved
+
+    monkeypatch.setattr(Population, "record_all", spy)
+    for _ in range(6):
+        before = runner.success.copy()
+        seen.clear()
+        runner.generation()
+        pso_rows, improved = seen[-1]   # DE's record_better calls record_all first
+        moved = np.zeros(10, dtype=bool)
+        moved[pso_rows] = True
+        assert runner.success[~moved].tolist() == before[~moved].tolist()
+        assert runner.success[moved, :-1].tolist() == before[moved, 1:].tolist()
+        assert runner.success[moved, -1].tolist() == improved.astype(int).tolist()
 
 
 def test_nested_ls_grant_below_lambda_runs_once(monkeypatch):
@@ -669,14 +733,29 @@ _SWARM_STEP_SETTINGS = [
 ]
 
 
+def _row_by_row(swarm_step):
+    """``pso.swarm_step`` moving one row at a time, in row order, from the
+    same stream.  Only for the settings whose rows draw nothing but their
+    uniforms: no perturbation, no stagnation detection, no random mode."""
+    def step(X, V, P, L, ranked, *args, **kwargs):
+        moves = [swarm_step(X[i:i + 1], V[i:i + 1], P[i:i + 1], L[i:i + 1],
+                            None if ranked is None
+                            else (ranked[0][i:i + 1, :ranked[1][i]], ranked[1][i:i + 1]),
+                            *args, **kwargs)
+                 for i in range(len(X))]
+        return tuple(np.concatenate(parts) for parts in zip(*moves))
+    return step
+
+
 @pytest.mark.parametrize("dim", [5, 1])
 @pytest.mark.parametrize("settings", _SWARM_STEP_SETTINGS)
 def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
-    """The whole-swarm step and the per-particle ``compute_velocity`` loop
-    give one run."""
+    """Moving the whole swarm with one step and moving it one particle at a
+    time give one run, at d = 5 bit for bit.  At d = 1 the swarm is moved
+    by the block step too; there numpy may sum an unpadded row of informant
+    terms pairwise, so the fully-informed runs are compared to 1e-9."""
     cfg = _cfg(**{"exec.order": "pso", "pop.size": 20, **settings})
     obj = make_instance("shifted_rotated_rastrigin", dim, instance_seed=3)
-    assert pso_mod.swarm_step_applies(cfg.pso, dim) == (dim > 1)
     steps = []
     swarm_step = pso_mod.swarm_step
 
@@ -685,18 +764,21 @@ def test_swarm_step_equals_the_per_particle_paths(settings, dim, monkeypatch):
         return swarm_step(X, *args, **kwargs)
 
     monkeypatch.setattr(pso_mod, "swarm_step", counted)
-    results = [run(cfg, obj, seed=9, max_evals=1500, trace_every=10)]
-    assert set(steps) == ({20} if dim > 1 else set())   # see pso.swarm_step_applies
+    block = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
+    assert set(steps) == {20}
     steps.clear()
-    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params, d: False)
-    results.append(run(cfg, obj, seed=9, max_evals=1500, trace_every=10))
-    assert not steps
-    block = results[0]
-    for other in results[1:]:
-        assert other.best_fitness.hex() == block.best_fitness.hex()
-        assert other.best_position.tobytes() == block.best_position.tobytes()
-        assert other.module_evals == block.module_evals == {"pso": 1500}
-        assert other.trace == block.trace
+    monkeypatch.setattr(pso_mod, "swarm_step", _row_by_row(counted))
+    other = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
+    assert set(steps) == {1}
+    assert other.module_evals == block.module_evals == {"pso": 1500}
+    if dim == 1 and cfg.pso.moi != "best_of_neighborhood":
+        assert other.best_fitness == pytest.approx(block.best_fitness, rel=1e-9, abs=1e-9)
+        assert other.best_position == pytest.approx(block.best_position, rel=1e-9,
+                                                    abs=1e-9)
+        return
+    assert other.best_fitness.hex() == block.best_fitness.hex()
+    assert other.best_position.tobytes() == block.best_position.tobytes()
+    assert other.trace == block.trace
 
 
 @pytest.mark.parametrize("overrides, fes", [
@@ -774,20 +856,15 @@ def test_de_pso_moves_the_de_outcome_toward_start_informants(settings, only_on_f
 
     runner._de_generation = spy_de
     seen = []   # (x, v, p, l_best, informants) per row PSO moves, in order
-    swarm_step, compute_velocity = pso_mod.swarm_step, pso_mod.compute_velocity
+    swarm_step = pso_mod.swarm_step
 
-    def spy_swarm(X, V, P, L, ranked, *args, source):
+    def spy_swarm(X, V, P, L, ranked, *args, source, **kwargs):
         for j in range(len(X)):   # X, V and P may be views of the population
             informants = None if ranked is None else source[ranked[0][j, :ranked[1][j]]]
             seen.append((X[j].copy(), V[j].copy(), P[j].copy(), L[j], informants))
-        return swarm_step(X, V, P, L, ranked, *args, source=source)
-
-    def spy_particle(x, v, p, l_best, informants, *args, **kwargs):
-        seen.append((x.copy(), v.copy(), p.copy(), l_best.copy(), informants))
-        return compute_velocity(x, v, p, l_best, informants, *args, **kwargs)
+        return swarm_step(X, V, P, L, ranked, *args, source=source, **kwargs)
 
     monkeypatch.setattr(pso_mod, "swarm_step", spy_swarm)
-    monkeypatch.setattr(pso_mod, "compute_velocity", spy_particle)
     pso_fes = runner.module_evals["pso"]
     runner.generation()
 
@@ -830,11 +907,11 @@ def test_de_pso_swarm_step_equals_the_per_particle_path(settings, monkeypatch):
 
     monkeypatch.setattr(pso_mod, "swarm_step", counted)
     block = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
-    assert steps
+    assert max(steps) > 1
     steps.clear()
-    monkeypatch.setattr(pso_mod, "swarm_step_applies", lambda params, d: False)
+    monkeypatch.setattr(pso_mod, "swarm_step", _row_by_row(counted))
     other = run(cfg, obj, seed=9, max_evals=1500, trace_every=10)
-    assert not steps
+    assert set(steps) == {1}
     assert other.best_fitness.hex() == block.best_fitness.hex()
     assert other.best_position.tobytes() == block.best_position.tobytes()
     assert other.module_evals == block.module_evals

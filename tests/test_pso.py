@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
-from hybridopt.pso import (PsoParams, SuccessWindow, TopologyState, _from_basis,
-                           _perturb, _to_basis, acceleration_coeffs, advance_topology,
-                           build_topology, compute_velocity, dnpp, inertia_weight,
-                           informant_weights, mantegna_levy, neighborhood_best, neighbors,
-                           perturbation_magnitude, random_velocity, ranked_informants,
-                           stagnation_check, swarm_step, swarm_step_applies,
-                           update_position)
+from hybridopt.pso import (SUCCESS_WINDOW, PsoParams, TopologyState, _coefficients,
+                           _from_basis, _perturb, _to_basis, acceleration_coeffs,
+                           advance_topology, build_topology, compute_velocity, dnpp,
+                           inertia_weight, informant_weights, mantegna_levy,
+                           neighborhood_best, neighbors, perturbation_magnitude,
+                           random_velocity, ranked_informants, stagnation_check,
+                           swarm_step, update_position)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,8 @@ def test_inertia_weight():
     for _ in range(20):
         w = inertia_weight("random", 0, 100, rng, lo=0.4, hi=0.9)
         assert 0.4 <= w <= 0.9
+    column = inertia_weight("random", 0, 100, rng, lo=0.4, hi=0.9, size=(5, 1))
+    assert column.shape == (5, 1) and np.all((0.4 <= column) & (column <= 0.9))
 
 
 def test_acceleration_coeffs():
@@ -163,64 +165,86 @@ def test_acceleration_coeffs():
     for _ in range(20):
         r1, r2 = acceleration_coeffs("random", 0, 1, 1.7, 0.9, rng)
         assert 0 <= r1 <= 1.7 and 0 <= r2 <= 0.9
+    r1, r2 = acceleration_coeffs("random", 0, 1, 1.7, 0.9, rng, size=(5, 1))
+    assert r1.shape == r2.shape == (5, 1)
+    assert np.all((0 <= r1) & (r1 <= 1.7)) and np.all((0 <= r2) & (r2 <= 0.9))
 
 
 # ---------------------------------------------------------------------------
 # DNPP
 # ---------------------------------------------------------------------------
 
+def _one_row(*rows):
+    return [np.asarray(r, dtype=float)[None] for r in rows]
+
+
 def test_dnpp_degenerate_inputs_give_zero():
     rng = rng_stream(5)
     params = PsoParams()
-    x = np.array([1.0, -2.0])
+    x, = _one_row([1.0, -2.0])
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
-        move = dnpp(kind, x, x.copy(), x.copy(), x[None, :].copy(),
-                    params, 1.5, 1.5, 0.0, rng)
-        assert move == pytest.approx([0.0, 0.0], abs=1e-15), kind
+        informants = (x[:, None].copy(), np.array([1])) if kind == "rectangular" else None
+        move = dnpp(kind, x, x.copy(), x.copy(), informants, params, 1.5, 1.5, 0.0, rng)
+        assert move[0] == pytest.approx([0.0, 0.0], abs=1e-15), kind
 
 
 def test_dnpp_standard_average():
     rng = rng_stream(6)
-    move = dnpp("standard", np.zeros(2), np.array([2.0, 0.0]),
-                np.array([0.0, 2.0]), None, PsoParams(),
-                1.0, 1.0, 0.0, rng)
-    assert move == pytest.approx([1.0, 1.0])
+    move = dnpp("standard", *_one_row([0.0, 0.0], [2.0, 0.0], [0.0, 2.0]), None,
+                PsoParams(), 1.0, 1.0, 0.0, rng)
+    assert move[0] == pytest.approx([1.0, 1.0])
 
 
 def test_dnpp_gaussian_zero_spread():
     rng = rng_stream(7)
-    p = np.array([3.0, -1.0])
-    move = dnpp("gaussian", np.ones(2), p, p.copy(), None, PsoParams(),
-                1.0, 1.0, 0.0, rng)
-    assert move == pytest.approx(p - np.array([1.0, 1.0]))  # sd collapses to 0
+    x, p = _one_row([1.0, 1.0], [3.0, -1.0])
+    move = dnpp("gaussian", x, p, p.copy(), None, PsoParams(), 1.0, 1.0, 0.0, rng)
+    assert move == pytest.approx(p - x)  # sd collapses to 0
 
 
 def test_dnpp_eigenbasis_roundtrip():
     rng_a = rng_stream(8)
     rng_b = rng_stream(8)
-    x, p = np.array([0.5, -0.5]), np.array([1.0, 2.0])
-    l = np.array([-1.0, 0.3])
+    x, p, l = _one_row([0.5, -0.5], [1.0, 2.0], [-1.0, 0.3])
     params = PsoParams(vector_basis="eigenvector")
-    natural = dnpp("rectangular", x, p, l, None, params, 1.5, 1.5, 0.0, rng_a,
-                   basis=None)
-    with_identity = dnpp("rectangular", x, p, l, None, params, 1.5, 1.5, 0.0,
-                         rng_b, basis=np.eye(2))
-    assert natural == pytest.approx(with_identity, abs=1e-12)
+    for kind in ("rectangular", "spherical", "standard", "gaussian"):
+        natural = dnpp(kind, x, p, l, None, params, 1.5, 1.5, 0.0, rng_a, basis=None)
+        with_identity = dnpp(kind, x, p, l, None, params, 1.5, 1.5, 0.0, rng_b,
+                             basis=np.eye(2))
+        assert natural == pytest.approx(with_identity, abs=1e-12), kind
+
+
+def test_dnpp_spherical_rows_of_zero_radius_keep_their_centre():
+    rng = rng_stream(17)
+    n, d = 6, 3
+    X, P, L = rng.normal(size=(3, n, d))
+    still = np.array([True, False, True, False, False, True])
+    P[still] = L[still] = X[still]   # g = (phi1 (p - x) + phi2 (l - x)) / 3 = 0
+    phi1, phi2 = 1.5, rng.uniform(0.5, 2.0, (n, 1))
+    move = dnpp("spherical", X, P, L, None, PsoParams(), phi1, phi2, 0.0, rng)
+    g = (phi1 * (P - X) + phi2 * (L - X)) / 3.0
+    assert move[still].tobytes() == g[still].tobytes()
+    # every other row lands inside its hypersphere, off its centre
+    radius = np.linalg.norm(g[~still], axis=1)
+    offset = np.linalg.norm(move[~still] - g[~still], axis=1)
+    assert np.all((offset > 0) & (offset <= radius * (1 + 1e-12)))
 
 
 def test_dnpp_fully_informed_weights():
     params = PsoParams(moi="fully_informed")
-    x = p = np.zeros(2)
-    informants = np.array([[2.0, 0.0], [0.0, 2.0]])   # ranked, best first
+    n = 4000
+    X = P = np.zeros((n, 2))
+    # ranked, best first; one row of the block per draw
+    informants = np.broadcast_to([[2.0, 0.0], [0.0, 2.0]], (n, 2, 2)), np.full(n, 2)
     # average over informants of phi2*U*(p_k - x); expectation is phi2/2 * mean
     rng = rng_stream(9)
-    draws = np.mean([dnpp("rectangular", x, p, informants[0], informants,
-                          params, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
+    draws = dnpp("rectangular", X, P, informants[0][:, 0], informants, params, 0.0, 1.0,
+                 0.0, rng).mean(axis=0)
     assert draws == pytest.approx([0.5, 0.5], abs=0.05)
 
     ranked = PsoParams(moi="ranked_fully_informed")
-    draws = np.mean([dnpp("rectangular", x, p, informants[0], informants,
-                          ranked, 0.0, 1.0, 0.0, rng) for _ in range(4000)], axis=0)
+    draws = dnpp("rectangular", X, P, informants[0][:, 0], informants, ranked, 0.0, 1.0,
+                 0.0, rng).mean(axis=0)
     # rank weights 2/3 and 1/3, each times phi2*E[U]*(p_k - x)
     assert draws == pytest.approx([2 / 3, 1 / 3], abs=0.05)
 
@@ -237,25 +261,25 @@ def test_informant_weights():
         == [0.5, 1.5]
 
 
-def _reference_rectangular(x, p, l_best, informants, params, phi1, phi2, pm, rng,
-                           basis):
-    """The rectangular DNPP with one loop step per informant, best first."""
+def _reference_rectangular(x, p, informants, params, phi1, phi2, pm, rng, basis):
+    """The fully-informed rectangular DNPP of one particle with one loop step per
+    informant, best first.  The particle draws its personal best's
+    perturbation, then its informants' perturbations as one block, then its
+    cognitive uniforms and one row of uniforms per informant."""
     p = x if params.ignore_pbest else p
     p = _perturb(p, params.pert_info, pm, rng)
-    _perturb(l_best, params.pert_info, pm, rng)   # drawn, but only p and the rows act
+    rows = _perturb(informants, params.pert_info, pm, rng)
     dp = _to_basis(p - x, basis)
     d = x.size
     cognitive = phi1 * rng.uniform(size=d) * dp
     ranked = params.moi == "ranked_fully_informed"
-    rows = list(zip(informants[0], informants[1].tolist()))
     m = len(rows)
     rank_total = m * (m + 1) / 2.0
+    diffs = _to_basis(rows - x, basis)
     social = np.zeros(d)
-    order = sorted(range(m), key=lambda k: (rows[k][1], k))
-    for rank0, k in enumerate(order):
-        pk = _perturb(rows[k][0], params.pert_info, pm, rng)
-        w = (m - rank0) / rank_total if ranked else 1.0 / m
-        social += w * phi2 * rng.uniform(size=d) * _to_basis(pk - x, basis)
+    for k in range(m):
+        w = (m - k) / rank_total if ranked else 1.0 / m
+        social += w * phi2 * rng.uniform(size=d) * diffs[k]
     return _from_basis(cognitive + social, basis)
 
 
@@ -268,17 +292,17 @@ def test_dnpp_fully_informed_matches_per_informant_loop(moi, pert_info, m):
     x, p = data.normal(size=d), data.normal(size=d)
     P = data.normal(size=(m, d)) * 3.0
     F = data.choice([0.5, 1.0, 2.0, math.inf], size=m)   # ties, +inf ties too
+    ranked = P[F.argsort(kind="stable")]
     basis = np.linalg.qr(data.normal(size=(d, d)))[0]
     for pm in (0.0, 0.3):
         for b in (None, basis):
             params = PsoParams(moi=moi, pert_info=pert_info,
                                vector_basis="natural" if b is None else "eigenvector")
             rng_a, rng_b = rng_stream(7), rng_stream(7)
-            got = dnpp("rectangular", x, p, P[0], P[F.argsort(kind="stable")], params,
-                       1.3, 1.7, pm, rng_a, basis=b)
-            want = _reference_rectangular(x, p, P[0], (P, F), params, 1.3, 1.7, pm,
-                                          rng_b, b)
-            assert np.array_equal(got, want), (pm, b is None)
+            got = dnpp("rectangular", x[None], p[None], ranked[:1], (ranked[None], np.array([m])),
+                       params, 1.3, 1.7, np.full((1, 1), pm), rng_a, basis=b)
+            want = _reference_rectangular(x, p, ranked, params, 1.3, 1.7, pm, rng_b, b)
+            assert np.array_equal(got[0], want), (pm, b is None)
             # the stream advanced by exactly the same draws
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -297,21 +321,32 @@ def test_perturbation_magnitude():
     assert perturbation_magnitude("objfunc_distance", 1.0, p, zero, fp=3.0, fl=1.0) \
         == pytest.approx(2.0 / 2.0)
 
-    wins = SuccessWindow()
-    for _ in range(10):
-        wins.record(True)
+    # success windows: 1 improved, 0 not, -1 not yet recorded
+    wins = np.ones(SUCCESS_WINDOW, dtype=np.int8)
     assert perturbation_magnitude("success_rate", 0.1, p, zero, success=wins) \
         == pytest.approx(0.2)
-    fails = SuccessWindow()
-    for _ in range(10):
-        fails.record(False)
+    fails = np.zeros(SUCCESS_WINDOW, dtype=np.int8)
     assert perturbation_magnitude("success_rate", 0.1, p, zero, success=fails) \
         == pytest.approx(0.05)
-    mixed = SuccessWindow()
-    for k in range(10):
-        mixed.record(k % 3 == 0)  # rate 0.4
+    mixed = (np.arange(SUCCESS_WINDOW) % 3 == 0).astype(np.int8)  # rate 0.4
     assert perturbation_magnitude("success_rate", 0.1, p, zero, success=mixed) \
         == pytest.approx(0.1)
+
+    # one magnitude per row of a block
+    windows = np.full((5, SUCCESS_WINDOW), -1, dtype=np.int8)   # rate 0.5 before any
+    windows[1, -1] = 1                  # 1 of 1
+    windows[2, -4:] = [1, 0, 0, 0]      # 1 of 4: not below 0.25
+    windows[3, -5:] = [0, 1, 0, 0, 0]   # 1 of 5
+    windows[4, -2:] = [1, 0]            # 1 of 2: not above 0.5
+    P = np.array([p, p, zero, p, zero])
+    L = np.zeros((5, 2))
+    assert perturbation_magnitude("success_rate", 0.1, P, L, success=windows).tolist() \
+        == [0.1, 0.2, 0.1, 0.05, 0.1]
+    assert perturbation_magnitude("constant", 0.1, P, L).tolist() == [0.1] * 5
+    assert perturbation_magnitude("euclidean_distance", 1.0, P, L).tolist() \
+        == pytest.approx([5.0 / math.sqrt(2), 5.0 / math.sqrt(2), 0.0, 5.0 / math.sqrt(2), 0.0])
+    assert perturbation_magnitude("objfunc_distance", 1.0, P[:2], L[:2], fp=np.array([3.0, 1.0]),
+                                  fl=np.array([1.0, 1.0])).tolist() == [1.0, 0.0]
 
 
 def test_objfunc_distance_with_non_finite_fitness():
@@ -421,6 +456,31 @@ def test_velocity_clamping_halves_once():
     assert v == pytest.approx(np.array([[2.5, 0.05], [0.5, 0.1]]))  # row by row
 
 
+def _per_particle_reference(X, V, P, L, informants, params, t, total, rng, bounds):
+    """The rectangular DNPP in the natural basis, without perturbations or
+    random modes, one particle at a time: its cognitive uniforms, then one
+    row of uniforms per informant (best first; one under
+    best-of-neighbourhood), then its move."""
+    omega1, omega2, _, phi1, phi2 = _coefficients(params, t, total, rng, 1)
+    out_x, out_v = [], []
+    for i, (x, v, p, l_best) in enumerate(zip(X, V, P, L)):
+        d = x.size
+        p = x if params.ignore_pbest else p
+        cognitive = phi1 * rng.uniform(size=d) * (p - x)
+        if informants is None:
+            social = phi2 * rng.uniform(size=d) * (l_best - x)
+        else:
+            rows = informants[i]
+            coef = informant_weights(params.moi, len(rows), phi2)[:, None]
+            social = np.add.reduce(coef * rng.random((len(rows), d)) * (rows - x), axis=0,
+                                   initial=0.0)
+        x, v = update_position(x, omega1 * v + omega2 * (cognitive + social), bounds,
+                               params.velocity_clamping)
+        out_x.append(x)
+        out_v.append(v)
+    return np.array(out_x), np.array(out_v)
+
+
 @pytest.mark.parametrize("params", [
     PsoParams(),
     PsoParams(ignore_pbest=True, omega1_mode="linear_decreasing",
@@ -444,19 +504,87 @@ def test_swarm_step_matches_the_per_particle_reference(params):
     L = P[neighborhood_best(top, pf)]
     fully_informed = params.moi != "best_of_neighborhood"
     ranked = ranked_informants(adj, pf) if fully_informed else None
-    assert swarm_step_applies(params, d) and not swarm_step_applies(params, 1)
-    block_x, block_v = swarm_step(X, V, P, L, ranked, params, 3, 10,
-                                  rng_stream(15), b)
-    ref = rng_stream(15)
-    for i in range(n):
-        nb = neighbors(top, i)
-        velocity = compute_velocity(
-            X[i], V[i], P[i], L[i],
-            P[nb[pf[nb].argsort(kind="stable")]] if fully_informed else None,
-            params, 3, 10, ref)
-        x, v = update_position(X[i], velocity, b, params.velocity_clamping)
-        assert block_x[i].tobytes() == x.tobytes()
-        assert block_v[i].tobytes() == v.tobytes()
+    block_x, block_v = swarm_step(X, V, P, L, ranked, params, 3, 10, rng_stream(15), b)
+    informants = None
+    if fully_informed:
+        informants = [P[nb[pf[nb].argsort(kind="stable")]]
+                      for nb in (neighbors(top, i) for i in range(n))]
+    ref_x, ref_v = _per_particle_reference(X, V, P, L, informants, params, 3, 10,
+                                           rng_stream(15), b)
+    assert block_x.tobytes() == ref_x.tobytes()
+    assert block_v.tobytes() == ref_v.tobytes()
+
+
+# one of each setting the step handles besides the plain uniforms
+_BLOCK_SETTINGS = [
+    PsoParams(dnpp="spherical", moi="fully_informed"),
+    PsoParams(dnpp="standard", pert_info="uniform", pm_mode="euclidean_distance"),
+    PsoParams(dnpp="gaussian", pert_info="levy", pm_mode="objfunc_distance"),
+    PsoParams(moi="ranked_fully_informed", pert_info="gaussian", pert_rand="noisy",
+              pm_mode="success_rate", vector_basis="eigenvector"),
+    PsoParams(omega1_mode="random", omega2_mode="random", omega3_mode="random",
+              ac_mode="random", pert_rand="rectangular", stagnation_detection=True),
+]
+
+
+@pytest.mark.parametrize("params", _BLOCK_SETTINGS)
+@pytest.mark.parametrize("d", [1, 3])
+def test_swarm_step_shapes(params, d):
+    n = 9
+    data = rng_stream(18)
+    b = Bounds.symmetric(5.0, d)
+    X, V, P = data.uniform(-5.0, 5.0, (3, n, d))
+    top = build_topology("ring", n, data)
+    pf = data.random(n)
+    ranked = ranked_informants(top.adjacency, pf)
+    L = P[ranked[0][:, 0]]
+    windows = data.integers(-1, 2, (n, SUCCESS_WINDOW)).astype(np.int8)
+    basis = np.linalg.qr(data.normal(size=(d, d)))[0]
+    before = [a.copy() for a in (X, V, P, L)]
+    rng = rng_stream(19)
+    new_x, new_v = swarm_step(X, V, P, L, ranked, params, 2, 10, rng, b, fp=pf,
+                              fl=pf[ranked[0][:, 0]], success=windows,
+                              basis=basis if params.vector_basis == "eigenvector" else None)
+    assert new_x.shape == new_v.shape == (n, d)
+    assert np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_v))
+    assert np.all(np.abs(new_x) <= 5.0)
+    for a, old in zip((X, V, P, L), before):   # the inputs are left as they were
+        assert a.tobytes() == old.tobytes()
+    # one row moved alone draws as a block of one
+    x, v = swarm_step(X[:1], V[:1], P[:1], L[:1], (ranked[0][:1], ranked[1][:1]), params,
+                      2, 10, rng, b, source=P, fp=pf[:1], fl=pf[ranked[0][:1, 0]],
+                      success=windows[:1],
+                      basis=basis if params.vector_basis == "eigenvector" else None)
+    assert x.shape == v.shape == (1, d)
+
+
+def test_swarm_step_resets_only_the_stagnant_rows():
+    n, d = 8, 3
+    data = rng_stream(20)
+    b = Bounds.symmetric(10.0, d)
+    X, P = data.uniform(-10.0, 10.0, (2, n, d))
+    V = data.normal(0.0, 1.0, (n, d))
+    L = P.copy()
+    stuck = np.array([False, True, False, False, True, True, False, False])
+    V[stuck] = 1e-4
+    L[stuck] = X[stuck] + 1e-4   # ||v|| + ||l - x|| ~ 3.5e-4
+    V[2] = 4e-4                  # a small velocity alone does not stagnate
+    assert stagnation_check(V, X, L).tolist() == stuck.tolist()
+    # w1 = 1 and w2 = 0: the new velocity is the reset one, or the old one
+    params = PsoParams(omega1=1.0, omega2_mode="constant", omega2=0.0,
+                       stagnation_detection=True, velocity_clamping=False)
+    rng, ref = rng_stream(21), rng_stream(21)
+    _, new_v = swarm_step(X, V, P, L, None, params, 0, 10, rng, b)
+    assert new_v[~stuck].tobytes() == V[~stuck].tobytes()
+    # one draw of random velocities for the three stagnant rows, in row order
+    assert new_v[stuck].tobytes() == random_velocity(b, ref, 3).tobytes()
+    ref.random((n, 2, d))   # then the step's uniforms
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # without stagnation detection nothing is reset
+    _, kept = swarm_step(X, V, P, L, None, PsoParams(omega1=1.0, omega2_mode="constant",
+                                                     omega2=0.0, velocity_clamping=False),
+                         0, 10, rng, b)
+    assert kept.tobytes() == V.tobytes()
 
 
 def test_stagnation_check():
@@ -465,6 +593,9 @@ def test_stagnation_check():
     v = np.array([5e-4, 0.0])
     gap = np.array([4e-4, 0.0])
     assert stagnation_check(v, np.zeros(2), gap)  # 9e-4 <= 1e-3
+    # one flag per row of a block
+    assert stagnation_check(np.array([v, [1.0, 0.0]]), np.zeros((2, 2)),
+                            np.array([gap, gap])).tolist() == [True, False]
 
 
 def test_random_velocity_half_range():

@@ -23,6 +23,10 @@ _SPEC.loader.exec_module(tracing)
     {"exec.mode": "probabilistic", "exec.order": "pso,de", "pop.size": "10",
      "exec.pr": "0.5", "exec.gate_dist": "levy", "exec.par_std": "1.0",
      "de.recompute_velocity": "random"},
+    {"exec.order": "pso", "pop.size": "8", "pso.stagnation_detection": "true",
+     "pso.pm_mode": "success_rate", "pso.pm": "0.05", "pso.pert_info": "uniform",
+     "pso.pert_rand": "noisy", "pso.moi": "fully_informed",
+     "pso.vector_basis": "eigenvector"},
 ])
 def test_traced_run_equals_untraced_run(overrides, monkeypatch):
     reinit_sizes = []
@@ -54,7 +58,13 @@ def test_traced_run_equals_untraced_run(overrides, monkeypatch):
     calls = {name: int((spans == nid).sum()) for nid, name in enumerate(tracer.names)}
     assert calls[tracing.OBJECTIVE] == traced.evals_used == 1500
     assert calls["executor.run"] == 1
-    assert calls["de.select_base_and_donors"] > 0
+    for module, attr, _ in tracing._FUNCTIONS:   # every wrapped name still resolves
+        assert callable(getattr(module, attr)), attr
+    if "de" in overrides["exec.order"]:
+        assert calls["de.select_base_and_donors"] > 0
+    else:   # the PSO step calls the wrapped row-block functions by name
+        assert calls["pso.stagnation_check"] == calls["pso.perturbation_magnitude"] > 0
+        assert calls["de.population_eigenbasis"] == calls["pso.stagnation_check"]
     if "exec.reinit" in overrides:   # members were re-initialized, as untraced
         assert calls["executor.apply_reinitialization"] > 0
         assert sum(reinit_sizes) == 2 * plain_reinit > 0

@@ -3,11 +3,12 @@
 Golden fingerprints say "bit for bit unchanged"; a change that draws its
 random numbers differently on purpose needs "statistically the same"
 instead.  This script runs both commits, each from its own ``git worktree``
-in a subprocess, on a fixed matrix of DE-bearing configurations x
-instances x seeds.  For every cell it reports the median log10 best fitness
-of each side and a two-sided Mann-Whitney rank-sum p-value, and flags the
-cells a Holm correction rejects at a family-wise alpha of 0.05.  It exits 1
-if any cell is flagged.
+in a subprocess, on a fixed matrix of configurations x instances x seeds:
+the DE-bearing configurations and PSO alone under each velocity setting.
+For every cell it reports the median log10 best fitness of each side and a
+two-sided Mann-Whitney rank-sum p-value, and flags the cells a Holm
+correction rejects at a family-wise alpha of 0.05.  It exits 1 if any cell
+is flagged.
 
     python tools/distcheck.py --base <git rev> [--seeds 10]
 
@@ -38,7 +39,11 @@ import numpy as np
 # fully-informed particles, whose informants are read from the personal
 # bests at the start of the generation, and with a per-particle setting; and
 # the probabilistic gate's DE step with random velocities after it, and its
-# PSO step with a per-particle setting under a normal gate.
+# PSO step with a per-particle setting under a normal gate.  Then PSO alone
+# under each velocity setting that draws more than plain uniforms: the
+# eigenbasis, each informed and random perturbation (with each magnitude
+# mode), the random omega and acceleration modes, stagnation detection,
+# each non-rectangular DNPP, and a swarm of 7 that combines most of them.
 CONFIGS = {
     "de-rand1bin": {"exec.order": "de", "pop.size": "50",
                     "de.base_vector": "random", "de.recombination": "binomial"},
@@ -77,6 +82,29 @@ CONFIGS = {
                              "exec.pr": "0.5", "exec.gate_dist": "normal",
                              "exec.par_std": "1.0", "pso.pert_info": "gaussian",
                              "pso.pm_mode": "constant", "pso.pm": "0.05"},
+    "pso-eigen": {"exec.order": "pso", "pso.vector_basis": "eigenvector"},
+    "pso-info-gaussian": {"exec.order": "pso", "pso.pert_info": "gaussian",
+                          "pso.pm_mode": "constant", "pso.pm": "0.5"},
+    "pso-info-uniform": {"exec.order": "pso", "pso.pert_info": "uniform",
+                         "pso.pm_mode": "euclidean_distance"},
+    "pso-info-levy": {"exec.order": "pso", "pso.pert_info": "levy",
+                      "pso.pm_mode": "objfunc_distance"},
+    "pso-rand-rectangular": {"exec.order": "pso", "pso.pert_rand": "rectangular",
+                             "pso.pm_mode": "constant", "pso.pm": "1.0"},
+    "pso-rand-noisy": {"exec.order": "pso", "pso.pert_rand": "noisy",
+                       "pso.pm_mode": "success_rate", "pso.pm": "0.5"},
+    "pso-random-omega": {"exec.order": "pso", "pso.omega1_mode": "random",
+                         "pso.omega2_mode": "random"},
+    "pso-random-ac": {"exec.order": "pso", "pso.ac_mode": "random"},
+    "pso-stagnation": {"exec.order": "pso", "pso.stagnation_detection": "true"},
+    "pso-standard": {"exec.order": "pso", "pso.dnpp": "standard"},
+    "pso-gaussian": {"exec.order": "pso", "pso.dnpp": "gaussian"},
+    "pso-spherical": {"exec.order": "pso", "pso.dnpp": "spherical"},
+    "pso-small": {"exec.order": "pso", "pop.size": "7", "pso.topology": "ring",
+                  "pso.moi": "fully_informed", "pso.vector_basis": "eigenvector",
+                  "pso.pert_info": "uniform", "pso.pert_rand": "noisy",
+                  "pso.pm_mode": "success_rate", "pso.pm": "0.5",
+                  "pso.omega3_mode": "random", "pso.stagnation_detection": "true"},
 }
 FUNCTIONS = ("shifted_rotated_rastrigin", "shifted_rotated_elliptic",
              "shifted_rotated_weierstrass")

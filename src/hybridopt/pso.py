@@ -330,7 +330,8 @@ def dnpp(kind: str, X: np.ndarray, P: np.ndarray, L: np.ndarray, informants,
         (n, w, d) block S holds the personal bests of its m[i] informants,
         best first, in its first m[i] slots.  None otherwise.
     phi1, phi2 : numbers, or (n, 1) columns of one value per row.
-    pm : the rows' perturbation magnitudes as an (n, 1) column.
+    pm : the rows' perturbation magnitudes as an (n, 1) column; read only
+        under a perturbation.
     basis : optional orthonormal eigenbasis; difference vectors are rotated
         into it before combining and the result rotated back.
 

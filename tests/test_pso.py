@@ -517,7 +517,7 @@ def test_swarm_step_matches_the_per_particle_reference(params):
 
 # one of each setting the step handles besides the plain uniforms
 _BLOCK_SETTINGS = [
-    PsoParams(dnpp="spherical", moi="fully_informed"),
+    PsoParams(dnpp="spherical"),
     PsoParams(dnpp="standard", pert_info="uniform", pm_mode="euclidean_distance"),
     PsoParams(dnpp="gaussian", pert_info="levy", pm_mode="objfunc_distance"),
     PsoParams(moi="ranked_fully_informed", pert_info="gaussian", pert_rand="noisy",
@@ -534,27 +534,29 @@ def test_swarm_step_shapes(params, d):
     data = rng_stream(18)
     b = Bounds.symmetric(5.0, d)
     X, V, P = data.uniform(-5.0, 5.0, (3, n, d))
-    top = build_topology("ring", n, data)
     pf = data.random(n)
-    ranked = ranked_informants(top.adjacency, pf)
-    L = P[ranked[0][:, 0]]
+    idx, m = ranked_informants(build_topology("ring", n, data).adjacency, pf)
+    L = P[idx[:, 0]]
+    fully_informed = params.moi != "best_of_neighborhood"
     windows = data.integers(-1, 2, (n, SUCCESS_WINDOW)).astype(np.int8)
     basis = np.linalg.qr(data.normal(size=(d, d)))[0]
+    if params.vector_basis != "eigenvector":
+        basis = None
     before = [a.copy() for a in (X, V, P, L)]
     rng = rng_stream(19)
-    new_x, new_v = swarm_step(X, V, P, L, ranked, params, 2, 10, rng, b, fp=pf,
-                              fl=pf[ranked[0][:, 0]], success=windows,
-                              basis=basis if params.vector_basis == "eigenvector" else None)
+    new_x, new_v = swarm_step(X, V, P, L, (idx, m) if fully_informed else None, params,
+                              2, 10, rng, b, fp=pf, fl=pf[idx[:, 0]], success=windows,
+                              basis=basis)
     assert new_x.shape == new_v.shape == (n, d)
     assert np.all(np.isfinite(new_x)) and np.all(np.isfinite(new_v))
     assert np.all(np.abs(new_x) <= 5.0)
     for a, old in zip((X, V, P, L), before):   # the inputs are left as they were
         assert a.tobytes() == old.tobytes()
-    # one row moved alone draws as a block of one
-    x, v = swarm_step(X[:1], V[:1], P[:1], L[:1], (ranked[0][:1], ranked[1][:1]), params,
-                      2, 10, rng, b, source=P, fp=pf[:1], fl=pf[ranked[0][:1, 0]],
-                      success=windows[:1],
-                      basis=basis if params.vector_basis == "eigenvector" else None)
+    # one row moved alone is a block of one
+    x, v = swarm_step(X[:1], V[:1], P[:1], L[:1],
+                      (idx[:1], m[:1]) if fully_informed else None, params, 2, 10, rng, b,
+                      source=P, fp=pf[:1], fl=pf[idx[:1, 0]], success=windows[:1],
+                      basis=basis)
     assert x.shape == v.shape == (1, d)
 
 

@@ -13,7 +13,7 @@ FITNESS_CAP = 1.0e10
 
 
 class BudgetExhausted(Exception):
-    """Raised by evaluate() once the FE or wall-clock budget is spent."""
+    """Raised by evaluate() and ev_block once the FE or wall-clock budget is spent."""
 
 
 class ParseError(ValueError):
@@ -82,8 +82,8 @@ def spread(hi: float, lo: float) -> float:
 class EvalBudget:
     """FE and wall-clock accounting for one run.
 
-    used_evals is monotone and never exceeds max_evals; charge() raises
-    BudgetExhausted instead of going over.
+    used_evals is monotone and never exceeds max_evals: charge(n) charges
+    only the FEs that still fit.
     """
 
     max_evals: int
@@ -97,12 +97,14 @@ class EvalBudget:
     def wallclock_exceeded(self) -> bool:
         return self.wallclock_ms is not None and self.elapsed_ms() > self.wallclock_ms
 
-    def charge(self) -> None:
-        if self.used_evals >= self.max_evals:
-            raise BudgetExhausted(f"FE budget of {self.max_evals} spent")
+    def charge(self, n: int = 1) -> int:
+        """Charge as many of n FEs as still fit the FE budget and return that
+        count; 0 once the wall clock is past its limit (read once per call)."""
         if self.wallclock_exceeded():
-            raise BudgetExhausted("wall-clock limit exceeded")
-        self.used_evals += 1
+            return 0
+        fit = min(n, self.max_evals - self.used_evals)
+        self.used_evals += fit
+        return fit
 
 
 def evaluate(obj, x: np.ndarray, budget: EvalBudget) -> float:
@@ -113,7 +115,8 @@ def evaluate(obj, x: np.ndarray, budget: EvalBudget) -> float:
     """
     if len(x) != obj.d:
         raise ValueError(f"point has length {len(x)}, objective expects {obj.d}")
-    budget.charge()
+    if not budget.charge():
+        raise BudgetExhausted("FE or wall-clock budget spent")
     fx = float(obj(x))
     return math.inf if math.isnan(fx) else fx
 

@@ -15,7 +15,8 @@ from . import de as de_mod
 from . import pso as pso_mod
 from .cmaes import CmaParams, CmaRunner
 from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
-                   evaluate, repair_to_bounds, rng_stream, spread)
+                   repair_to_bounds, rng_stream, spread)
+from .core import evaluate  # noqa: F401  (unused here; bench/tracing.py wraps this name)
 from .de import DeParams
 from .localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 from .pso import PsoParams
@@ -219,56 +220,48 @@ class _Run:
     def ev_block(self, X: np.ndarray) -> list[float]:
         """Evaluate the rows of the (n, d) block X as n FEs, in index order.
 
-        An objective with a ``batch`` method gets one call for the rows the
-        FE budget still covers; any other objective gets one ``ev`` per row.
-        A NaN value counts as +inf.  Row by row, each FE is charged and
-        counted under the active module, and the incumbent and the trace are
-        updated.  Once a row no longer fits the budget, BudgetExhausted is
-        raised, every row before it being counted.  Returns the n values as
-        floats.
+        The budget is charged once for the rows it still covers, and the wall
+        clock is read once, before the objective call.  An objective with a
+        ``batch`` method gets one call for those rows; any other objective
+        gets one call per row.  A NaN value counts as +inf.  The rows are
+        counted under the active module, and the incumbent (the first row of
+        lowest value, if below the old one) and the trace are updated.  When
+        not every row fits, BudgetExhausted is raised after the rows that fit
+        are counted.  Returns the n values as floats.
         """
         X = np.asarray(X, dtype=float)
         n = len(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"block has shape {X.shape}, objective expects (n, {self.d})")
-        batch = getattr(self.obj, "batch", None)
-        if batch is None:
-            return [self.ev(x) for x in X]
-        budget = self.budget
-        fit = min(n, budget.max_evals - budget.used_evals)
-        values = []
-        if fit > 0:
-            values = np.asarray(batch(X if fit == n else X[:fit]), dtype=float).tolist()
-        module = self.active_module
+        fit = self.budget.charge(n)
         fs = []
-        for i in range(n):
-            budget.charge()
-            f = values[i]
-            if f != f:  # NaN
-                f = math.inf
-            fs.append(f)
-            self._book(X[i], f, module)
+        if fit:
+            batch = getattr(self.obj, "batch", None)
+            values = np.asarray(batch(X[:fit]), dtype=float).tolist() if batch is not None \
+                else [float(self.obj(x)) for x in X[:fit]]
+            fs = [math.inf if f != f else f for f in values]   # NaN counts as +inf
+            module = self.active_module
+            self.module_evals[module] = self.module_evals.get(module, 0) + fit
+            if self.trace is not None:   # the running best at each mark the rows pass
+                used, best = self.budget.used_evals - fit, self.best_f
+                for f in fs:
+                    used += 1
+                    if f < best:
+                        best = f
+                    if used // self.trace_every > self._trace_mark:
+                        self._trace_mark = used // self.trace_every
+                        self.trace.append((used, best))
+            best = min(fs)
+            if best < self.best_f:
+                self.best_f = best
+                self.best_x = X[fs.index(best)].copy()
+        if fit < n:
+            raise BudgetExhausted("FE or wall-clock budget spent")
         return fs
 
     def ev(self, x: np.ndarray) -> float:
-        """One FE at the point x, counted under the active module: the
-        one-row case of ``ev_block`` without its block handling."""
-        f = evaluate(self.obj, x, self.budget)
-        self._book(x, f, self.active_module)
-        return f
-
-    def _book(self, x: np.ndarray, f: float, module: str) -> None:
-        """Count one charged FE of value f at x under module, and update the
-        incumbent and the trace."""
-        self.module_evals[module] = self.module_evals.get(module, 0) + 1
-        if f < self.best_f:
-            self.best_f = f
-            self.best_x = np.array(x, dtype=float)
-        if self.trace is not None:
-            mark = self.budget.used_evals // self.trace_every
-            if mark > self._trace_mark:
-                self._trace_mark = mark
-                self.trace.append((self.budget.used_evals, self.best_f))
+        """One FE at the point x: the one-row case of ``ev_block``."""
+        return self.ev_block(x[None])[0]
 
     # -- initialization -----------------------------------------------------
 

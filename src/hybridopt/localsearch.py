@@ -161,10 +161,11 @@ class NestedCmaes:
                   rng: np.random.Generator, fes_used: int = 0) -> tuple[np.ndarray, float, int]:
         """Advance the nested instance by up to `budget` FEs.
 
-        f evaluates a block of points, one per row, as ``CmaRunner.generation``
-        expects.  Returns (solution, fitness, consumed); the solution is the
-        input when no strict improvement was sampled.  A block that f ends
-        with BudgetExhausted is not counted.
+        f evaluates a block of points, one per row, and returns their values
+        as a list, as ``CmaRunner.generation`` expects.  Returns (solution,
+        fitness, consumed); the solution is the input when no strict
+        improvement was sampled.  A block that f ends with BudgetExhausted is
+        not counted.
         """
         if self.runner is None:
             self.runner = CmaRunner(self.params, self.bounds.d, self.bounds, rng,
@@ -178,10 +179,10 @@ class NestedCmaes:
             nonlocal out_x, out_f, consumed
             values = f(X)
             consumed += len(X)
-            for x, value in zip(X, values):
-                if value < out_f:
-                    out_f = float(value)
-                    out_x = x.copy()
+            best = min(values)
+            if best < out_f:   # the first row of lowest value
+                out_f = float(best)
+                out_x = X[values.index(best)].copy()
             return values
 
         if self.runner.state.lam > budget:

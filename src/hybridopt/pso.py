@@ -102,12 +102,12 @@ def _lattice(n: int, step: int) -> np.ndarray:
 
 
 def _random_edges(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Edges i <-> j_i, each j_i drawn uniformly from the n - 1 others."""
+    i = np.arange(n)
+    j = rng.integers(n - 1, size=n)
+    j += j >= i
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        adj[i, j] = adj[j, i] = True
+    adj[i, j] = adj[j, i] = True
     return adj
 
 

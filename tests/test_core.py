@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ def test_evaluate_budget_boundary():
     with pytest.raises(BudgetExhausted):
         evaluate(obj, np.zeros(2), budget)
     assert budget.used_evals == 1  # the failed call does not consume
+
+
+def test_charge_counts_the_fes_that_fit():
+    budget = EvalBudget(max_evals=5)
+    assert budget.charge(3) == 3 and budget.charge(3) == 2
+    assert budget.charge() == 0 and budget.used_evals == 5
+    late = EvalBudget(max_evals=5, wallclock_ms=1.0, started_at=time.monotonic() - 1.0)
+    assert late.charge(2) == 0 and late.used_evals == 0
 
 
 def test_evaluate_dimension_check():

@@ -372,16 +372,114 @@ def test_budget_ending_mid_block_counts_each_row(kind):
 
 
 @pytest.mark.parametrize("kind", [_RowsOnly, _Blocks])
-def test_wallclock_stops_a_block_at_its_next_row(kind):
+def test_wallclock_is_read_once_per_block(kind):
+    """A block that starts before the wall-clock limit is counted whole; the
+    next block raises before any objective call and counts no FE."""
     obj = kind(make_instance("sphere", 3))
     runner = _Run(_cfg(**{"exec.order": "cmaes"}), obj, seed=1,
-                  budget=EvalBudget(max_evals=100, wallclock_ms=1e9), trace_every=1)
-    runner.budget.wallclock_exceeded = lambda: runner.budget.used_evals >= 2
+                  budget=EvalBudget(max_evals=100, wallclock_ms=10.0), trace_every=1)
+    reads = []   # FEs used at each clock read; past the limit from 2 FEs on
+
+    def elapsed_ms():
+        reads.append(runner.budget.used_evals)
+        return 20.0 if runner.budget.used_evals >= 2 else 0.0
+
+    runner.budget.elapsed_ms = elapsed_ms
+    assert runner.ev_block(np.ones((5, 3))) == [3.0] * 5
+    assert reads == [0] and sum(obj.sizes) == 5
     with pytest.raises(BudgetExhausted):
         runner.ev_block(np.ones((5, 3)))
-    assert runner.budget.used_evals == 2
-    assert runner.module_evals == {"cmaes": 2}
-    assert runner.trace == [(1, 3.0), (2, 3.0)]
+    assert reads == [0, 5] and sum(obj.sizes) == 5
+    assert runner.budget.used_evals == 5
+    assert runner.module_evals == {"cmaes": 5}
+    assert runner.trace == [(i, 3.0) for i in range(1, 6)]
+
+
+class _Column:
+    """Objective whose value at x is x[1]; x[0] tells the rows apart."""
+
+    d = 2
+    bounds = Bounds.symmetric(100.0, 2)
+
+    def __call__(self, x):
+        return x[1]
+
+    def batch(self, X):
+        return X[:, 1]
+
+
+def _book_row_by_row(blocks, max_evals, trace_every):
+    """Reference bookkeeping of (module, block) pairs, one FE at a time:
+    the incumbent, the trace and the FEs per module, up to the budget."""
+    used, best_f, best_x, trace, mark, counts = 0, math.inf, None, [], -1, {}
+    for module, X in blocks:
+        for x in X:
+            if used == max_evals:
+                return best_f, best_x, trace, counts
+            used += 1
+            f = math.inf if math.isnan(x[1]) else float(x[1])
+            counts[module] = counts.get(module, 0) + 1
+            if f < best_f:
+                best_f, best_x = f, x.copy()
+            if used // trace_every > mark:
+                mark = used // trace_every
+                trace.append((used, best_f))
+    return best_f, best_x, trace, counts
+
+
+def _block(*values):
+    return np.column_stack((np.arange(len(values), dtype=float), values))
+
+
+_NAN = math.nan
+_HAND_BLOCKS = [
+    ("pso", _block(_NAN, _NAN)),                 # every row NaN: no incumbent yet
+    ("pso", _block(_NAN, 5.0, 3.0, _NAN, 3.0)),  # NaN rows and a tied minimum
+    ("de", _block(0.0, -0.0, 2.0)),              # -0.0 after +0.0
+    ("de", _block(-0.0, 0.0, _NAN)),             # equal to the incumbent
+    ("ls", _block(4.0)),                         # one row, as ``ev`` makes
+    ("ls", _block(math.inf, -1.0, -1.0, -2.0, 7.0)),
+    ("cmaes", _block(-3.0, -3.0)),
+]
+
+
+def _random_blocks(seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array([_NAN, math.inf, 0.0, -0.0, 1.0, 2.0, -1.0])
+    return [(str(rng.choice(["pso", "de", "ls"])), _block(*rng.choice(pool, rng.integers(1, 7))))
+            for _ in range(8)]
+
+
+@pytest.mark.parametrize("kind", [_RowsOnly, _Blocks])
+@pytest.mark.parametrize("trace_every", [1, 3])
+@pytest.mark.parametrize("blocks, max_evals", [
+    (_HAND_BLOCKS, 100),
+    (_HAND_BLOCKS, 17),   # the budget ends after the second -1.0 row
+    *[(_random_blocks(seed), 20) for seed in range(12)],
+])
+def test_ev_block_books_as_the_row_by_row_loop(kind, trace_every, blocks, max_evals):
+    obj = kind(_Column())
+    runner = _Run(_cfg(**{"exec.order": "cmaes"}), obj, seed=1,
+                  budget=EvalBudget(max_evals=max_evals), trace_every=trace_every)
+    returned = []
+    try:
+        for module, X in blocks:
+            runner.active_module = module
+            returned += runner.ev_block(X)
+    except BudgetExhausted:
+        assert sum(len(X) for _, X in blocks) > max_evals
+    best_f, best_x, trace, counts = _book_row_by_row(blocks, max_evals, trace_every)
+    used = runner.budget.used_evals
+    assert used == sum(obj.sizes) == min(max_evals, sum(len(X) for _, X in blocks))
+    rows = np.concatenate([X for _, X in blocks])[:len(returned)]
+    assert [f.hex() for f in returned] == \
+        [math.inf.hex() if math.isnan(f) else f.hex() for f in rows[:, 1]]
+    assert runner.best_f.hex() == best_f.hex()
+    assert (runner.best_x is None) == (best_x is None)
+    if best_x is not None:
+        assert runner.best_x.tobytes() == best_x.tobytes()
+    assert [(u, f.hex()) for u, f in runner.trace] == [(u, f.hex()) for u, f in trace]
+    assert runner.module_evals == counts
 
 
 @pytest.mark.parametrize("overrides, rows", [

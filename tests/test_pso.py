@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
 from hybridopt.pso import (SUCCESS_WINDOW, PsoParams, TopologyState, _coefficients,
-                           _from_basis, _perturb, _to_basis, acceleration_coeffs,
+                           _from_basis, _perturb, _random_edges, _to_basis, acceleration_coeffs,
                            advance_topology, build_topology, compute_velocity, dnpp,
                            inertia_weight, informant_weights, mantegna_levy,
                            neighborhood_best, neighbors, perturbation_magnitude,
@@ -95,6 +95,26 @@ def test_random_edge_redrawn_each_iteration():
     before = top.adjacency.copy()
     advance_topology(top, 1, rng)
     assert not np.array_equal(before, top.adjacency)
+
+
+def _random_edges_loop(n, rng):
+    """Random-edge graph one particle at a time: per particle i, one draw
+    of j among the n - 1 others."""
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            j += 1
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 31, 59])
+def test_random_edges_equal_the_per_particle_draws(n):
+    for seed in range(20):
+        block_rng, loop_rng = rng_stream(seed), rng_stream(seed)
+        assert np.array_equal(_random_edges(n, block_rng), _random_edges_loop(n, loop_rng))
+        assert block_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", TOPOLOGIES)

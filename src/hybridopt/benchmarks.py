@@ -139,7 +139,9 @@ _W_OFFSET = float(np.sum(_W_AK * np.cos(np.pi * _W_BK)))  # cos(2*pi*b^k*0.5)
 
 
 def _weierstrass(Z):
-    inner = np.cos(2.0 * np.pi * ((Z + 0.5)[:, :, None] * _W_BK)) @ _W_AK
+    u = (Z + 0.5)[:, :, None] * _W_BK
+    u -= np.floor(u)  # b^k (z + 0.5) mod 1: the cosine needs no argument reduction
+    inner = np.cos(2.0 * np.pi * u) @ _W_AK
     return np.sum(inner, axis=1) - Z.shape[1] * _W_OFFSET
 
 

@@ -8,10 +8,17 @@ every 100 FEs.  A change that alters any of them changes what a configured
 run computes.  The fingerprints named after a
 config alone run on ``shifted_rotated_rastrigin``; ``<config>@<function>``
 runs the config on one of ``OTHER_FUNCTIONS``.
+
+A change that moves some of them on purpose re-records just those, keeping
+the others and the file's order and format::
+
+    PYTHONPATH=src python tests/golden/test_golden.py --record NAME [NAME ...]
 """
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,10 +197,35 @@ def fingerprint(name: str) -> dict:
     }
 
 
+def record(names, path: Path = HERE / "fingerprints.json") -> None:
+    """Rewrite the stored fingerprints of ``names`` and leave every other
+    entry, the key order and the format as they are."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise KeyError(f"unknown fingerprint names: {', '.join(unknown)}")
+    stored = json.loads(path.read_text())
+    for name in names:
+        stored[name] = fingerprint(name)
+    path.write_text(json.dumps(stored, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fingerprint(name):
     expected = json.loads((HERE / "fingerprints.json").read_text())[name]
     assert fingerprint(name) == expected
+
+
+def test_record_restores_a_blanked_entry(tmp_path):
+    stored = (HERE / "fingerprints.json").read_text()
+    copy = tmp_path / "fingerprints.json"
+    blanked = json.loads(stored)
+    blanked["pso-ring"] = {}
+    copy.write_text(json.dumps(blanked, indent=2) + "\n")
+    record(["pso-ring"], copy)
+    assert copy.read_text() == stored
+    with pytest.raises(KeyError, match="no-such-case"):
+        record(["pso-ring", "no-such-case"], copy)
+    assert copy.read_text() == stored
 
 
 def test_exported_space():
@@ -203,3 +235,13 @@ def test_exported_space():
              if not line.startswith("pso.mtx ")]
     expected = (HERE / "space_racing_tool.txt").read_text().splitlines()
     assert lines == expected
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="re-record golden fingerprints")
+    parser.add_argument("--record", nargs="+", required=True, metavar="NAME",
+                        help=f"fingerprints to re-record, out of {len(CASES)}")
+    try:
+        record(parser.parse_args().record)
+    except KeyError as e:
+        sys.exit(e.args[0])

@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from hybridopt import (Bounds, ObjectiveInstance, TransformData, apply_transforms,
                        load_rotation_file, load_shift_file, make_instance,
                        rng_stream)
+from hybridopt import benchmarks as _benchmarks
 from hybridopt.benchmarks import (BASE_FUNCTIONS, DimensionMismatch,
                                   InvalidPartition, UnknownFunction,
                                   parse_parts, random_rotation)
@@ -195,6 +198,12 @@ _W_AK = 0.5 ** np.arange(21)
 _W_BK = 3.0 ** np.arange(21)
 _W_OFFSET = float(np.sum(_W_AK * np.cos(np.pi * _W_BK)))
 
+
+def _ref_weierstrass(z):
+    u = np.outer(z + 0.5, _W_BK)
+    u = u - np.floor(u)
+    return float(np.sum(np.cos(2.0 * np.pi * u) @ _W_AK) - z.size * _W_OFFSET)
+
 _REFERENCE = {
     "sphere": lambda z: float(np.dot(z, z)),
     "elliptic": lambda z: float(z[0] * z[0] if z.size == 1 else np.dot(
@@ -218,9 +227,7 @@ _REFERENCE = {
     "schaffer": lambda z: float(np.sum(_ref_pairwise_f10(z[:-1], z[1:]))),
     "extended_f10": lambda z: float(np.sum(_ref_pairwise_f10(z[:-1], z[1:]))
                                     + _ref_pairwise_f10(z[-1], z[0])),
-    "weierstrass": lambda z: float(
-        np.sum(np.cos(2.0 * np.pi * np.outer(z + 0.5, _W_BK)) @ _W_AK)
-        - z.size * _W_OFFSET),
+    "weierstrass": _ref_weierstrass,
 }
 
 
@@ -273,3 +280,43 @@ def test_batch_shape_and_partition_checked_once():
                           TransformData(partition=(("sphere", np.array([0, 1])),)))
     with pytest.raises(UnknownFunction):
         ObjectiveInstance("nope", 3, Bounds.symmetric(1.0, 3))
+
+
+# Weierstrass: every term's argument is reduced to one period first.
+def _exact_weierstrass(z):
+    """The series at the float point z, each b^k (z_i + 1/2) reduced mod 1
+    in exact rational arithmetic before the cosine."""
+    terms = []
+    for zi in z:
+        u = Fraction(float(zi)) + Fraction(1, 2)
+        for k in range(21):
+            r = u * 3 ** k
+            r -= math.floor(r)
+            terms.append(0.5 ** k * (math.cos(2.0 * math.pi * float(r)) + 1.0))
+    return math.fsum(terms)
+
+
+def test_weierstrass_offset_is_minus_the_weight_sum():
+    assert _benchmarks._W_OFFSET == -sum(_benchmarks._W_AK)
+    assert _benchmarks._W_OFFSET == -1.9999990463256836
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 50, 100])
+def test_weierstrass_is_exactly_zero_at_the_optimum(d):
+    inst = make_instance("shifted_rotated_weierstrass", d, instance_seed=d)
+    assert inst(inst.transform.shift) == 0.0
+    assert inst.batch(np.tile(inst.transform.shift, (3, 1))).tolist() == [0.0] * 3
+    hybrid = make_instance("shifted_rotated_hybrid", d, instance_seed=d,
+                           parts=f"elliptic:0-0,weierstrass:1-{d - 1}")
+    assert hybrid(hybrid.transform.shift) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_weierstrass_matches_exact_reduction(d):
+    inst = make_instance("shifted_rotated_weierstrass", d, instance_seed=d)
+    rng = rng_stream(100 + d)
+    lo, hi = inst.bounds.lower, inst.bounds.upper
+    X = np.vstack([rng.uniform(1.5 * lo, 1.5 * hi, (20, d)),
+                   inst.transform.shift + rng.uniform(-1e-3, 1e-3, (20, d))])
+    exact = [_exact_weierstrass(z) for z in apply_transforms(X, inst.transform)]
+    assert np.max(np.abs(inst.batch(X) - exact)) <= 2e-9

@@ -204,6 +204,7 @@ def _ref_weierstrass(z):
     u = u - np.floor(u)
     return float(np.sum(np.cos(2.0 * np.pi * u) @ _W_AK) - z.size * _W_OFFSET)
 
+
 _REFERENCE = {
     "sphere": lambda z: float(np.dot(z, z)),
     "elliptic": lambda z: float(z[0] * z[0] if z.size == 1 else np.dot(
@@ -282,10 +283,10 @@ def test_batch_shape_and_partition_checked_once():
         ObjectiveInstance("nope", 3, Bounds.symmetric(1.0, 3))
 
 
-# Weierstrass: every term's argument is reduced to one period first.
 def _exact_weierstrass(z):
     """The series at the float point z, each b^k (z_i + 1/2) reduced mod 1
-    in exact rational arithmetic before the cosine."""
+    in exact rational arithmetic before the cosine; the offset -sum(a^k)
+    enters term by term as the + 1."""
     terms = []
     for zi in z:
         u = Fraction(float(zi)) + Fraction(1, 2)

@@ -10,7 +10,8 @@ config alone run on ``shifted_rotated_rastrigin``; ``<config>@<function>``
 runs the config on one of ``OTHER_FUNCTIONS``.
 
 A change that moves some of them on purpose re-records just those, keeping
-the others and the file's order and format::
+the others, the file's name order and its format, and prints per name which
+fields moved (with the old and new best fitness)::
 
     PYTHONPATH=src python tests/golden/test_golden.py --record NAME [NAME ...]
 """
@@ -197,16 +198,31 @@ def fingerprint(name: str) -> dict:
     }
 
 
-def record(names, path: Path = HERE / "fingerprints.json") -> None:
+def record(names, path: Path = HERE / "fingerprints.json") -> dict:
     """Rewrite the stored fingerprints of ``names`` and leave every other
-    entry, the key order and the format as they are."""
+    entry and the format as they are; entries stay in name order.  Returns,
+    per name, each field that changed as ``field: (old, new)``."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise KeyError(f"unknown fingerprint names: {', '.join(unknown)}")
     stored = json.loads(path.read_text())
+    moved = {}
     for name in names:
-        stored[name] = fingerprint(name)
-    path.write_text(json.dumps(stored, indent=2) + "\n")
+        old, stored[name] = stored.get(name, {}), fingerprint(name)
+        moved[name] = {field: (old.get(field), value)
+                       for field, value in stored[name].items() if old.get(field) != value}
+    path.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
+    return moved
+
+
+def describe_moves(moved: dict) -> str:
+    """One line per name: the fields that moved, the best fitness as old → new."""
+    lines = []
+    for name, fields in moved.items():
+        parts = [f"best_fitness {old} → {new}" if field == "best_fitness" else field
+                 for field, (old, new) in fields.items()]
+        lines.append(f"{name}: {', '.join(parts) or 'unchanged'}")
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -221,7 +237,16 @@ def test_record_restores_a_blanked_entry(tmp_path):
     blanked = json.loads(stored)
     blanked["pso-ring"] = {}
     copy.write_text(json.dumps(blanked, indent=2) + "\n")
-    record(["pso-ring"], copy)
+    moved = record(["pso-ring"], copy)
+    assert copy.read_text() == stored
+    expected = json.loads(stored)["pso-ring"]
+    assert moved == {"pso-ring": {field: (None, value) for field, value in expected.items()}}
+    assert len(moved["pso-ring"]) == 5
+    assert record(["pso-ring"], copy) == {"pso-ring": {}}
+    assert describe_moves({"pso-ring": {}}) == "pso-ring: unchanged"
+    assert describe_moves({"a": {"best_fitness": ("0x1.0p+0", "0x1.8p+0"),
+                                 "trace_sha256": ("x", "y")}}) \
+        == "a: best_fitness 0x1.0p+0 → 0x1.8p+0, trace_sha256"
     assert copy.read_text() == stored
     with pytest.raises(KeyError, match="no-such-case"):
         record(["pso-ring", "no-such-case"], copy)
@@ -242,6 +267,6 @@ if __name__ == "__main__":
     parser.add_argument("--record", nargs="+", required=True, metavar="NAME",
                         help=f"fingerprints to re-record, out of {len(CASES)}")
     try:
-        record(parser.parse_args().record)
+        print(describe_moves(record(parser.parse_args().record)))
     except KeyError as e:
         sys.exit(e.args[0])

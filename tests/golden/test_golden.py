@@ -59,6 +59,9 @@ CONFIGS = {
     "cmaes-full-then-diagonal": {"exec.order": "cmaes",
                                  "cmaes.matrix_mode": "full_then_diagonal"},
     "de-mtsls": {"exec.order": "de", "pop.size": "20", "ls.algo": "mtsls"},
+    # several sweeps per LS run: the converged-sweep restart toward the best
+    "de-mtsls-3sweeps": {"exec.order": "de", "pop.size": "20", "ls.algo": "mtsls",
+                         "ls.mtsls_iterations": "3", "ls.mtsls_bias": "-0.5"},
     "pso-nested-cmaes": {"exec.order": "pso", "pop.size": "20", "ls.algo": "cmaes"},
     "pso-reinit-change": {"exec.order": "pso", "pop.size": "20",
                           "exec.reinit": "change"},

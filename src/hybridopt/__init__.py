@@ -11,14 +11,14 @@ from .core import (Bounds, BudgetExhausted, EvalBudget, Population, RunResult,
 from .de import DeParams
 from .executor import (AlgorithmConfig, ExecutionConfig, dispatch_update, run,
                        update_execution_parameters)
-from .localsearch import LsParams, LsScheduler, mtsls_run, schedule_ls
+from .localsearch import LsParams, mtsls_run, schedule_ls
 from .pso import PsoParams, TopologyState
 from .reporting import AggregateStats, RunRecord, aggregate, run_batch
 
 __all__ = [
     "AggregateStats", "AlgorithmConfig", "Bounds", "BudgetExhausted",
     "CmaParams", "CmaRunner", "CmaState", "DeParams", "EvalBudget",
-    "ExecutionConfig", "LsParams", "LsScheduler",
+    "ExecutionConfig", "LsParams",
     "ObjectiveInstance", "ParameterSpec", "Population", "PsoParams",
     "RunRecord", "RunResult", "TopologyState", "TransformData",
     "ValidationReport", "aggregate", "apply_transforms",

@@ -198,9 +198,8 @@ class _Run:
         self.cma: CmaRunner | None = None
         self.nested_ls = NestedCmaes(cfg.ls.nested_cma, self.bounds) \
             if cfg.ls.algo == "cmaes" else None
-        self.ls_scheduler = None
-        if cfg.ls.algo != "none":
-            self.ls_scheduler = schedule_ls(budget.max_evals, cfg.ls)
+        self.ls_per_run, self.ls_total = schedule_ls(budget.max_evals, cfg.ls) \
+            if cfg.ls.algo != "none" else (0, 0)
 
         self.best_x: np.ndarray | None = None
         self.best_f = math.inf
@@ -424,24 +423,22 @@ class _Run:
     # -- local search -------------------------------------------------------
 
     def local_search(self) -> None:
-        if self.ls_scheduler is None or self.best_x is None \
+        """One LS run of ``ls_per_run`` FEs from the incumbent while the FEs
+        the funnel booked under "ls" fall short of the LS share."""
+        if self.ls_per_run <= 0 or self.module_evals.get("ls", 0) >= self.ls_total \
+                or self.best_x is None \
                 or (self.nested_ls is not None and self.nested_ls.stalled):
             return
-        grant = self.ls_scheduler.begin_run()
-        if grant <= 0:
-            return
+        grant = self.ls_per_run
         previous = self.active_module
         self.active_module = "ls"
         try:
             if self.cfg.ls.algo == "mtsls":
-                result = mtsls_run(self.best_x, self.best_f, self.ev, self.bounds,
-                                   grant, self.cfg.ls, self.rng)
-                self.ls_scheduler.finish_run(result.evals)
+                mtsls_run(self.best_x, self.best_f, self.ev, self.bounds, grant,
+                          self.cfg.ls, self.rng)
             else:
-                _, _, consumed = self.nested_ls.run_slice(
-                    self.best_x, self.best_f, self.ev_block, grant, self.rng,
-                    fes_used=self.budget.used_evals)
-                self.ls_scheduler.finish_run(consumed)
+                self.nested_ls.run_slice(self.best_x, self.best_f, self.ev_block, grant,
+                                         self.rng, fes_used=self.budget.used_evals)
         finally:
             self.active_module = previous
 

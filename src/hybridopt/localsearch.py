@@ -29,28 +29,12 @@ class LsParams:
     nested_cma: CmaParams | None = None
 
 
-@dataclass
-class LsScheduler:
-    """Slices the LS budget into per-run grants, then extra runs until spent."""
-
-    per_run_budget: int
-    remaining_fes: int
-
-    def begin_run(self) -> int:
-        """Budget for the next run (0 when the LS budget is gone)."""
-        if self.remaining_fes <= 0 or self.per_run_budget <= 0:
-            return 0
-        return self.per_run_budget
-
-    def finish_run(self, consumed: int) -> None:
-        self.remaining_fes -= consumed
-
-
-def schedule_ls(total_fes: int, params: LsParams) -> LsScheduler:
-    """per_run = floor(budget*total/divide); leftovers become extra runs."""
+def schedule_ls(total_fes: int, params: LsParams) -> tuple[int, int]:
+    """(per_run, total_ls): the LS share total_ls = floor(budget*total) and
+    the grant per_run = floor(total_ls/divide) of each run; runs go on past
+    ``divide`` until the share is spent."""
     total_ls = int(params.budget * total_fes)
-    per_run = total_ls // params.divide
-    return LsScheduler(per_run_budget=per_run, remaining_fes=total_ls)
+    return total_ls // params.divide, total_ls
 
 
 @dataclass
@@ -105,42 +89,32 @@ def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
             best_x = inside.copy()
         return value + bound_penalty(x, inside)
 
-    needs_restart = False
     try:
-        for _ in range(params.mtsls_iterations):
-            if needs_restart:
+        for sweep in range(params.mtsls_iterations):
+            if sweep > 0 and improvement <= CONVERGENCE_EPS:
                 # restart between a random point and the best found so far
                 r = rng.uniform(bounds.lower, bounds.upper)
                 pull = (1.0 - params.mtsls_bias) * rng.uniform(size=d) + params.mtsls_bias
                 s = r + pull * (best_x - r)
                 current_f = probe(s)
-                needs_restart = False
 
             f_sweep_start = current_f
-            improved_any = False
             for j in range(d):
-                trial = s.copy()
-                trial[j] = s[j] - ss[j]
-                val = probe(trial)
-                if val < current_f:
-                    s, current_f = trial, val
-                    improved_any = True
-                    continue
-                trial = s.copy()
-                trial[j] = s[j] + 0.5 * ss[j]
-                val = probe(trial)
-                if val < current_f:
-                    s, current_f = trial, val
-                    improved_any = True
+                for step in (-ss[j], 0.5 * ss[j]):
+                    trial = s.copy()
+                    trial[j] = s[j] + step
+                    val = probe(trial)
+                    if val < current_f:
+                        s, current_f = trial, val
+                        break
 
             improvement = f_sweep_start - current_f
-            if not improved_any:
+            if not current_f < f_sweep_start:
                 ss = ss / 2.0
             elif improvement <= CONVERGENCE_EPS:
                 # converged: the step restarts at a random fraction of the box
                 ss = float(rng.uniform(0.3, 0.6)) * width
             ss_history.append(float(ss[0]))
-            needs_restart = improvement <= CONVERGENCE_EPS
     except BudgetExhausted:
         pass
 

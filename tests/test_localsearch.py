@@ -1,38 +1,39 @@
 import numpy as np
 import pytest
 
-from hybridopt import Bounds, CmaParams, rng_stream
+import hybridopt.executor
+from hybridopt import (Bounds, CmaParams, default_config, make_instance, rng_stream, run,
+                       validate)
 from hybridopt.localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 
 
 def test_schedule_ls_worked_example():
-    sched = schedule_ls(100000, LsParams(algo="mtsls", budget=0.25, divide=10))
-    assert sched.per_run_budget == 2500
-    assert sched.remaining_fes == 25000
-
-    whole = schedule_ls(1000, LsParams(algo="mtsls", budget=1.0, divide=1))
-    assert whole.per_run_budget == 1000
-
-    odd = schedule_ls(1000, LsParams(algo="mtsls", budget=0.5, divide=7))
-    assert odd.per_run_budget == 71
-    assert odd.remaining_fes == 500   # 7*71 = 497, 3 spill into extra runs
+    assert schedule_ls(100000, LsParams(algo="mtsls", budget=0.25, divide=10)) \
+        == (2500, 25000)
+    assert schedule_ls(1000, LsParams(algo="mtsls", budget=1.0, divide=1)) == (1000, 1000)
+    # 7*71 = 497: the 3 FEs left over go to an extra run
+    assert schedule_ls(1000, LsParams(algo="mtsls", budget=0.5, divide=7)) == (71, 500)
 
 
-def test_scheduler_extra_runs_until_spent():
-    sched = schedule_ls(1000, LsParams(algo="mtsls", budget=0.5, divide=7))
-    consumed_total = 0
-    runs = 0
-    while True:
-        grant = sched.begin_run()
-        if grant == 0:
-            break
-        consumed = min(grant, sched.remaining_fes)
-        sched.finish_run(consumed)
-        consumed_total += consumed
-        runs += 1
-    assert runs == 8          # 7 scheduled plus one extra for the remainder
-    assert consumed_total == 500
-    assert sched.begin_run() == 0
+def test_scheduler_extra_runs_until_spent(monkeypatch):
+    # a share of 200 FEs in grants of 28: three sweeps at d=10 take at least
+    # 30 probes, so every run spends its grant and 7*28 = 196 leave 4 FEs
+    runs = []
+
+    def counted(*args, **kwargs):
+        result = mtsls_run(*args, **kwargs)
+        runs.append(result.evals)
+        return result
+
+    monkeypatch.setattr(hybridopt.executor, "mtsls_run", counted)
+    cfg = validate(default_config({"exec.order": "de", "pop.size": "20",
+                                   "ls.algo": "mtsls", "ls.mtsls_iterations": "3",
+                                   "ls.budget": "0.2", "ls.divide": "7"}))
+    obj = make_instance("shifted_rotated_rastrigin", 10, instance_seed=1)
+    result = run(cfg, obj, seed=5, max_evals=1000)
+    assert len(runs) > 7                    # extra runs after the seventh
+    assert runs[:7] == [28] * 7
+    assert sum(runs) == result.module_evals["ls"] >= 200
 
 
 def test_mtsls_monotone_descent_1d():

@@ -181,16 +181,6 @@ class Population:
         self.record_all(np.where(moved[:, None], X, x), np.where(moved, F, f), rows)
         return moved
 
-    def record(self, i: int, x: np.ndarray, fx: float) -> bool:
-        """Move member i to the evaluated point x; True iff its personal best improved."""
-        self.x[i] = x
-        self.f[i] = fx
-        if fx < self.pf[i]:
-            self.p[i] = x
-            self.pf[i] = fx
-            return True
-        return False
-
 
 def cap_reported_value(f: float) -> float:
     """Cap a reported fitness at 1e10. Only for output; never for internal comparisons."""

@@ -85,13 +85,25 @@ def test_rng_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
+def record(pop: Population, i: int, x: np.ndarray, fx: float) -> bool:
+    """Move member i to the evaluated point x, one member at a time: the
+    reference ``record_all`` must equal.  True iff its personal best improved."""
+    pop.x[i] = x
+    pop.f[i] = fx
+    if fx < pop.pf[i]:
+        pop.p[i] = x
+        pop.pf[i] = fx
+        return True
+    return False
+
+
 def test_population_record_personal_best_dominance():
     pop = Population.fresh([[1.0]], np.zeros((1, 1)), [5.0])
-    assert not pop.record(0, np.array([2.0]), 7.0)   # worse: pbest sticks
+    assert not record(pop, 0, np.array([2.0]), 7.0)   # worse: pbest sticks
     assert pop.pf[0] == 5.0 and pop.f[0] == 7.0
     assert pop.pf[0] <= pop.f[0]
     assert pop.x[0] == pytest.approx([2.0]) and pop.p[0] == pytest.approx([1.0])
-    assert pop.record(0, np.array([0.5]), 3.0)       # better: pbest follows
+    assert record(pop, 0, np.array([0.5]), 3.0)       # better: pbest follows
     assert pop.pf[0] == 3.0
     assert pop.p[0] == pytest.approx([0.5])
 
@@ -102,7 +114,7 @@ def test_population_record_all_equals_recording_each_row():
     b = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
     moves, F = -X, [4.0, 2.0, 5.0, 0.5]   # worse, equal, finite after +inf, better
     improved = a.record_all(moves, F)
-    assert improved.tolist() == [b.record(i, moves[i], F[i]) for i in range(4)] \
+    assert improved.tolist() == [record(b, i, moves[i], F[i]) for i in range(4)] \
         == [False, False, True, True]
     for name in ("x", "v", "p", "f", "pf"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -115,7 +127,7 @@ def test_population_record_all_on_some_rows_equals_recording_each_row():
     rows = np.array([0, 2, 3])
     moves, F = -X[rows], [4.0, 5.0, 0.5]   # worse, finite after +inf, better
     improved = a.record_all(moves, F, rows)
-    assert improved.tolist() == [b.record(i, x, f) for i, x, f in zip(rows, moves, F)] \
+    assert improved.tolist() == [record(b, i, x, f) for i, x, f in zip(rows, moves, F)] \
         == [False, True, True]
     for name in ("x", "v", "p", "f", "pf"):   # rows 1 and 4 stay as they were
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -124,7 +136,7 @@ def test_population_record_all_on_some_rows_equals_recording_each_row():
 def test_population_record_better_is_greedy_selection():
     X = np.arange(8.0).reshape(4, 2)
     pop = Population.fresh(X, np.zeros((4, 2)), [3.0, 2.0, math.inf, 1.0])
-    pop.record(3, np.array([9.0, 9.0]), 4.0)   # x[3] worse than its pbest
+    record(pop, 3, np.array([9.0, 9.0]), 4.0)   # x[3] worse than its pbest
     trials, F = -X, [4.0, 2.0, 5.0, 2.0]   # worse, equal, finite after +inf, between
     moved = pop.record_better(trials, F)
     assert moved.tolist() == [False, False, True, True]
@@ -148,7 +160,7 @@ def test_population_record_better_on_some_rows_leaves_the_others():
 def test_population_extend_and_reset_take_blocks():
     pop = Population.fresh(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)),
                            [3.0, 2.0, 1.0])
-    pop.record(0, np.array([9.0, 9.0]), 5.0)   # moves x[0] but keeps its pbest
+    record(pop, 0, np.array([9.0, 9.0]), 5.0)   # moves x[0] but keeps its pbest
     pop.extend(np.ones((2, 2)), np.full((2, 2), 0.5), [7.0, 8.0])
     assert len(pop) == 5 and pop.v[3:] == pytest.approx(np.full((2, 2), 0.5))
     pop.reset([0, 4], np.full((2, 2), -1.0), np.full((2, 2), 2.0), [4.0, 6.0])

@@ -423,13 +423,13 @@ class _Run:
     # -- local search -------------------------------------------------------
 
     def local_search(self) -> None:
-        """One LS run of ``ls_per_run`` FEs from the incumbent while the FEs
-        the funnel booked under "ls" fall short of the LS share."""
-        if self.ls_per_run <= 0 or self.module_evals.get("ls", 0) >= self.ls_total \
-                or self.best_x is None \
+        """One LS run from the incumbent while the FEs the funnel booked under
+        "ls" fall short of the LS share: ``ls_per_run`` FEs, or what is left."""
+        left = self.ls_total - self.module_evals.get("ls", 0)
+        if self.ls_per_run <= 0 or left <= 0 or self.best_x is None \
                 or (self.nested_ls is not None and self.nested_ls.stalled):
             return
-        grant = self.ls_per_run
+        grant = min(self.ls_per_run, left)
         previous = self.active_module
         self.active_module = "ls"
         try:

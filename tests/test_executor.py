@@ -600,8 +600,21 @@ def test_ls_budget_ceiling():
         ls_budget = int(0.3 * total)
         per_run = ls_budget // 7
         used = result.module_evals.get("ls", 0)
-        assert used <= ls_budget + per_run, (algo, used)
-        assert used > 0
+        assert per_run < used <= ls_budget, (algo, used)
+
+
+@pytest.mark.parametrize("algo", ["mtsls", "cmaes"])
+@pytest.mark.parametrize("divide", [3, 7, 10])
+def test_ls_spends_no_more_than_its_share(algo, divide):
+    # the last run's grant is what is left of the share, not a whole per-run
+    # grant; mtsls runs until the share is spent to the FE, the nested CMA-ES
+    # spends whole generations only and may stop short of it
+    cfg = _cfg(**{"exec.order": "de", "ls.algo": algo, "ls.budget": 0.25,
+                  "ls.divide": divide})
+    obj = make_instance("shifted_rotated_rastrigin", 10, instance_seed=1)
+    used = run(cfg, obj, seed=1, max_evals=20000).module_evals["ls"]
+    share = int(0.25 * 20000)
+    assert used == share if algo == "mtsls" else used <= share
 
 
 class _HalfUndefined:

@@ -19,6 +19,12 @@ import numpy as np
 from .core import Bounds, repair_to_bounds, spread
 
 
+# sigma0 = max(c, MIN_SIGMA0_FRACTION) * mean box width.  Below ~1e-14 of the
+# width, steps of the mean round to multiples of one ulp, so (new - old) / sigma
+# blows up the evolution paths and sigma's update overflows.
+MIN_SIGMA0_FRACTION = 1e-12
+
+
 class InvalidCounts(Exception):
     pass
 
@@ -31,7 +37,7 @@ class DegenerateState(Exception):
 class CmaParams:
     a: float = 3.0                 # population sizing: lambda0 = 4 + floor(a ln d)
     b: float = 2.0                 # parent divisor: mu = floor(lambda / b)
-    c: float = 0.5                 # sigma0 = c * mean box width
+    c: float = 0.5                 # sigma0 = c * mean box width (c floored at 1e-12)
     d_inc: float = 2.0             # lambda growth factor on restart
     e: float = -12.0               # log10 threshold on current-generation fitness range
     f: float = -12.0               # log10 threshold on best-fitness history range
@@ -143,9 +149,11 @@ def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) 
 
 def init_state(params: CmaParams, d: int, bounds: Bounds, rng: np.random.Generator,
                mean: np.ndarray | None = None, fes_used: int = 0) -> CmaState:
-    """Fresh state: lambda = 4 + floor(a ln d), mu = floor(lambda/b), sigma = c * width."""
+    """Fresh state: lambda = 4 + floor(a ln d), mu = floor(lambda/b),
+    sigma = max(c, MIN_SIGMA0_FRACTION) * mean box width."""
     state = CmaState(lam=4 + int(math.floor(params.a * math.log(d))),
-                     sigma0=params.c * float(np.mean(bounds.width())))
+                     sigma0=max(params.c, MIN_SIGMA0_FRACTION)
+                     * float(np.mean(bounds.width())))
     mean = bounds.sample_uniform(rng) if mean is None else np.asarray(mean, dtype=float).copy()
     _reset(state, params, mean, fes_used)
     return state

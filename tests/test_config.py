@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,3 +250,20 @@ def test_validate_is_total(raw):
             obj = make_instance("shifted_rotated_rastrigin", d, instance_seed=1)
             result = run(cfg, obj, seed=1, max_evals=300)
             assert result.evals_used == 300
+
+
+@pytest.mark.parametrize("key, base", [("cmaes.c", {"exec.order": "cmaes"}),
+                                       ("ls.cmaes.c", {"exec.order": "de",
+                                                       "ls.algo": "cmaes"})])
+@pytest.mark.parametrize("c", ["5e-324", "1e-100", "1e-20"])
+def test_tiny_sigma0_fraction_runs(key, base, c):
+    # validate accepts any c in (0, 1); sigma0 is floored, so a tiny c runs
+    # like c = 1e-12 instead of overflowing in the step-size update
+    cfg = validate(default_config({**base, key: c}))
+    assert isinstance(cfg, AlgorithmConfig)
+    for d in (2, 5):
+        obj = make_instance("shifted_rotated_rastrigin", d, instance_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(cfg, obj, seed=1, max_evals=1000)
+        assert result.evals_used == 1000

@@ -6,6 +6,14 @@ rank-one / rank-mu covariance update.  Three matrix modes are supported:
 full, diagonal, and full-then-diagonal (switching after 2 + 100*d/sqrt(lambda)
 FEs).  Cumulation and learning-rate constants follow the standard tutorial
 formulas.
+
+In full mode C is decomposed lazily, as in pycma: once every
+max(1, floor(0.5 / (d (c1 + cmu)))) generations, and always for the first
+sample after the start and after each restart.  Sampling and the whitening
+of the mean's step use the last B and D in between.  The gap is one
+generation for every default run at d <= 20, so those runs decompose every
+generation as before; it is 3 at d = 50 and 6 at d = 100.  The diagonal
+mode's O(d) refresh runs every generation.
 """
 
 from __future__ import annotations
@@ -92,6 +100,8 @@ class CmaState:
     p_sigma: np.ndarray = field(init=False)
     eigen_B: np.ndarray = field(init=False)
     eigen_D: np.ndarray = field(init=False)  # eigenvalue square roots
+    eigen_gap: int = field(init=False)  # generations between decompositions of C
+    eigen_age: int = field(init=False)  # generations since the last decomposition
     mu: int = field(init=False)
     weights: np.ndarray = field(init=False)
     mu_eff: float = field(init=False)
@@ -142,6 +152,10 @@ def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) 
     state.p_sigma = np.zeros(d)
     state.eigen_B = np.eye(d)
     state.eigen_D = np.ones(d)
+    # purecma's lazy gap of 0.5 lambda / (d (c1 + cmu)) FEs, in whole
+    # generations; the age starts due, so the first sample decomposes
+    state.eigen_gap = max(1, int(0.5 / (d * state.c_cov)))
+    state.eigen_age = state.eigen_gap
     state.hist_best = deque(maxlen=10 + round(30.0 * d / state.lam))
     state.last_gen_spread = math.inf
     state.fes_at_start = fes_used
@@ -166,6 +180,9 @@ def _refresh_eigensystem(state: CmaState) -> None:
         state.eigen_B = np.eye(state.d)
         state.eigen_D = np.sqrt(state.C)
         return
+    if state.eigen_age < state.eigen_gap:
+        state.eigen_age += 1
+        return
     if not np.all(np.isfinite(state.C)):  # e.g. after sigma underflowed
         raise DegenerateState("covariance is not finite")
     vals, vecs = np.linalg.eigh(state.C)
@@ -173,10 +190,16 @@ def _refresh_eigensystem(state: CmaState) -> None:
         raise DegenerateState("covariance lost positive definiteness")
     state.eigen_B = vecs
     state.eigen_D = np.sqrt(vals)
+    state.eigen_age = 1
 
 
 def sample_population(state: CmaState, rng: np.random.Generator) -> np.ndarray:
-    """lambda samples m + sigma * B D z; the eigensystem is refreshed first."""
+    """lambda samples m + sigma * B D z.
+
+    The eigensystem is refreshed first: every generation in diagonal mode, and
+    in full mode only once ``eigen_gap`` generations have passed since the
+    last decomposition; in between, B and D are those of that decomposition.
+    """
     _refresh_eigensystem(state)
     z = rng.standard_normal((state.lam, state.d))
     if state.diagonal:

@@ -221,6 +221,7 @@ def test_on_restart_population_growth():
         assert np.array_equal(st.p_sigma, np.zeros(d))
         assert np.array_equal(st.eigen_B, np.eye(d))
         assert np.array_equal(st.eigen_D, np.ones(d))
+        assert st.eigen_age == st.eigen_gap    # the next sample decomposes
         assert len(st.hist_best) == 0
         assert st.hist_best.maxlen == 10 + round(30.0 * d / st.lam)
         assert st.last_gen_spread == math.inf
@@ -253,6 +254,57 @@ def test_matrix_mode_tick():
     st2 = init_state(full, 50, _bounds(50), rng)
     matrix_mode_tick(st2, full, fes_used=10 ** 9)
     assert not st2.diagonal
+
+
+def _sphere(X):
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _count_eigh(monkeypatch):
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counting(C):
+        calls[0] += 1
+        return eigh(C)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_eigen_gap_at_default_settings():
+    # max(1, floor(0.5 / (d (c1 + cmu)))) generations: 1.18 at d=2, 1.99 at
+    # d=20, 3.57 at d=50 and 6.04 at d=100
+    for d, gap in ((2, 1), (5, 1), (10, 1), (20, 1), (50, 3), (100, 6)):
+        st = init_state(CmaParams(), d, _bounds(d), rng_stream(0))
+        assert st.eigen_gap == gap
+        assert st.eigen_age == gap    # the first sample decomposes
+
+
+@pytest.mark.parametrize("d, mode, decompositions", [
+    (50, "full", 10), (10, "full", 30), (100, "full", 5), (50, "diagonal", 0)])
+def test_eigendecomposition_schedule(monkeypatch, d, mode, decompositions):
+    calls = _count_eigh(monkeypatch)
+    rng = rng_stream(8)
+    runner = CmaRunner(CmaParams(matrix_mode=mode, restart=False), d, _bounds(d), rng)
+    for _ in range(30):
+        runner.generation(_sphere, rng)
+    assert runner.state.gen == 30 and runner.state.restarts == 0
+    assert calls[0] == decompositions
+
+
+def test_first_generation_after_restart_decomposes(monkeypatch):
+    calls = _count_eigh(monkeypatch)
+    rng = rng_stream(9)
+    params = CmaParams(pop_mode="constant", restart=False)
+    runner = CmaRunner(params, 50, _bounds(50), rng)
+    runner.generation(_sphere, rng)   # decomposes; the next two reuse B and D
+    runner.generation(_sphere, rng)
+    assert calls[0] == 1 and runner.state.eigen_age == 2
+    on_restart(runner.state, params, _bounds(50), rng)
+    assert runner.state.eigen_gap == 3 and runner.state.eigen_age == 3
+    runner.generation(_sphere, rng)
+    assert calls[0] == 2 and runner.state.eigen_age == 1
 
 
 def _drive(runner, rng, budget, target=None):

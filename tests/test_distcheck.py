@@ -5,6 +5,7 @@ configuration compared with itself and with a planted defect."""
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,3 +44,20 @@ def test_self_comparison_passes_and_halved_beta_is_flagged():
     planted = distcheck.collect({"de": {**config, "de.beta": "0.25"}})
     rows = distcheck.compare(base, planted)
     assert any(r["flagged"] for r in rows)
+
+
+def test_sized_cells_run_at_their_own_d_and_budget(monkeypatch):
+    import hybridopt
+
+    seen = []
+
+    def fake_run(cfg, obj, seed, max_evals):
+        seen.append((obj.d, max_evals))
+        return SimpleNamespace(best_fitness=1.0)
+
+    monkeypatch.setattr(hybridopt, "run", fake_run)
+    configs = {name: distcheck.CONFIGS[name] for name in ("cmaes-d50", "cmaes-default")}
+    out = distcheck.collect(configs, functions=distcheck.FUNCTIONS[:1], seeds=(1, 2))
+    assert seen == [(50, 5000)] * 2 + [(10, 2000)] * 2
+    assert list(out) == ["cmaes-d50@shifted_rotated_rastrigin",
+                         "cmaes-default@shifted_rotated_rastrigin"]

@@ -4,7 +4,8 @@ Golden fingerprints say "bit for bit unchanged"; a change that draws its
 random numbers differently on purpose needs "statistically the same"
 instead.  This script runs both commits, each from its own ``git worktree``
 in a subprocess, on a fixed matrix of configurations x instances x seeds:
-the DE-bearing configurations and PSO alone under each velocity setting.
+the DE-bearing configurations, PSO alone under each velocity setting and
+the CMA-ES configurations, each at its own dimension and budget.
 For every cell it reports the median log10 best fitness of each side and a
 two-sided Mann-Whitney rank-sum p-value, and flags the cells a Holm
 correction rejects at a family-wise alpha of 0.05.  It exits 1 if any cell
@@ -44,6 +45,10 @@ import numpy as np
 # eigenbasis, each informed and random perturbation (with each magnitude
 # mode), the random omega and acceleration modes, stagnation detection,
 # each non-rectangular DNPP, and a swarm of 7 that combines most of them.
+# Last, CMA-ES on both sides of its lazy eigendecomposition: the benchmark's
+# cmaes-d50 IPOP configuration at d=50 (a decomposition every 3 generations),
+# the default alone and nested in PSO at d=10 (every generation), and equal
+# weights with b = 5 (mu = 2) at d=10 (every 2 generations).
 CONFIGS = {
     "de-rand1bin": {"exec.order": "de", "pop.size": "50",
                     "de.base_vector": "random", "de.recombination": "binomial"},
@@ -105,11 +110,18 @@ CONFIGS = {
                   "pso.pert_info": "uniform", "pso.pert_rand": "noisy",
                   "pso.pm_mode": "success_rate", "pso.pm": "0.5",
                   "pso.omega3_mode": "random", "pso.stagnation_detection": "true"},
+    "cmaes-d50": {"exec.order": "cmaes", "cmaes.matrix_mode": "full",
+                  "cmaes.pop_mode": "incremental", "cmaes.restart": "true"},
+    "cmaes-default": {"exec.order": "cmaes"},
+    "pso-nested-cmaes": {"exec.order": "pso", "ls.algo": "cmaes"},
+    "cmaes-equal-b5": {"exec.order": "cmaes", "cmaes.weights": "equal",
+                       "cmaes.b": "5.0"},
 }
 FUNCTIONS = ("shifted_rotated_rastrigin", "shifted_rotated_elliptic",
              "shifted_rotated_weierstrass")
 DIM = 10
 FES = 2000          # the swarm-d10 budget
+SIZES = {"cmaes-d50": (50, 5000)}   # (d, FEs) where not (DIM, FES): the workload's
 INSTANCE_SEED = 1
 ALPHA = 0.05
 FLOOR = 1e-10       # best values below this count as solved
@@ -167,18 +179,21 @@ def holm(pvalues, alpha: float = ALPHA) -> np.ndarray:
 def collect(configs: dict, functions=FUNCTIONS,
             seeds=range(1, 11)) -> dict[str, list[float]]:
     """log10 of the best fitness (floored at FLOOR) of every seed, per cell
-    "<config>@<function>", from the hybridopt that is on the import path."""
-    from hybridopt import default_config, make_instance, run, validate
+    "<config>@<function>", from the hybridopt that is on the import path.
+    Each configuration runs at its SIZES entry, (DIM, FES) by default."""
+    import hybridopt
 
     out = {}
     for function in functions:
-        obj = make_instance(function, DIM, instance_seed=INSTANCE_SEED)
         for name, overrides in configs.items():
-            cfg = validate(default_config(overrides))
+            d, fes = SIZES.get(name, (DIM, FES))
+            obj = hybridopt.make_instance(function, d, instance_seed=INSTANCE_SEED)
+            cfg = hybridopt.validate(hybridopt.default_config(overrides))
             if not hasattr(cfg, "execution"):
                 raise ValueError(f"{name}: {cfg.describe()}")
             out[f"{name}@{function}"] = [
-                math.log10(max(run(cfg, obj, seed, max_evals=FES).best_fitness, FLOOR))
+                math.log10(max(hybridopt.run(cfg, obj, seed, max_evals=fes).best_fitness,
+                               FLOOR))
                 for seed in seeds]
     return out
 
@@ -252,9 +267,10 @@ def main(argv=None) -> int:
                                 str(tree)], check=False)
 
     rows = compare(base, head)
+    sized = ", ".join(f"{name} d={d}, {fes}" for name, (d, fes) in SIZES.items())
     print(f"base {args.base} vs HEAD: {len(rows)} cells x {args.seeds} "
-          f"seeds, d={DIM}, {FES} FEs; median log10 best; two-sided rank-sum "
-          f"p; Holm at family-wise alpha {ALPHA}")
+          f"seeds, d={DIM}, {FES} FEs ({sized}); median log10 best; two-sided "
+          f"rank-sum p; Holm at family-wise alpha {ALPHA}")
     width = max(len(r["cell"]) for r in rows)
     for r in rows:
         print(f"{r['cell']:<{width}}  {r['base_median']:8.3f}  {r['head_median']:8.3f}"

@@ -12,8 +12,8 @@ max(1, floor(0.5 / (d (c1 + cmu)))) generations, and always for the first
 sample after the start and after each restart.  Sampling and the whitening
 of the mean's step use the last B and D in between.  The gap is one
 generation for every default run at d <= 20, so those runs decompose every
-generation as before; it is 3 at d = 50 and 6 at d = 100.  The diagonal
-mode's O(d) refresh runs every generation.
+generation; it is 3 at d = 50 and 6 at d = 100.  The diagonal mode's O(d)
+refresh runs every generation.
 """
 
 from __future__ import annotations

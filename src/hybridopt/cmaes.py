@@ -45,7 +45,7 @@ class DegenerateState(Exception):
 class CmaParams:
     a: float = 3.0                 # population sizing: lambda0 = 4 + floor(a ln d)
     b: float = 2.0                 # parent divisor: mu = floor(lambda / b)
-    c: float = 0.5                 # sigma0 = c * mean box width (c floored at 1e-12)
+    c: float = 0.5                 # sigma0 = c * mean box width; see MIN_SIGMA0_FRACTION
     d_inc: float = 2.0             # lambda growth factor on restart
     e: float = -12.0               # log10 threshold on current-generation fitness range
     f: float = -12.0               # log10 threshold on best-fitness history range

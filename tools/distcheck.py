@@ -121,7 +121,9 @@ FUNCTIONS = ("shifted_rotated_rastrigin", "shifted_rotated_elliptic",
              "shifted_rotated_weierstrass")
 DIM = 10
 FES = 2000          # the swarm-d10 budget
-SIZES = {"cmaes-d50": (50, 5000)}   # (d, FEs) where not (DIM, FES): the workload's
+# (d, FEs) of the configurations that do not run at (DIM, FES): cmaes-d50
+# runs at its benchmark workload's size
+SIZES = {"cmaes-d50": (50, 5000)}
 INSTANCE_SEED = 1
 ALPHA = 0.05
 FLOOR = 1e-10       # best values below this count as solved

@@ -174,11 +174,14 @@ class Population:
     def record_better(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:
         """Move each of the members rows (every member by default) whose row
         of X has a strictly lower value than its own to that row (greedy
-        selection); returns which of them moved, one entry per row of X."""
+        selection); returns which of them moved, one entry per row of X.
+
+        A member that does not move keeps pf <= f, so only the moved members
+        are recorded."""
         F = np.asarray(F, dtype=float)
-        x, f = self.x[rows], self.f[rows]
-        moved = F < f
-        self.record_all(np.where(moved[:, None], X, x), np.where(moved, F, f), rows)
+        moved = F < self.f[rows]
+        members = np.arange(len(self))[rows] if isinstance(rows, slice) else rows
+        self.record_all(X[moved], F[moved], members[moved])
         return moved
 
 

@@ -30,7 +30,7 @@ class DeParams:
 
 def num_vector_differences(diff_fraction: float, n: int) -> int:
     """Number of difference pairs: floor(fraction*n), at least 1, at most n/4."""
-    return int(np.clip(int(diff_fraction * n), 1, max(1, n // 4)))
+    return min(max(int(diff_fraction * n), 1), max(1, n // 4))
 
 
 def _uniform_indices(size: int, shape, rng: np.random.Generator,
@@ -77,9 +77,12 @@ def _distinct_picks(count: int, size: int, rows: int,
 
 def best_two(fitnesses: np.ndarray) -> tuple[int, int]:
     """Indices of the best member and the runner-up, ties broken by index."""
-    first = int(np.argmin(fitnesses))
-    rest = int(np.argmin(np.delete(fitnesses, first)))
-    return first, rest + (rest >= first)
+    first = int(fitnesses.argmin())
+    rest = fitnesses.copy()
+    rest[first] = np.inf
+    second = int(rest.argmin())
+    # every other value is +inf: the runner-up is the lowest other index
+    return first, (1 if second == first else second)
 
 
 def select_base_and_donors(kind: str, positions: np.ndarray, pbests: np.ndarray,

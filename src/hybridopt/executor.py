@@ -332,46 +332,48 @@ class _Run:
         if modules == ("pso",):
             self._pso_generation(slice(None), pop.p, pop.pf, l_best_idx, ranked, basis)
             return
-        positions, fitnesses = pop.x.copy(), pop.f.copy()
-        pbests, pbest_fits = pop.p.copy(), pop.pf.copy()
+        # DE proposes from pop before it records anything; the PSO step after
+        # it reads the personal bests from the start of the generation
+        pbests, pbest_fits = (pop.p.copy(), pop.pf.copy()) if "pso" in modules \
+            else (pop.p, pop.pf)
         k = de_mod.num_vector_differences(de_par.diff_fraction, n)
-        leaders = de_mod.best_two(fitnesses)
+        leaders = de_mod.best_two(pop.f)
         if self.cfg.execution.mode == "probabilistic":
             first = gate_mask(self.cfg.execution, self.exec_state, n, self.rng)
             to_de = first if self.order[0] == "de" else ~first
-            self._de_generation(np.flatnonzero(to_de), positions, fitnesses, pbests, k,
-                                leaders, basis)
+            self._de_generation(np.flatnonzero(to_de), pbests, k, leaders, basis)
             rows = np.flatnonzero(~to_de)
         else:
-            moved = self._de_generation(np.arange(n), positions, fitnesses, pbests, k,
-                                        leaders, basis)
+            moved = self._de_generation(np.arange(n), pbests, k, leaders, basis)
             if "pso" not in modules:
                 return
             rows = np.flatnonzero(~moved) if de_par.pso_only_on_fail else slice(None)
         self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
 
-    def _de_generation(self, targets, positions, fitnesses, pbests, k, leaders,
-                       basis) -> np.ndarray:
+    def _de_generation(self, targets, pbests, k, leaders, basis) -> np.ndarray:
         """One DE step of the members targets (an index array in ascending
-        order): propose their trials from the state at the start of the
-        generation, repair the block into the box, evaluate it and keep each
-        trial that is strictly better than its target.  Returns which targets
-        moved."""
+        order): propose their trials from the population as it is (the state
+        at the start of the generation; pbests are its personal bests), repair
+        the block into the box, evaluate it and keep each trial that is
+        strictly better than its target.  Returns which targets moved."""
         pop = self.pop
         r = len(targets)
         if r == 0:
             return np.zeros(0, dtype=bool)
         # bound the donor blocks to DONOR_BLOCK elements for large populations
         chunks = min(r, -(-r * (2 * k + 1) * self.d // DONOR_BLOCK))
-        X = np.concatenate([self._de_propose(rows, positions, fitnesses, pbests, k, leaders,
-                                             basis)
-                            for rows in np.array_split(targets, chunks)])
+        if chunks == 1:
+            X = self._de_propose(targets, pbests, k, leaders, basis)
+        else:
+            X = np.concatenate([self._de_propose(rows, pbests, k, leaders, basis)
+                                for rows in np.array_split(targets, chunks)])
         X = repair_to_bounds(X, self.bounds)
-        moved = pop.record_better(X, self.ev_block(X), targets)
         kind = self.cfg.de.recompute_velocity
-        if kind != "none":  # positions still holds the targets
+        old = pop.x.take(targets, axis=0) if kind != "none" else None
+        moved = pop.record_better(X, self.ev_block(X), targets)
+        if kind != "none":
             members = targets[moved]
-            pop.v[members] = de_mod.recompute_velocity(kind, positions[members], X[moved],
+            pop.v[members] = de_mod.recompute_velocity(kind, old[moved], X[moved],
                                                        pop.v[members], self.rng, self.bounds)
         return moved
 
@@ -403,17 +405,17 @@ class _Run:
             windows[rows, :-1] = windows[rows, 1:]
             windows[rows, -1] = improved
 
-    def _de_propose(self, targets, positions, fitnesses, pbests, k, leaders,
-                    basis) -> np.ndarray:
-        """Trial rows for the target rows ``targets``, read from the state at
-        the start of the generation."""
+    def _de_propose(self, targets, pbests, k, leaders, basis) -> np.ndarray:
+        """Trial rows for the target rows ``targets``, read from the population
+        before this generation's DE step records anything."""
         par = self.cfg.de
+        pop = self.pop
         self.active_module = "de"
         base, donors = de_mod.select_base_and_donors(
-            par.base_vector, positions, pbests, fitnesses, targets, k, par.beta,
+            par.base_vector, pop.x, pbests, pop.f, targets, k, par.beta,
             par.vectors, self.rng, leaders)
         mutant = de_mod.mutate(base, donors, par.beta, par.base_vector)
-        target = positions.take(targets, axis=0)
+        target = pop.x.take(targets, axis=0)
         if par.vector_basis == "eigenvector":
             t_rot, m_rot, unrotate = de_mod.eigen_recombination_wrap(target, mutant, basis)
             return unrotate(de_mod.recombine(par.recombination, t_rot, m_rot,

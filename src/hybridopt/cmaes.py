@@ -12,8 +12,8 @@ max(1, floor(0.5 / (d (c1 + cmu)))) generations, and always for the first
 sample after the start and after each restart.  Sampling and the whitening
 of the mean's step use the last B and D in between.  The gap is one
 generation for every default run at d <= 20, so those runs decompose every
-generation; it is 3 at d = 50 and 6 at d = 100.  The diagonal mode's O(d)
-refresh runs every generation.
+generation; it is 3 at d = 50 and 6 at d = 100.  Diagonal mode refreshes
+only D = sqrt(C), in O(d) every generation; it never reads B.
 """
 
 from __future__ import annotations
@@ -174,19 +174,18 @@ def init_state(params: CmaParams, d: int, bounds: Bounds, rng: np.random.Generat
 
 
 def _refresh_eigensystem(state: CmaState) -> None:
-    if state.diagonal:
-        if np.any(state.C <= 0):
+    if state.diagonal:   # B is not read in diagonal mode
+        if (state.C <= 0).any():
             raise DegenerateState("diagonal variance lost positivity")
-        state.eigen_B = np.eye(state.d)
         state.eigen_D = np.sqrt(state.C)
         return
     if state.eigen_age < state.eigen_gap:
         state.eigen_age += 1
         return
-    if not np.all(np.isfinite(state.C)):  # e.g. after sigma underflowed
+    if not np.isfinite(state.C).all():  # e.g. after sigma underflowed
         raise DegenerateState("covariance is not finite")
     vals, vecs = np.linalg.eigh(state.C)
-    if vals[0] <= 0 or not np.all(np.isfinite(vals)):
+    if vals[0] <= 0 or not np.isfinite(vals).all():
         raise DegenerateState("covariance lost positive definiteness")
     state.eigen_B = vecs
     state.eigen_D = np.sqrt(vals)
@@ -196,9 +195,10 @@ def _refresh_eigensystem(state: CmaState) -> None:
 def sample_population(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     """lambda samples m + sigma * B D z.
 
-    The eigensystem is refreshed first: every generation in diagonal mode, and
-    in full mode only once ``eigen_gap`` generations have passed since the
-    last decomposition; in between, B and D are those of that decomposition.
+    The eigensystem is refreshed first: D alone every generation in diagonal
+    mode, where B is not read, and in full mode only
+    once ``eigen_gap`` generations have passed since the last decomposition;
+    in between, B and D are those of that decomposition.
     """
     _refresh_eigensystem(state)
     z = rng.standard_normal((state.lam, state.d))
@@ -231,7 +231,7 @@ def update_paths_and_sigma(state: CmaState, new_mean: np.ndarray,
     state.p_sigma = (1.0 - cs) * state.p_sigma \
         + math.sqrt(cs * (2.0 - cs) * state.mu_eff) * whitened
 
-    norm_ps = float(np.linalg.norm(state.p_sigma))
+    norm_ps = math.sqrt(state.p_sigma.dot(state.p_sigma))   # np.linalg.norm bit for bit
     # h_sigma stalls the p_c cumulation while sigma is still adapting fast
     denom = math.sqrt(1.0 - (1.0 - cs) ** (2 * (state.gen + 1)))
     h_sigma = norm_ps / denom < (1.4 + 2.0 / (state.d + 1.0)) * state.chi_d
@@ -273,8 +273,9 @@ def update_covariance(state: CmaState, ranked: np.ndarray,
 
 
 def record_generation(state: CmaState, fitnesses: np.ndarray) -> None:
-    state.last_gen_spread = spread(float(np.max(fitnesses)), float(np.min(fitnesses)))
-    state.hist_best.append(float(np.min(fitnesses)))
+    best = float(fitnesses.min())
+    state.last_gen_spread = spread(float(fitnesses.max()), best)
+    state.hist_best.append(best)
     state.gen += 1
 
 
@@ -285,8 +286,8 @@ def check_restart(state: CmaState, params: CmaParams) -> bool:
     if len(state.hist_best) == state.hist_best.maxlen:
         if spread(max(state.hist_best), min(state.hist_best)) <= 10.0 ** params.f:
             return True
-    max_std = state.sigma * float(np.sqrt(np.max(state.C if state.diagonal
-                                                 else np.diag(state.C))))
+    max_std = state.sigma * math.sqrt((state.C if state.diagonal
+                                       else state.C.diagonal()).max())
     return max_std <= 10.0 ** params.g
 
 

@@ -166,9 +166,13 @@ class Population:
         self.x[rows] = X
         self.f[rows] = F
         better = F < self.pf[rows]
-        improved = np.arange(len(self))[rows][better]
-        self.p[improved] = X[better]
-        self.pf[improved] = F[better]
+        if isinstance(rows, slice):   # p[rows] and pf[rows] are views
+            self.p[rows][better] = X[better]
+            self.pf[rows][better] = F[better]
+        else:
+            improved = rows[better]
+            self.p[improved] = X[better]
+            self.pf[improved] = F[better]
         return better
 
     def record_better(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:

@@ -379,7 +379,7 @@ class _Run:
 
     def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
         """One PSO step of the members rows (an index array in ascending order,
-        or a slice): ``pso.swarm_step`` moves them at once from their own x, v
+        or slice(None) for every member): ``pso.swarm_step`` moves them at once from their own x, v
         and p toward their neighbourhood bests pbests[l_best_idx[i]] and their
         informants' rows of pbests (the start of the generation's personal
         bests, with their fitnesses pbest_fits).  The moves are evaluated as
@@ -387,7 +387,7 @@ class _Run:
         improved."""
         pop = self.pop
         par = self.cfg.pso
-        if np.arange(len(pop))[rows].size == 0:
+        if not isinstance(rows, slice) and rows.size == 0:
             return
         self.active_module = "pso"
         l_idx = l_best_idx[rows]

@@ -482,12 +482,11 @@ def update_position(x: np.ndarray, velocity: np.ndarray, bounds: Bounds,
     With velocity clamping on, a row's velocity is halved once before the
     move whenever any of its components exceeds the width of the search space.
     """
-    v = np.asarray(velocity, dtype=float)
     if velocity_clamping:
-        wide = np.abs(v) > bounds.width()
+        wide = np.abs(velocity) > bounds.width()
         if wide.any():
-            v = np.where(wide.any(axis=-1, keepdims=True), v / 2.0, v)
-    return repair_to_bounds(x + v, bounds), v
+            velocity = np.where(wide.any(axis=-1, keepdims=True), velocity / 2.0, velocity)
+    return repair_to_bounds(x + velocity, bounds), velocity
 
 
 def stagnation_check(velocity: np.ndarray, position: np.ndarray,

@@ -217,10 +217,10 @@ def population_eigenbasis(positions: np.ndarray) -> np.ndarray | None:
     if n < 2:
         return None
     # np.cov(positions, rowvar=False) bit for bit, without its Python wrapper
-    centred = (positions - positions.mean(axis=0)).T
+    centred = (positions - positions.sum(axis=0) / n).T
     cov = np.dot(centred, centred.T)
     cov *= 1.0 / (n - 1)
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         return None
     try:
         vals, vecs = np.linalg.eigh(cov)

@@ -99,7 +99,8 @@ def _ackley(Z):
     d = Z.shape[1]
     s1 = np.sqrt(_row_dots(Z, Z) / d)
     s2 = np.sum(np.cos(2.0 * np.pi * Z), axis=1) / d
-    return 20.0 + np.e - 20.0 * np.exp(-0.2 * s1) - np.exp(s2)
+    # each bracket is exactly 0.0 at the optimum, where s1 = 0 and s2 = 1
+    return (20.0 - 20.0 * np.exp(-0.2 * s1)) + (np.e - np.exp(s2))
 
 
 def _griewank(Z):

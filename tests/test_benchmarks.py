@@ -27,6 +27,8 @@ def test_canonical_optima():
         if fid == "rosenbrock":
             continue
         assert _base(fid, np.zeros(4)) == pytest.approx(0.0, abs=1e-9), fid
+    for d in (1, 2, 5, 10, 30):
+        assert _base("ackley", np.zeros(d)) == 0.0
 
 
 def test_hand_evaluations():
@@ -217,9 +219,8 @@ _REFERENCE = {
     "rosenbrock": lambda z: float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2
                                          + (z[:-1] - 1.0) ** 2)),
     "rastrigin": lambda z: float(np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z) + 10.0)),
-    "ackley": lambda z: float(20.0 + np.e
-                              - 20.0 * np.exp(-0.2 * np.sqrt(np.dot(z, z) / z.size))
-                              - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / z.size)),
+    "ackley": lambda z: float((20.0 - 20.0 * np.exp(-0.2 * np.sqrt(np.dot(z, z) / z.size)))
+                              + (np.e - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / z.size))),
     "griewank": lambda z: float(1.0 + np.dot(z, z) / 4000.0
                                 - np.prod(np.cos(z / np.sqrt(np.arange(1, z.size + 1))))),
     "bohachevsky": lambda z: float(np.sum(z[:-1] * z[:-1] + 2.0 * z[1:] * z[1:]

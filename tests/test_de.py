@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hybridopt import Bounds, rng_stream
+from hybridopt import de
 from hybridopt.de import (InsufficientPopulation, best_two, eigen_recombination_wrap,
                           mutate, num_vector_differences, population_eigenbasis,
                           recombine, recompute_velocity, select_base_and_donors,
@@ -16,6 +17,16 @@ def test_num_vector_differences():
     assert num_vector_differences(0.1711, 70) == 11
     assert num_vector_differences(0.25, 8) == 2
     assert num_vector_differences(0.25, 400) == 100
+
+
+def test_num_vector_differences_equals_the_clip_reference():
+    fractions = [0.0, 1e-9, 0.0007, 0.0151, 0.02, 0.0834, 0.1, 0.1711, 0.2137,
+                 0.2499, 0.25, 0.3, 0.5, 1.0]
+    for n in range(1, 201):
+        for fraction in fractions:
+            expected = int(np.clip(int(fraction * n), 1, max(1, n // 4)))
+            got = num_vector_differences(fraction, n)
+            assert type(got) is int and got == expected, (fraction, n)
 
 
 def _marker_population(n, d=3):
@@ -50,8 +61,23 @@ def test_best_two_breaks_ties_by_index():
     assert best_two(np.array([9.0, 1.0, 1.0, 3.0])) == (1, 2)
     assert best_two(np.array([2.0, 7.0, 2.0, 2.0])) == (0, 2)
     assert best_two(np.array([np.inf, np.inf, np.inf])) == (0, 1)
+    # every value but the best is +inf: the runner-up is the lowest other index
+    assert best_two(np.array([np.inf, 3.0, np.inf])) == (1, 0)
+    assert best_two(np.array([1.0, np.inf, np.inf])) == (0, 1)
+    assert best_two(np.array([np.inf, np.inf, 1.0])) == (2, 0)
+    for pair, expected in (([5.0, 5.0], (0, 1)), ([3.0, 1.0], (1, 0)),
+                           ([np.inf, np.inf], (0, 1)), ([1.0, np.inf], (0, 1)),
+                           ([np.inf, 1.0], (1, 0))):
+        assert best_two(np.array(pair)) == expected, pair
     fitnesses = rng_stream(14).integers(0, 4, size=50).astype(float)
     assert best_two(fitnesses) == tuple(np.argsort(fitnesses, kind="stable")[:2])
+    data = rng_stream(15)
+    for n in range(2, 12):
+        for _ in range(30):
+            fitnesses = data.choice([1.0, 2.0, np.inf], size=n)
+            before = fitnesses.copy()
+            assert best_two(fitnesses) == tuple(np.argsort(fitnesses, kind="stable")[:2])
+            assert np.array_equal(fitnesses, before)   # read, not written
 
 
 def test_select_random_distinctness():
@@ -370,3 +396,67 @@ def test_distinct_picks_in_eight_bits():
     for t, row in zip(targets, picks):
         assert row[0] == (1 if t == 0 else 0)
         assert len(set(row)) == 129 and t not in row
+
+
+# _distinct_picks sorts one block of uniforms up to SORT_PICKS_MAX_SIZE
+# candidates and redraws repeated picks above it.
+
+def test_sort_switch_size_is_pinned():
+    # count 1 cannot repeat, so the redraw branch draws exactly one double per
+    # row, while the sort branch draws one per candidate
+    assert de.SORT_PICKS_MAX_SIZE == 36
+    for size, drawn in ((36, 3 * 36), (37, 3)):
+        rng, ref = rng_stream(20), rng_stream(20)
+        picks = de._distinct_picks(1, size, 3, rng)
+        ref.random(drawn)
+        assert rng.bit_generator.state == ref.bit_generator.state, size
+        assert picks.shape == (3, 1)
+    rng, ref = rng_stream(21), rng_stream(21)
+    picks = de._distinct_picks(3, 36, 4, rng)
+    expected = np.argsort(ref.random((4, 36)), axis=1, kind="stable")[:, :3]
+    assert picks.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("size", [2, 5, 20, 35, 36, 37, 38, 60])
+def test_distinct_picks_on_both_sides_of_the_switch(size):
+    rng = rng_stream(22 + size)
+    for count in sorted({1, 2, min(3, size), min(size, 17), size}):
+        picks = de._distinct_picks(count, size, 200, rng)
+        assert picks.shape == (200, count) and picks.dtype == np.intp
+        assert picks.min() >= 0 and picks.max() < size
+        assert all(len(set(row)) == count for row in picks.tolist())
+    with pytest.raises(InsufficientPopulation):
+        de._distinct_picks(size + 1, size, 1, rng)
+
+
+@pytest.mark.parametrize("kind", ["random", "best", "directed_random", "target_to_best"])
+@pytest.mark.parametrize("n", [6, 36, 37, 38, 39, 50])
+def test_selection_excludes_the_target_on_both_sides_of_the_switch(kind, n):
+    positions = np.arange(float(n))[:, None]
+    fitnesses = rng_stream(30 + n).permutation(n).astype(float)
+    targets = np.tile(np.arange(n), 20)
+    base, donors = select_base_and_donors(kind, positions, positions, fitnesses,
+                                          targets, k=1, beta=0.5, vectors="positions",
+                                          rng=rng_stream(31 + n),
+                                          leaders=best_two(fitnesses))
+    picks = donors[..., 0].astype(int)
+    if kind != "target_to_best":
+        picks = np.column_stack((base[:, 0].astype(int), picks))
+    for t, row in zip(targets, picks.tolist()):
+        assert t not in row and len(set(row)) == len(row)
+        assert all(0 <= j < n for j in row)
+
+
+@pytest.mark.parametrize("switch", [36, 4])
+def test_three_of_five_is_uniform_over_ordered_tuples(switch, monkeypatch):
+    # sort branch at the pinned switch, redraw branch with the switch below 5;
+    # 60 000 rows put 1 000 expected on each of the 5 * 4 * 3 = 60 tuples
+    monkeypatch.setattr(de, "SORT_PICKS_MAX_SIZE", switch)
+    picks = de._distinct_picks(3, 5, 60000, rng_stream(23))
+    counts = Counter(map(tuple, picks.tolist()))
+    assert len(counts) == 60
+    assert all(len(set(t)) == 3 and max(t) < 5 for t in counts)
+    chi2 = sum((c - 1000.0) ** 2 / 1000.0 for c in counts.values())
+    # 98.4 is the chi-square quantile of 59 degrees of freedom at 0.999
+    # (Wilson-Hilferty); its mean is 59
+    assert chi2 < 98.4

@@ -45,6 +45,9 @@ import numpy as np
 # eigenbasis, each informed and random perturbation (with each magnitude
 # mode), the random omega and acceleration modes, stagnation detection,
 # each non-rectangular DNPP, and a swarm of 7 that combines most of them.
+# Then DE alone (rand/1/bin) and DE∘PSO at pop 6, where every row's donors
+# come from one sort of uniforms (de.SORT_PICKS_MAX_SIZE); the
+# best-base cell above picks through the same branch with 4 candidates.
 # Last, CMA-ES on both sides of its lazy eigendecomposition: the benchmark's
 # cmaes-d50 IPOP configuration at d=50 (a decomposition every 3 generations),
 # the default alone and nested in PSO at d=10 (every generation), and equal
@@ -110,6 +113,9 @@ CONFIGS = {
                   "pso.pert_info": "uniform", "pso.pert_rand": "noisy",
                   "pso.pm_mode": "success_rate", "pso.pm": "0.5",
                   "pso.omega3_mode": "random", "pso.stagnation_detection": "true"},
+    "de-rand1bin-pop6": {"exec.order": "de", "pop.size": "6",
+                         "de.base_vector": "random", "de.recombination": "binomial"},
+    "de-pso-pop6": {"exec.order": "de,pso", "pop.size": "6"},
     "cmaes-d50": {"exec.order": "cmaes", "cmaes.matrix_mode": "full",
                   "cmaes.pop_mode": "incremental", "cmaes.restart": "true"},
     "cmaes-default": {"exec.order": "cmaes"},

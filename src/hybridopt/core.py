@@ -165,28 +165,35 @@ class Population:
         F = np.asarray(F, dtype=float)
         self.x[rows] = X
         self.f[rows] = F
+        return self._improve(X, F, rows)
+
+    def record_better(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:
+        """Move each of the members rows (every member by default) whose row
+        of X has a strictly lower value than its own to that row (greedy
+        selection); returns which of them moved, one entry per row of X."""
+        F = np.asarray(F, dtype=float)
+        moved = F < self.f[rows]
+        if isinstance(rows, slice):   # x[rows] and f[rows] are views
+            np.copyto(self.x[rows], X, where=moved[:, None])
+            np.copyto(self.f[rows], F, where=moved)
+            # a member that did not move has F >= f >= pf: its pbest stays
+            self._improve(X, F, rows)
+        else:
+            self.record_all(X[moved], F[moved], rows[moved])
+        return moved
+
+    def _improve(self, X: np.ndarray, F: np.ndarray, rows) -> np.ndarray:
+        """Move the personal bests of the members rows to their rows of X
+        where F is strictly lower; returns where."""
         better = F < self.pf[rows]
         if isinstance(rows, slice):   # p[rows] and pf[rows] are views
-            self.p[rows][better] = X[better]
-            self.pf[rows][better] = F[better]
+            np.copyto(self.p[rows], X, where=better[:, None])
+            np.copyto(self.pf[rows], F, where=better)
         else:
             improved = rows[better]
             self.p[improved] = X[better]
             self.pf[improved] = F[better]
         return better
-
-    def record_better(self, X: np.ndarray, F, rows=slice(None)) -> np.ndarray:
-        """Move each of the members rows (every member by default) whose row
-        of X has a strictly lower value than its own to that row (greedy
-        selection); returns which of them moved, one entry per row of X.
-
-        A member that does not move keeps pf <= f, so only the moved members
-        are recorded."""
-        F = np.asarray(F, dtype=float)
-        moved = F < self.f[rows]
-        members = np.arange(len(self))[rows] if isinstance(rows, slice) else rows
-        self.record_all(X[moved], F[moved], members[moved])
-        return moved
 
 
 def cap_reported_value(f: float) -> float:

@@ -175,10 +175,10 @@ def recombine(kind: str, target: np.ndarray, mutant: np.ndarray, p_a: float,
     u = rng.random((r, d + 1))  # per row: k_rand, then d draws
     k_rand = (u[:, 0] * d).astype(np.intp)
     if kind == "binomial":
-        take = u[:, 1:] >= p_a
-        take[np.arange(r), k_rand] = True
+        take = (u[:, 1:] >= p_a) | (np.arange(d) == k_rand[:, None])
     elif kind == "exponential":
-        length = 1 + np.cumprod(u[:, 1:d] >= p_a, axis=1).sum(axis=1)
+        # 1 + the number of leading draws >= p_a
+        length = 1 + np.logical_and.accumulate(u[:, 1:d] >= p_a, axis=1).sum(axis=1)
         take = (np.arange(d) - k_rand[:, None]) % d < length[:, None]
     else:
         raise ValueError(f"unknown recombination kind {kind!r}")

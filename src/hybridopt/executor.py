@@ -370,7 +370,8 @@ class _Run:
         X = repair_to_bounds(X, self.bounds)
         kind = self.cfg.de.recompute_velocity
         old = pop.x.take(targets, axis=0) if kind != "none" else None
-        moved = pop.record_better(X, self.ev_block(X), targets)
+        moved = pop.record_better(X, self.ev_block(X),
+                                  slice(None) if r == len(pop) else targets)
         if kind != "none":
             members = targets[moved]
             pop.v[members] = de_mod.recompute_velocity(kind, old[moved], X[moved],

@@ -253,7 +253,7 @@ def covariance_step(C: np.ndarray, p_c: np.ndarray, ys: np.ndarray,
         rank_one = p_c * p_c
         rank_mu = weights @ (ys * ys)
     else:
-        rank_one = np.outer(p_c, p_c)
+        rank_one = p_c[:, None] * p_c   # np.outer without its wrapper
         rank_mu = (weights[:, None] * ys).T @ ys
     return (1.0 - c_cov) * C + (c_cov / mu_cov) * rank_one \
         + c_cov * (1.0 - 1.0 / mu_cov) * rank_mu

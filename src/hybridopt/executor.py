@@ -465,22 +465,24 @@ class _Run:
 
     def execute(self) -> RunResult:
         started = time.monotonic()
+        reinit = self.cfg.execution.reinit
+        resizes = self.cfg.population.mode != "constant"
         try:
             self.initialize()
-            while True:
-                if self.budget.wallclock_exceeded():
-                    break
+            while not self.budget.wallclock_exceeded():
                 self.generation()
                 self.best_history.append(self.best_f)
-                self.local_search()
-                if (self.cfg.execution.reinit != "none" and self.pop is not None
+                if self.ls_per_run > 0:
+                    self.local_search()
+                if (reinit != "none" and self.pop is not None
                         and self.active_module in ("pso", "de")):
                     changed = apply_reinitialization(
-                        self.cfg.execution.reinit, self.pop, self.best_x,
+                        reinit, self.pop, self.best_x,
                         self.bounds, self.best_history, self.rng, self.ev_block)
-                    if changed and self.cfg.execution.reinit == "change":
+                    if changed and reinit == "change":
                         self.best_history.clear()
-                self.update_population_parameters()
+                if resizes:
+                    self.update_population_parameters()
                 update_execution_parameters(self.cfg.execution, self.exec_state,
                                             self.rng, self.topology)
         except BudgetExhausted:

@@ -196,9 +196,9 @@ def sample_population(state: CmaState, rng: np.random.Generator) -> np.ndarray:
     """lambda samples m + sigma * B D z.
 
     The eigensystem is refreshed first: D alone every generation in diagonal
-    mode, where B is not read, and in full mode only
-    once ``eigen_gap`` generations have passed since the last decomposition;
-    in between, B and D are those of that decomposition.
+    mode, where B is not read, and in full mode only once ``eigen_gap``
+    generations have passed since the last decomposition; in between, B and
+    D are those of that decomposition.
     """
     _refresh_eigensystem(state)
     z = rng.standard_normal((state.lam, state.d))

@@ -369,6 +369,7 @@ class _Run:
                                 for rows in np.array_split(targets, chunks)])
         X = repair_to_bounds(X, self.bounds)
         kind = self.cfg.de.recompute_velocity
+        # the targets' positions before the record, for their new velocities
         old = pop.x.take(targets, axis=0) if kind != "none" else None
         moved = pop.record_better(X, self.ev_block(X),
                                   slice(None) if r == len(pop) else targets)
@@ -380,12 +381,12 @@ class _Run:
 
     def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
         """One PSO step of the members rows (an index array in ascending order,
-        or slice(None) for every member): ``pso.swarm_step`` moves them at once from their own x, v
-        and p toward their neighbourhood bests pbests[l_best_idx[i]] and their
-        informants' rows of pbests (the start of the generation's personal
-        bests, with their fitnesses pbest_fits).  The moves are evaluated as
-        one block, and the success windows record which personal bests
-        improved."""
+        or slice(None) for every member): ``pso.swarm_step`` moves them at
+        once from their own x, v and p toward their neighbourhood bests
+        pbests[l_best_idx[i]] and their informants' rows of pbests (the start
+        of the generation's personal bests, with their fitnesses pbest_fits).
+        The moves are evaluated as one block, and the success windows record
+        which personal bests improved."""
         pop = self.pop
         par = self.cfg.pso
         if not isinstance(rows, slice) and rows.size == 0:

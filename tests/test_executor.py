@@ -744,7 +744,7 @@ def test_success_windows_record_the_record_all_mask(monkeypatch):
         before = runner.success.copy()
         seen.clear()
         runner.generation()
-        pso_rows, improved = seen[-1]   # DE's record_better calls record_all first
+        pso_rows, improved = seen[-1]   # on some rows, DE records through record_all first
         moved = np.zeros(10, dtype=bool)
         moved[pso_rows] = True
         assert runner.success[~moved].tolist() == before[~moved].tolist()

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -250,6 +253,64 @@ def test_validate_is_total(raw):
             obj = make_instance("shifted_rotated_rastrigin", d, instance_seed=1)
             result = run(cfg, obj, seed=1, max_evals=300)
             assert result.evals_used == 300
+
+
+# The decisions of validate, pinned: assignments drawn like an irace-style
+# configurator, parameters in declaration order and each only while its
+# condition holds, then up to two keys replaced by junk, renamed or dropped.
+# The hash covers every accept/reject decision, the repr of every typed config
+# and the text of every report.
+_ORDERS = tuple(",".join(p) for k in (1, 2, 3)
+                for p in itertools.permutations(("pso", "de", "cmaes"), k))
+_JUNK_TEXT = ("", "nan", "-inf", "1e999", "abc", "-1", "0", "1.5", "1,2",
+              "pso,pso", "de,,cmaes", "TRUE", "0x10")
+VALIDATE_DECISIONS_SHA256 = (
+    "d852249f00a83be6e7860309985b9488315e8a78c1cf82f7f7c74943af757ece")
+
+
+def _draw_raw(rng):
+    names = [spec.name for spec in PARAMETER_SPACE]
+    u = dict(zip(names, rng.random(len(names)).tolist()))
+    values: dict[str, str] = {}
+    for spec in PARAMETER_SPACE:
+        if not condition_active(spec, values):
+            continue
+        pick = u[spec.name]
+        if spec.name == "exec.order":
+            text = _ORDERS[int(pick * len(_ORDERS))]
+        elif spec.name == "exec.phases":
+            w = rng.uniform(0.01, 1.0, size=len(values["exec.order"].split(",")))
+            text = ",".join(repr(float(x)) for x in w / w.sum())
+        elif spec.kind in ("categorical", "boolean"):
+            domain = spec.domain or ("true", "false")
+            text = domain[int(pick * len(domain))]
+        elif spec.kind == "integer":
+            lo, hi = spec.domain
+            text = str(lo + int(pick * (hi - lo + 1)))
+        else:
+            lo, hi = spec.domain
+            text = repr(lo + pick * (hi - lo))
+        values[spec.name] = text
+    for key in rng.choice(sorted(values), size=rng.integers(3), replace=False):
+        action, text = rng.integers(3), values.pop(key)
+        if action == 0:
+            values[key] = _JUNK_TEXT[rng.integers(len(_JUNK_TEXT))]
+        elif action == 1:
+            values[key + "_x"] = text
+    return values
+
+
+def test_validate_decisions_are_pinned():
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    accepted = 0
+    for _ in range(4000):
+        cfg = validate(_draw_raw(rng))
+        accepted += isinstance(cfg, AlgorithmConfig)
+        text = repr(cfg) if isinstance(cfg, AlgorithmConfig) else cfg.describe()
+        digest.update(f"{type(cfg).__name__}\n{text}\n".encode())
+    assert accepted > 0
+    assert digest.hexdigest() == VALIDATE_DECISIONS_SHA256
 
 
 @pytest.mark.parametrize("key, base", [("cmaes.c", {"exec.order": "cmaes"}),

@@ -340,102 +340,111 @@ def _parse_order(text: str):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _phase_fractions(text: str, order: tuple[str, ...]):
+    """The shares of ``exec.phases``, or None unless there is one finite
+    share in (0, 1] per module of the order and they sum to 1."""
+    try:
+        fractions = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        return None
+    if len(fractions) != len(order) \
+            or not all(math.isfinite(f) and 0 < f <= 1 for f in fractions) \
+            or abs(sum(fractions) - 1.0) > 1e-9:
+        return None
+    return fractions
+
+
+def _mode(typed):
+    return typed.get("exec.mode", "component_based")
+
+
+def _grows(typed, order):
+    return typed.get("pop.mode", "constant") != "constant" \
+        and ("pso" in order or "de" in order)
+
+
+def _smallest_swarm(typed):
+    if typed.get("pop.mode") != "constant":
+        return typed.get("pop.min")
+    return typed.get("pop.size")
+
+
+# Cross-parameter rules, checked in this order once the module order is
+# valid: (key, other key, reason, broken(typed values, module order)).
+# A key that failed to parse is absent from the typed values.
+CROSS_RULES = (
+    ("exec.mode", "exec.order",
+     "probabilistic execution is available only for pso and de",
+     lambda t, order: _mode(t) == "probabilistic" and set(order) != {"pso", "de"}),
+    ("exec.mode", "exec.order",
+     "component-based composition is available only for pso and de",
+     lambda t, order: _mode(t) == "component_based" and len(order) > 1
+     and set(order) != {"pso", "de"}),
+    ("exec.phases", "exec.order",
+     "phase fractions must match the module order and sum to 1",
+     lambda t, order: _mode(t) == "multiple_phases" and "exec.phases" in t
+     and _phase_fractions(t["exec.phases"], order) is None),
+    ("pop.mode", "exec.order", "population growth schedules apply to de only",
+     lambda t, order: _grows(t, order) and "pso" in order),
+    ("pop.min", "pop.max", "pop.min must not exceed pop.max",
+     lambda t, order: _grows(t, order) and t.get("pop.min", 0) > t.get("pop.max", 0)),
+    ("pso.topology", "pop.size", "time-varying topology needs at least 4 particles",
+     lambda t, order: "pso" in order and t.get("pso.topology") == "time_varying"
+     and (_smallest_swarm(t) or 0) < 4),
+    ("pso.moi", "pso.dnpp",
+     "informed models of influence require the rectangular DNPP",
+     lambda t, order: "pso" in order
+     and t.get("pso.moi") in ("fully_informed", "ranked_fully_informed")
+     and t.get("pso.dnpp") != "rectangular"),
+    # only the random mode draws from [min, max]; the linear modes run with
+    # an inverted range
+    ("pso.omega1_min", "pso.omega1_max",
+     "random inertia needs pso.omega1_min <= pso.omega1_max",
+     lambda t, order: "pso" in order and t.get("pso.omega1_mode") == "random"
+     and t.get("pso.omega1_min", 0.0) > t.get("pso.omega1_max", 1.0)),
+)
+
+
 def validate(raw: dict[str, str]):
     """Check ranges, dependencies and mode availability.
 
     Returns a typed AlgorithmConfig on success, otherwise a ValidationReport
-    listing every missing, conflicting and out-of-range entry.  Each typed
-    dataclass is built from the values of one key section (the key up to its
-    last dot), under the field name the spec gives.
+    listing every missing, conflicting and out-of-range entry.  One pass:
+    unknown keys, each spec's value, the module order, then ``CROSS_RULES``.
+    Each typed dataclass is built from the values of one key section (the key
+    up to its last dot), under the field name the spec gives.
     """
     report = ValidationReport()
     for key in raw:
         if key not in _SPEC_BY_NAME and key not in INSTANCE_KEYS:
             report.conflicting.append((key, "", "unknown parameter"))
 
-    effective = {s.name: s.default for s in PARAMETER_SPACE if s.default is not None}
-    effective.update({k: v for k, v in raw.items() if k in _SPEC_BY_NAME})
-    for spec in PARAMETER_SPACE:  # normalize booleans so conditions match
-        if spec.kind == "boolean" and spec.name in effective:
-            effective[spec.name] = effective[spec.name].lower()
+    effective = {}   # supplied or default text; booleans lowered so conditions match
+    for spec in PARAMETER_SPACE:
+        text = raw.get(spec.name, spec.default)
+        if text is not None:
+            effective[spec.name] = text.lower() if spec.kind == "boolean" else text
 
     typed: dict[str, object] = {}
     for spec in PARAMETER_SPACE:
-        active = condition_active(spec, effective)
-        supplied = spec.name in raw
-        if not supplied and active and spec.default is None:
-            report.missing.append(spec.name)
-            continue
         if spec.name in effective:
             try:
                 typed[spec.name] = _parse_value(spec, effective[spec.name])
             except ValueError:
                 report.out_of_range.append(
                     (spec.name, effective[spec.name], spec.domain_str()))
+        elif condition_active(spec, effective):
+            report.missing.append(spec.name)
 
-    order = _parse_order(str(typed.get("exec.order", "")))
-    mode = typed.get("exec.mode", "component_based")
-    bad_order = False
-    if not order or len(order) > 3 or len(set(order)) != len(order) \
-            or any(m not in ("pso", "de", "cmaes") for m in order):
+    order = _parse_order(typed["exec.order"])
+    if not order or len(set(order)) != len(order) \
+            or not set(order) <= {"pso", "de", "cmaes"}:
         report.conflicting.append(
             ("exec.order", "", f"order must be 1-3 distinct modules, got {order!r}"))
-        bad_order = True
-
-    if not bad_order:
-        if mode == "probabilistic" and set(order) != {"pso", "de"}:
-            report.conflicting.append(
-                ("exec.mode", "exec.order",
-                 "probabilistic execution is available only for pso and de"))
-        if mode == "component_based" and len(order) > 1 and set(order) != {"pso", "de"}:
-            report.conflicting.append(
-                ("exec.mode", "exec.order",
-                 "component-based composition is available only for pso and de"))
-
-    fractions = ()
-    if mode == "multiple_phases" and not bad_order and "exec.phases" in typed:
-        try:
-            fractions = tuple(float(tok) for tok in
-                              str(typed["exec.phases"]).split(","))
-        except ValueError:
-            fractions = ()
-        if len(fractions) != len(order) \
-                or not all(math.isfinite(f) and 0 < f <= 1 for f in fractions) \
-                or abs(sum(fractions) - 1.0) > 1e-9:
-            report.conflicting.append(
-                ("exec.phases", "exec.order",
-                 "phase fractions must match the module order and sum to 1"))
-
-    has_swarm = any(m in ("pso", "de") for m in order)
-    if has_swarm and not bad_order:
-        if typed.get("pop.mode", "constant") != "constant":
-            if "pso" in order:
-                report.conflicting.append(
-                    ("pop.mode", "exec.order",
-                     "population growth schedules apply to de only"))
-            if typed.get("pop.min", 0) > typed.get("pop.max", 0):
-                report.conflicting.append(
-                    ("pop.min", "pop.max", "pop.min must not exceed pop.max"))
-        if "pso" in order:
-            n = typed.get("pop.min") if typed.get("pop.mode") != "constant" \
-                else typed.get("pop.size")
-            if typed.get("pso.topology") == "time_varying" and (n or 0) < 4:
-                report.conflicting.append(
-                    ("pso.topology", "pop.size",
-                     "time-varying topology needs at least 4 particles"))
-            if typed.get("pso.moi") in ("fully_informed", "ranked_fully_informed") \
-                    and typed.get("pso.dnpp") != "rectangular":
-                report.conflicting.append(
-                    ("pso.moi", "pso.dnpp",
-                     "informed models of influence require the rectangular DNPP"))
-            # only the random mode draws from [min, max]; the linear modes
-            # run with an inverted range
-            if typed.get("pso.omega1_mode") == "random" \
-                    and typed.get("pso.omega1_min", 0.0) > typed.get("pso.omega1_max", 1.0):
-                report.conflicting.append(
-                    ("pso.omega1_min", "pso.omega1_max",
-                     "random inertia needs pso.omega1_min <= pso.omega1_max"))
-
+    else:
+        for key, other, reason, broken in CROSS_RULES:
+            if broken(typed, order):
+                report.conflicting.append((key, other, reason))
     if not report.ok():
         return report
 
@@ -444,6 +453,8 @@ def validate(raw: dict[str, str]):
         if spec.name in typed:
             section, key = spec.name.rsplit(".", 1)
             sections.setdefault(section, {})[spec.field or key] = typed[spec.name]
+    fractions = _phase_fractions(typed["exec.phases"], order) \
+        if typed["exec.mode"] == "multiple_phases" else ()
     sections["exec"].update(module_order=order, phase_fractions=fractions)
     pop = sections["pop"]
     pop.setdefault("min_size", pop["size"])

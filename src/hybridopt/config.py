@@ -363,12 +363,6 @@ def _grows(typed, order):
         and ("pso" in order or "de" in order)
 
 
-def _smallest_swarm(typed):
-    if typed.get("pop.mode") != "constant":
-        return typed.get("pop.min")
-    return typed.get("pop.size")
-
-
 # Cross-parameter rules, checked in this order once the module order is
 # valid: (key, other key, reason, broken(typed values, module order)).
 # A key that failed to parse is absent from the typed values.
@@ -388,9 +382,6 @@ CROSS_RULES = (
      lambda t, order: _grows(t, order) and "pso" in order),
     ("pop.min", "pop.max", "pop.min must not exceed pop.max",
      lambda t, order: _grows(t, order) and t.get("pop.min", 0) > t.get("pop.max", 0)),
-    ("pso.topology", "pop.size", "time-varying topology needs at least 4 particles",
-     lambda t, order: "pso" in order and t.get("pso.topology") == "time_varying"
-     and (_smallest_swarm(t) or 0) < 4),
     ("pso.moi", "pso.dnpp",
      "informed models of influence require the rectangular DNPP",
      lambda t, order: "pso" in order

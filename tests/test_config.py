@@ -265,7 +265,7 @@ _ORDERS = tuple(",".join(p) for k in (1, 2, 3)
 _JUNK_TEXT = ("", "nan", "-inf", "1e999", "abc", "-1", "0", "1.5", "1,2",
               "pso,pso", "de,,cmaes", "TRUE", "0x10")
 VALIDATE_DECISIONS_SHA256 = (
-    "d852249f00a83be6e7860309985b9488315e8a78c1cf82f7f7c74943af757ece")
+    "615d9f5779bb546c44f49d4de549b17be34dfedb8c1c801b1c35904c5c8fc613")
 
 
 def _draw_raw(rng):

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hybridopt import (AlgorithmConfig, ValidationReport, default_config,
                        export_parameter_space, make_instance,
                        parse_parameter_file, run, validate)
-from hybridopt.config import (PARAMETER_SPACE, DuplicateKey, condition_active,
-                              format_parameter_file)
+from hybridopt.config import (CROSS_RULES, PARAMETER_SPACE, DuplicateKey,
+                              condition_active, format_parameter_file)
 from hybridopt.core import ParseError
 
 
@@ -128,17 +128,57 @@ def test_validate_growth_needs_de_only():
     assert isinstance(report, ValidationReport)
 
 
+# For each cross-parameter rule, an assignment that breaks that rule alone.
+_BREAKS_ONE_RULE = {
+    "probabilistic execution is available only for pso and de":
+        {"exec.order": "pso,cmaes", "exec.mode": "probabilistic",
+         "exec.pr": "0.5", "exec.gate_dist": "uniform"},
+    "component-based composition is available only for pso and de":
+        {"exec.order": "de,cmaes"},
+    "phase fractions must match the module order and sum to 1":
+        {"exec.order": "cmaes,de", "exec.mode": "multiple_phases",
+         "exec.phases": "0.6,0.3"},
+    "population growth schedules apply to de only":
+        {"exec.order": "pso", "pop.mode": "incremental", "pop.min": "10",
+         "pop.max": "20", "pop.interval": "5"},
+    "pop.min must not exceed pop.max":
+        {"exec.order": "de", "pop.mode": "time_varying", "pop.min": "30",
+         "pop.max": "20", "pop.interval": "5"},
+    "informed models of influence require the rectangular DNPP":
+        {"exec.order": "pso", "pso.moi": "ranked_fully_informed",
+         "pso.dnpp": "gaussian"},
+    "random inertia needs pso.omega1_min <= pso.omega1_max":
+        {"exec.order": "pso", "pso.omega1_mode": "random",
+         "pso.omega1_min": "0.8", "pso.omega1_max": "0.3"},
+}
+
+
+@pytest.mark.parametrize("rule", CROSS_RULES, ids=lambda rule: rule[2].split()[0])
+def test_each_cross_rule_alone(rule):
+    report = validate(default_config(_BREAKS_ONE_RULE[rule[2]]))
+    assert isinstance(report, ValidationReport)
+    assert report.conflicting == [rule[:3]]
+    assert not (report.missing or report.out_of_range), report.describe()
+
+
+def test_cross_rules_report_in_table_order():
+    # pop.mode sorts after pop.min but comes first in the table
+    report = validate(default_config({
+        "exec.order": "pso", "pop.mode": "incremental", "pop.min": "30",
+        "pop.max": "20", "pop.interval": "5"}))
+    assert [(a, b) for a, b, _ in report.conflicting] == \
+        [("pop.mode", "exec.order"), ("pop.min", "pop.max")]
+
+
 def test_every_numeric_parameter_reports_out_of_range():
     for spec in PARAMETER_SPACE:
         if spec.kind not in ("integer", "real"):
             continue
-        base = {"exec.order": "pso,de,cmaes"}   # makes most params active
         raw = default_config({"exec.order": "de"})
         raw[spec.name] = str(spec.domain[1] + 1)
         report = validate(raw)
         assert isinstance(report, ValidationReport), spec.name
         assert any(name == spec.name for name, _, _ in report.out_of_range), spec.name
-        del base
 
 
 def test_every_categorical_parameter_rejects_garbage():

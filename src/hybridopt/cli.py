@@ -8,15 +8,10 @@ import json
 import sys
 
 from .benchmarks import make_instance
-from .config import export_parameter_space, parse_parameter_file, validate
+from .config import export_parameter_space, load_parameter_file, validate
 from .core import cap_reported_value
 from .executor import run
 from .reporting import RunRecord, run_batch, write_records
-
-
-def _load_params(path: str) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_parameter_file(fh.read())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    raw = _load_params(args.params)
+    raw = load_parameter_file(args.params)
     cfg = validate(raw)
     if not hasattr(cfg, "execution"):
         print(cfg.describe(), file=sys.stderr)

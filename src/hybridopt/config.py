@@ -3,7 +3,10 @@ configs, and the space export consumed by external configuration tools.
 
 Every parameter is a ``section.name`` key; conditions are in CNF (a
 conjunction of disjunctions over simple clauses) so they both evaluate
-cheaply and print cleanly in the exported space.
+cheaply and print cleanly in the exported space.  Rules between two
+parameters, such as a mode that needs certain modules or a minimum that must
+not exceed its maximum, are the rows of ``CROSS_RULES``; ``validate`` checks
+them, and the exported space does not carry them yet.
 """
 
 from __future__ import annotations
@@ -280,6 +283,12 @@ def parse_parameter_file(text: str) -> dict[str, str]:
     return out
 
 
+def load_parameter_file(path: str) -> dict[str, str]:
+    """Read and parse the parameter file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_parameter_file(fh.read())
+
+
 def format_parameter_file(values: dict[str, str]) -> str:
     return "\n".join(f"{k} = {v}" for k, v in values.items()) + "\n"
 
@@ -354,41 +363,35 @@ def _phase_fractions(text: str, order: tuple[str, ...]):
     return fractions
 
 
-def _mode(typed):
-    return typed.get("exec.mode", "component_based")
-
-
-def _grows(typed, order):
-    return typed.get("pop.mode", "constant") != "constant" \
-        and ("pso" in order or "de" in order)
-
-
 # Cross-parameter rules, checked in this order once the module order is
 # valid: (key, other key, reason, broken(typed values, module order)).
-# A key that failed to parse is absent from the typed values.
+# A value that failed to parse is absent from the typed values; exec.mode and
+# pop.mode then count as their defaults.
 CROSS_RULES = (
     ("exec.mode", "exec.order",
      "probabilistic execution is available only for pso and de",
-     lambda t, order: _mode(t) == "probabilistic" and set(order) != {"pso", "de"}),
+     lambda t, order: t.get("exec.mode") == "probabilistic"
+     and set(order) != {"pso", "de"}),
     ("exec.mode", "exec.order",
      "component-based composition is available only for pso and de",
-     lambda t, order: _mode(t) == "component_based" and len(order) > 1
-     and set(order) != {"pso", "de"}),
+     lambda t, order: t.get("exec.mode", "component_based") == "component_based"
+     and len(order) > 1 and set(order) != {"pso", "de"}),
     ("exec.phases", "exec.order",
      "phase fractions must match the module order and sum to 1",
-     lambda t, order: _mode(t) == "multiple_phases" and "exec.phases" in t
+     lambda t, order: t.get("exec.mode") == "multiple_phases" and "exec.phases" in t
      and _phase_fractions(t["exec.phases"], order) is None),
     ("pop.mode", "exec.order", "population growth schedules apply to de only",
-     lambda t, order: _grows(t, order) and "pso" in order),
+     lambda t, order: "pso" in order and t.get("pop.mode", "constant") != "constant"),
     ("pop.min", "pop.max", "pop.min must not exceed pop.max",
-     lambda t, order: _grows(t, order) and t.get("pop.min", 0) > t.get("pop.max", 0)),
+     lambda t, order: ("pso" in order or "de" in order)
+     and t.get("pop.mode", "constant") != "constant"
+     and t.get("pop.min", 0) > t.get("pop.max", 0)),
     ("pso.moi", "pso.dnpp",
      "informed models of influence require the rectangular DNPP",
      lambda t, order: "pso" in order
      and t.get("pso.moi") in ("fully_informed", "ranked_fully_informed")
      and t.get("pso.dnpp") != "rectangular"),
-    # only the random mode draws from [min, max]; the linear modes run with
-    # an inverted range
+    # the linear modes never draw from [min, max], so they run inverted
     ("pso.omega1_min", "pso.omega1_max",
      "random inertia needs pso.omega1_min <= pso.omega1_max",
      lambda t, order: "pso" in order and t.get("pso.omega1_mode") == "random"

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .benchmarks import make_instance
-from .config import validate
+from .config import load_parameter_file, validate
 from .core import cap_reported_value
 from .executor import run
 
@@ -69,9 +69,7 @@ def _execute_entry(entry: dict) -> list[tuple]:
     """Run every seed of one plan entry; returns record rows (worker-safe)."""
     params = dict(entry.get("params", {}))
     if "params_file" in entry:
-        from .config import parse_parameter_file
-        with open(entry["params_file"], encoding="utf-8") as fh:
-            params = parse_parameter_file(fh.read())
+        params = load_parameter_file(entry["params_file"])
     cfg = validate(params)
     if not hasattr(cfg, "execution"):
         raise ValueError(f"invalid configuration {entry.get('config_id')}: "

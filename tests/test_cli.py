@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 from hybridopt import default_config
 from hybridopt.cli import main
-from hybridopt.config import format_parameter_file
+from hybridopt.config import DuplicateKey, format_parameter_file
 
 
 def _switches(values):
@@ -73,6 +75,16 @@ def test_run_command_validation_failure(tmp_path, capsys):
                  "--params", str(params), "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert "de.beta" in capsys.readouterr().err
+
+
+def test_run_command_lets_parameter_file_errors_through(tmp_path):
+    params = tmp_path / "dup.params"
+    params.write_text("exec.order = de\nexec.order = pso\n")
+    for path, error in ((params, DuplicateKey),
+                        (tmp_path / "missing.params", FileNotFoundError)):
+        with pytest.raises(error):
+            main(["run", "--function", "sphere", "--dim", "3", "--seed", "1",
+                  "--params", str(path), "--out", str(tmp_path / "x.csv")])
 
 
 def test_run_command_rejects_bad_instance(tmp_path, capsys):

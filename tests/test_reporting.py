@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hybridopt import aggregate, default_config, rng_stream
+from hybridopt.config import format_parameter_file
 from hybridopt.reporting import (EmptyGroup, RunRecord, records_to_csv,
                                  records_to_json, run_batch)
 
@@ -84,6 +85,19 @@ def test_run_batch_records_failures_and_continues():
     records, errors = run_batch(plan, parallelism=1)
     assert len(records) == 3
     assert len(errors) == 1 and "broken" in errors[0]
+
+
+def test_run_batch_reads_parameter_files_per_entry(tmp_path):
+    good, dup = tmp_path / "good.params", tmp_path / "dup.params"
+    good.write_text(format_parameter_file(_plan()[0]["params"]))
+    dup.write_text("exec.order = de\nexec.order = pso\n")
+    plan = [{**_plan()[0], "config_id": cid, "params_file": str(path)}
+            for cid, path in (("good", good), ("dup", dup),
+                              ("missing", tmp_path / "missing.params"))]
+    records, errors = run_batch(plan, parallelism=1)
+    inline, _ = run_batch(_plan()[:1], parallelism=1)
+    assert [r.best_fitness for r in records] == [r.best_fitness for r in inline]
+    assert [e.split(":")[0] for e in errors] == ["dup", "missing"]
 
 
 def test_run_batch_errors_in_plan_order():

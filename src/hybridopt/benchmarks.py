@@ -165,6 +165,9 @@ BASE_FUNCTIONS = {
     "weierstrass": _weierstrass,
 }
 
+# Sums over the pairs (z_i, z_i+1), which would be 0 everywhere at d = 1.
+PAIR_FUNCTIONS = frozenset({"rosenbrock", "bohachevsky", "schaffer"})
+
 # Half-widths of the symmetric search box that differ from the default 100.
 SEARCH_RANGES = {
     "schwefel_1_2": 65.536,
@@ -222,7 +225,8 @@ def apply_transforms(x: np.ndarray, t: TransformData) -> np.ndarray:
 
 
 def validate_partition(parts, d: int):
-    """Check that the partition's index sets are disjoint and cover 0..d-1."""
+    """Check that the partition's index sets are disjoint and cover 0..d-1,
+    and that each part of a pair function has at least 2 indices."""
     seen = np.zeros(d, dtype=bool)
     out = []
     for fid, idx in parts:
@@ -231,6 +235,8 @@ def validate_partition(parts, d: int):
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0 or np.any(idx < 0) or np.any(idx >= d):
             raise InvalidPartition(f"indices of part {fid!r} outside 0..{d - 1}")
+        if idx.size < 2 and fid in PAIR_FUNCTIONS:
+            raise InvalidPartition(f"part {fid!r} needs at least 2 indices")
         if np.any(seen[idx]):
             raise InvalidPartition("partition index sets overlap")
         seen[idx] = True
@@ -286,6 +292,9 @@ class ObjectiveInstance:
             validate_partition(self.transform.partition, self.d)
         elif self.base_id not in BASE_FUNCTIONS:
             raise UnknownFunction(f"unknown base function {self.base_id!r}")
+        elif self.d < 2 and self.base_id in PAIR_FUNCTIONS:
+            raise ValueError(f"function {self.base_id!r} needs dimension at least 2, "
+                             f"got {self.d}")
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of an (n, d) block."""

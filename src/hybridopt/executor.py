@@ -303,8 +303,9 @@ class _Run:
     def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
         """Propose, evaluate and select every individual once.
 
-        PSO informants are ranked once, from the personal bests at the start
-        of the generation, and DE donors are read from that state.  A
+        Each step reads its inputs from the state at the start of the
+        generation; this method picks the rows each step moves, computes the
+        eigenbasis they share and keeps that start's personal bests.  A
         generation of PSO alone is one PSO step over the swarm, and one of DE
         alone is one DE step.  Component-based DE∘PSO is a DE step and then a
         PSO step over every member (under ``de.pso_only_on_fail`` over those
@@ -315,42 +316,31 @@ class _Run:
         and a PSO step over the others.
         """
         pop = self.pop
-        n = len(pop)
-        par, de_par = self.cfg.pso, self.cfg.de
         modules = fixed_modules or self.order
-        l_best_idx = ranked = None
-        if "pso" in modules:
-            if par.moi == "best_of_neighborhood":
-                l_best_idx = pso_mod.neighborhood_best(self.topology, pop.pf)
-            else:
-                ranked = pso_mod.ranked_informants(self.topology.adjacency, pop.pf)
-                l_best_idx = ranked[0][:, 0]
         basis = None
-        if (("pso" in modules and par.vector_basis == "eigenvector")
-                or ("de" in modules and de_par.vector_basis == "eigenvector")):
+        if (("pso" in modules and self.cfg.pso.vector_basis == "eigenvector")
+                or ("de" in modules and self.cfg.de.vector_basis == "eigenvector")):
             basis = de_mod.population_eigenbasis(pop.x)
         if modules == ("pso",):
-            self._pso_generation(slice(None), pop.p, pop.pf, l_best_idx, ranked, basis)
+            self._pso_generation(slice(None), pop.p, pop.pf, basis)
             return
         # DE proposes from pop before it records anything; the PSO step after
         # it reads the personal bests from the start of the generation
         pbests, pbest_fits = (pop.p.copy(), pop.pf.copy()) if "pso" in modules \
             else (pop.p, pop.pf)
-        k = de_mod.num_vector_differences(de_par.diff_fraction, n)
-        leaders = de_mod.best_two(pop.f)
         if self.cfg.execution.mode == "probabilistic":
-            first = gate_mask(self.cfg.execution, self.exec_state, n, self.rng)
+            first = gate_mask(self.cfg.execution, self.exec_state, len(pop), self.rng)
             to_de = first if self.order[0] == "de" else ~first
-            self._de_generation(np.flatnonzero(to_de), pbests, k, leaders, basis)
+            self._de_generation(np.flatnonzero(to_de), pbests, basis)
             rows = np.flatnonzero(~to_de)
         else:
-            moved = self._de_generation(np.arange(n), pbests, k, leaders, basis)
+            moved = self._de_generation(np.arange(len(pop)), pbests, basis)
             if "pso" not in modules:
                 return
-            rows = np.flatnonzero(~moved) if de_par.pso_only_on_fail else slice(None)
-        self._pso_generation(rows, pbests, pbest_fits, l_best_idx, ranked, basis)
+            rows = np.flatnonzero(~moved) if self.cfg.de.pso_only_on_fail else slice(None)
+        self._pso_generation(rows, pbests, pbest_fits, basis)
 
-    def _de_generation(self, targets, pbests, k, leaders, basis) -> np.ndarray:
+    def _de_generation(self, targets, pbests, basis) -> np.ndarray:
         """One DE step of the members targets (an index array in ascending
         order): propose their trials from the population as it is (the state
         at the start of the generation; pbests are its personal bests), repair
@@ -360,6 +350,8 @@ class _Run:
         r = len(targets)
         if r == 0:
             return np.zeros(0, dtype=bool)
+        k = de_mod.num_vector_differences(self.cfg.de.diff_fraction, len(pop))
+        leaders = de_mod.best_two(pop.f)
         # bound the donor blocks to DONOR_BLOCK elements for large populations
         chunks = min(r, -(-r * (2 * k + 1) * self.d // DONOR_BLOCK))
         if chunks == 1:
@@ -379,26 +371,29 @@ class _Run:
                                                        pop.v[members], self.rng, self.bounds)
         return moved
 
-    def _pso_generation(self, rows, pbests, pbest_fits, l_best_idx, ranked, basis) -> None:
+    def _pso_generation(self, rows, pbests, pbest_fits, basis) -> None:
         """One PSO step of the members rows (an index array in ascending order,
-        or slice(None) for every member): ``pso.swarm_step`` moves them at
-        once from their own x, v and p toward their neighbourhood bests
-        pbests[l_best_idx[i]] and their informants' rows of pbests (the start
-        of the generation's personal bests, with their fitnesses pbest_fits).
-        The moves are evaluated as one block, and the success windows record
-        which personal bests improved."""
+        or slice(None) for every member): rank their informants on their rows
+        of the topology by pbest_fits, the fitnesses of pbests (the personal
+        bests at the start of the generation), and let ``pso.swarm_step`` move
+        the rows at once from their own x, v and p toward them.  The moves are
+        evaluated as one block, and the success windows record which personal
+        bests improved."""
         pop = self.pop
         par = self.cfg.pso
         if not isinstance(rows, slice) and rows.size == 0:
             return
         self.active_module = "pso"
-        l_idx = l_best_idx[rows]
-        if ranked is not None:
-            ranked = ranked[0][rows], ranked[1][rows]
+        informants = None
+        if par.moi == "best_of_neighborhood":
+            l_idx = pso_mod.neighborhood_best(self.topology.adjacency[rows], pbest_fits)
+        else:
+            idx, m = pso_mod.ranked_informants(self.topology.adjacency[rows], pbest_fits)
+            l_idx, informants = idx[:, 0], (pbests[idx], m)
         windows = self.success
         X, pop.v[rows] = pso_mod.swarm_step(
-            pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_idx], ranked, par,
-            self.exec_state.t, self.total_iters, self.rng, self.bounds, source=pbests,
+            pop.x[rows], pop.v[rows], pop.p[rows], pbests[l_idx], informants, par,
+            self.exec_state.t, self.total_iters, self.rng, self.bounds,
             fp=pop.pf[rows], fl=pbest_fits[l_idx],
             success=None if windows is None else windows[rows],
             basis=basis if par.vector_basis == "eigenvector" else None)

@@ -116,15 +116,16 @@ def neighbors(top: TopologyState, i: int) -> np.ndarray:
     return top.adjacency[i].nonzero()[0]
 
 
-def neighborhood_best(top: TopologyState, pf: np.ndarray) -> np.ndarray:
-    """Per particle, its informant of lowest personal-best fitness pf (lowest index on ties).
+def neighborhood_best(adjacency: np.ndarray, pf: np.ndarray) -> np.ndarray:
+    """For each row of adjacency, its informant of lowest personal-best
+    fitness pf (lowest index on ties).
 
     A stable sort ranks the swarm by (pf, index); each row's first informant
     in that order is its best, so an all-+inf neighbourhood picks its
     lowest-index informant.
     """
     order = pf.argsort(kind="stable")
-    return order[top.adjacency.take(order, axis=1).argmax(axis=1)]
+    return order[adjacency.take(order, axis=1).argmax(axis=1)]
 
 
 def ranked_informants(adjacency: np.ndarray, pf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,10 +414,9 @@ def _velocities(X, V, P, L, informants, params: PsoParams, t: int, total: int,
 
 
 def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray,
-               ranked: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
+               informants: tuple[np.ndarray, np.ndarray] | None, params: PsoParams,
                t: int, total: int, rng: np.random.Generator, bounds: Bounds,
-               source: np.ndarray | None = None, fp=None, fl=None,
-               success: np.ndarray | None = None,
+               fp=None, fl=None, success: np.ndarray | None = None,
                basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """New positions and velocities (X', V') of the rows of a swarm: the PSO step.
 
@@ -434,10 +434,10 @@ def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray,
     ----------
     X, V, P : the positions, velocities and personal bests of the rows moved.
     L : the rows' neighbourhood bests.
-    ranked : (idx, m) from `ranked_informants` for the fully-informed
-        models, None otherwise, one row per row of X.
-    source : the personal bests idx indexes, from which the informants'
-        rows are gathered; P when None.
+    informants : (S, m) for the fully-informed models, which `config.validate`
+        pairs with the rectangular DNPP; None otherwise.  Row i of the
+        (n, w, d) block S holds the personal bests of its m[i] informants,
+        best first, in its first m[i] slots.
     fp, fl : the fitnesses of P and L, read by the objfunc_distance magnitude.
     success : the rows' success windows, read by the success_rate magnitude.
     basis : the orthonormal basis difference vectors are rotated into, or None.
@@ -450,9 +450,6 @@ def swarm_step(X: np.ndarray, V: np.ndarray, P: np.ndarray, L: np.ndarray,
     pm = None
     if params.pert_info != "none" or params.pert_rand != "none":
         pm = perturbation_magnitude(params.pm_mode, params.pm, P, L, fp, fl, success)[:, None]
-    informants = None
-    if ranked is not None and params.dnpp == "rectangular":
-        informants = (P if source is None else source)[ranked[0]], ranked[1]
     return update_position(X, _velocities(X, V, P, L, informants, params, t, total, rng,
                                            pm, basis),
                             bounds, params.velocity_clamping)
@@ -466,10 +463,8 @@ def compute_velocity(x: np.ndarray, v: np.ndarray, p: np.ndarray,
     with perturbation magnitude pm: the one-row case of `swarm_step` before
     its move.  informants are the (m, d) personal bests of its informants,
     best first, or None under best-of-neighbourhood."""
-    if informants is not None and params.dnpp == "rectangular":
+    if informants is not None:
         informants = informants[None], np.array([len(informants)])
-    else:
-        informants = None
     return _velocities(x[None], v[None], p[None], l_best[None], informants, params, t,
                        total, rng, np.full((1, 1), pm), basis)[0]
 

@@ -79,6 +79,12 @@ CONFIGS = {
     "de-pso-position-target-to-best": {"exec.order": "de,pso", "pop.size": "20",
                                        "de.recompute_velocity": "position",
                                        "de.base_vector": "target_to_best"},
+    # ranked informants of uneven counts on the rows DE did not move
+    "de-pso-ranked-random-edge-only-on-fail": {"exec.order": "de,pso",
+                                               "pop.size": "20",
+                                               "pso.moi": "ranked_fully_informed",
+                                               "pso.topology": "random_edge",
+                                               "de.pso_only_on_fail": "true"},
     "pso-stagnation-success-rate": {"exec.order": "pso", "pop.size": "20",
                                     "pso.stagnation_detection": "true",
                                     "pso.pert_info": "gaussian",
@@ -257,10 +263,7 @@ def test_record_restores_a_blanked_entry(tmp_path):
 
 
 def test_exported_space():
-    # recorded after pso.mtx, a single-valued parameter no algorithm read,
-    # left the space; the filter keeps the recording checkable on either side
-    lines = [line for line in export_parameter_space("racing_tool").splitlines()
-             if not line.startswith("pso.mtx ")]
+    lines = export_parameter_space("racing_tool").splitlines()
     expected = (HERE / "space_racing_tool.txt").read_text().splitlines()
     assert lines == expected
 

@@ -113,6 +113,26 @@ def test_hybrid_partitions():
         make_instance("hybrid", 2, parts="sphere:0-0")
 
 
+def test_pair_functions_need_two_dimensions():
+    """rosenbrock, bohachevsky and schaffer sum over coordinate pairs, so at
+    d = 1 they would be 0 everywhere; instances and hybrid parts below 2
+    indices are refused."""
+    for fid in ("rosenbrock", "bohachevsky", "schaffer"):
+        assert _base(fid, np.array([3.0])) == 0.0   # no pair: an empty sum
+        for prefix in ("", "shifted_", "rotated_", "shifted_rotated_"):
+            with pytest.raises(ValueError, match="dimension"):
+                make_instance(prefix + fid, 1)
+            assert make_instance(prefix + fid, 2)(np.full(2, 3.0)) > 0.0
+        with pytest.raises(ValueError, match="dimension"):
+            ObjectiveInstance(fid, 1, Bounds.symmetric(1.0, 1))
+        with pytest.raises(InvalidPartition):
+            make_instance("hybrid", 3, parts=f"sphere:0-1,{fid}:2-2")
+        assert make_instance("hybrid", 3, parts=f"sphere:0-0,{fid}:1-2")(
+            np.full(3, 3.0)) > 9.0
+    # the wrap-around pair of extended_f10 exists at d = 1
+    assert make_instance("extended_f10", 1)(np.array([3.0])) > 0.0
+
+
 def test_parse_parts():
     parts = parse_parts("sphere:0-24,rastrigin:25-49", 50)
     assert parts[0][0] == "sphere" and list(parts[0][1]) == list(range(25))

@@ -142,3 +142,5 @@ def test_target_runner_rejects_bad_instance(capsys):
     assert "spherez" in _bad_invocation(capsys, "spherez:3", switches)
     for dim in ("0", "-2"):
         assert "dimension" in _bad_invocation(capsys, f"sphere:{dim}", switches)
+    # a pair function has no coordinate pair at d = 1
+    assert "dimension" in _bad_invocation(capsys, "rosenbrock:1", switches)

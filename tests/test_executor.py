@@ -781,7 +781,7 @@ def test_informant_validity():
     for _ in range(5):
         runner.generation()
         pf = runner.pop.pf
-        for i, l_idx in enumerate(neighborhood_best(runner.topology, pf)):
+        for i, l_idx in enumerate(neighborhood_best(runner.topology.adjacency, pf)):
             nb = neighbors(runner.topology, i)
             assert l_idx in nb
             assert all(pf[l_idx] <= pf[k] for k in nb)
@@ -823,6 +823,10 @@ def test_informant_validity():
     {"exec.order": "de,pso,cmaes", "exec.mode": "multiple_phases",
      "exec.phases": "0.4,0.3,0.3", "ls.algo": "cmaes", "ls.budget": "0.2",
      "ls.divide": "5"},
+    # ranked informants of uneven counts on the rows one step moves
+    {**_PROBABILISTIC, "pso.moi": "ranked_fully_informed", "pso.topology": "random_edge"},
+    {"exec.order": "de,pso", "de.pso_only_on_fail": "true",
+     "pso.moi": "ranked_fully_informed", "pso.topology": "random_edge"},
 ])
 def test_configuration_matrix_smoke(overrides):
     cfg = _cfg(**{"pop.size": 12, **overrides})
@@ -841,6 +845,7 @@ _SWARM_STEP_SETTINGS = [
     {"pso.moi": "ranked_fully_informed", "pso.topology": "time_varying"},
     {"pso.ignore_pbest": "true", "pso.omega1_mode": "linear_decreasing",
      "pso.ac_mode": "time_varying", "pso.velocity_clamping": "false"},
+    {"pso.moi": "ranked_fully_informed", "pso.topology": "random_edge"},
 ]
 
 
@@ -848,10 +853,11 @@ def _row_by_row(swarm_step):
     """``pso.swarm_step`` moving one row at a time, in row order, from the
     same stream.  Only for the settings whose rows draw nothing but their
     uniforms: no perturbation, no stagnation detection, no random mode."""
-    def step(X, V, P, L, ranked, *args, **kwargs):
+    def step(X, V, P, L, informants, *args, **kwargs):
         moves = [swarm_step(X[i:i + 1], V[i:i + 1], P[i:i + 1], L[i:i + 1],
-                            None if ranked is None
-                            else (ranked[0][i:i + 1, :ranked[1][i]], ranked[1][i:i + 1]),
+                            None if informants is None
+                            else (informants[0][i:i + 1, :informants[1][i]],
+                                  informants[1][i:i + 1]),
                             *args, **kwargs)
                  for i in range(len(X))]
         return tuple(np.concatenate(parts) for parts in zip(*moves))
@@ -935,6 +941,7 @@ _DE_PSO_STEPS = [
     {"pso.moi": "fully_informed", "pso.topology": "von_neumann"},
     {"pso.moi": "fully_informed", "pso.topology": "von_neumann",
      "pso.pert_info": "gaussian", "pso.pm_mode": "constant", "pso.pm": "0.05"},
+    {"pso.moi": "ranked_fully_informed", "pso.topology": "random_edge"},
 ]
 
 
@@ -969,11 +976,12 @@ def test_de_pso_moves_the_de_outcome_toward_start_informants(settings, only_on_f
     seen = []   # (x, v, p, l_best, informants) per row PSO moves, in order
     swarm_step = pso_mod.swarm_step
 
-    def spy_swarm(X, V, P, L, ranked, *args, source, **kwargs):
+    def spy_swarm(X, V, P, L, informants, *args, **kwargs):
         for j in range(len(X)):   # X, V and P may be views of the population
-            informants = None if ranked is None else source[ranked[0][j, :ranked[1][j]]]
-            seen.append((X[j].copy(), V[j].copy(), P[j].copy(), L[j], informants))
-        return swarm_step(X, V, P, L, ranked, *args, source=source, **kwargs)
+            seen.append((X[j].copy(), V[j].copy(), P[j].copy(), L[j],
+                         None if informants is None
+                         else informants[0][j, :informants[1][j]].copy()))
+        return swarm_step(X, V, P, L, informants, *args, **kwargs)
 
     monkeypatch.setattr(pso_mod, "swarm_step", spy_swarm)
     pso_fes = runner.module_evals["pso"]
@@ -985,7 +993,7 @@ def test_de_pso_moves_the_de_outcome_toward_start_informants(settings, only_on_f
     assert (after_de["p"] != start_p).any()   # DE improved some personal best
     assert runner.module_evals["pso"] - pso_fes == len(seen) == rows.size
     if cfg.pso.moi == "best_of_neighborhood":
-        l_best_idx, ranked = neighborhood_best(runner.topology, start_pf), None
+        l_best_idx, ranked = neighborhood_best(runner.topology.adjacency, start_pf), None
     else:
         ranked = idx, m = pso_mod.ranked_informants(runner.topology.adjacency, start_pf)
         l_best_idx = idx[:, 0]
@@ -1002,6 +1010,8 @@ def test_de_pso_moves_the_de_outcome_toward_start_informants(settings, only_on_f
     {"pso.topology": "ring"},
     {"pso.moi": "fully_informed", "pso.topology": "wheel"},
     {"pso.moi": "ranked_fully_informed", "pso.topology": "von_neumann",
+     "de.recompute_velocity": "goBack", "de.pso_only_on_fail": "true"},
+    {"pso.moi": "ranked_fully_informed", "pso.topology": "random_edge",
      "de.recompute_velocity": "goBack", "de.pso_only_on_fail": "true"},
 ])
 def test_de_pso_swarm_step_equals_the_per_particle_path(settings, monkeypatch):

@@ -73,7 +73,7 @@ def test_ranked_informants_first_is_the_neighborhood_best():
         top = TopologyState(kind="random_edge", adjacency=adj)
         pf = rng.choice([0.5, 1.0, 2.0, math.inf], n)   # ties and +inf
         idx, m = ranked_informants(adj, pf)
-        assert idx[:, 0].tolist() == neighborhood_best(top, pf).tolist()
+        assert idx[:, 0].tolist() == neighborhood_best(adj, pf).tolist()
         assert m.tolist() == adj.sum(axis=1).tolist()
         for i in range(n):
             nb = neighbors(top, i)
@@ -147,7 +147,7 @@ def test_neighborhood_best_matches_brute_force(kind, n, steps, seed, levels):
     for t in range(1, steps + 1):
         advance_topology(top, t, rng)
     pf = np.array(levels[:n])   # few distinct values: ties, +inf ties too
-    best = neighborhood_best(top, pf)
+    best = neighborhood_best(top.adjacency, pf)
     for i in range(n):
         expected = min(np.flatnonzero(top.adjacency[i]), key=lambda j: (pf[j], j))
         assert best[i] == expected
@@ -521,10 +521,11 @@ def test_swarm_step_matches_the_per_particle_reference(params):
     X, P = rng.uniform(-5.0, 5.0, (2, n, d))
     V = rng.normal(0.0, 4.0, (n, d))
     pf = rng.choice([1.0, 2.0, 3.0, math.inf], n)   # ties and +inf
-    L = P[neighborhood_best(top, pf)]
+    L = P[neighborhood_best(adj, pf)]
     fully_informed = params.moi != "best_of_neighborhood"
-    ranked = ranked_informants(adj, pf) if fully_informed else None
-    block_x, block_v = swarm_step(X, V, P, L, ranked, params, 3, 10, rng_stream(15), b)
+    idx, m = ranked_informants(adj, pf)
+    block_x, block_v = swarm_step(X, V, P, L, (P[idx], m) if fully_informed else None,
+                                  params, 3, 10, rng_stream(15), b)
     informants = None
     if fully_informed:
         informants = [P[nb[pf[nb].argsort(kind="stable")]]
@@ -564,7 +565,7 @@ def test_swarm_step_shapes(params, d):
         basis = None
     before = [a.copy() for a in (X, V, P, L)]
     rng = rng_stream(19)
-    new_x, new_v = swarm_step(X, V, P, L, (idx, m) if fully_informed else None, params,
+    new_x, new_v = swarm_step(X, V, P, L, (P[idx], m) if fully_informed else None, params,
                               2, 10, rng, b, fp=pf, fl=pf[idx[:, 0]], success=windows,
                               basis=basis)
     assert new_x.shape == new_v.shape == (n, d)
@@ -574,8 +575,8 @@ def test_swarm_step_shapes(params, d):
         assert a.tobytes() == old.tobytes()
     # one row moved alone is a block of one
     x, v = swarm_step(X[:1], V[:1], P[:1], L[:1],
-                      (idx[:1], m[:1]) if fully_informed else None, params, 2, 10, rng, b,
-                      source=P, fp=pf[:1], fl=pf[idx[:1, 0]], success=windows[:1],
+                      (P[idx[:1]], m[:1]) if fully_informed else None, params, 2, 10, rng,
+                      b, fp=pf[:1], fl=pf[idx[:1, 0]], success=windows[:1],
                       basis=basis)
     assert x.shape == v.shape == (1, d)
 

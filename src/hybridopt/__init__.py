@@ -13,7 +13,7 @@ from .executor import (AlgorithmConfig, ExecutionConfig, dispatch_update, run,
                        update_execution_parameters)
 from .localsearch import LsParams, mtsls_run, schedule_ls
 from .pso import PsoParams, TopologyState
-from .reporting import AggregateStats, RunRecord, aggregate, run_batch
+from .reporting import AggregateStats, RunRecord, aggregate
 
 __all__ = [
     "AggregateStats", "AlgorithmConfig", "Bounds", "BudgetExhausted",
@@ -26,6 +26,6 @@ __all__ = [
     "export_parameter_space", "load_rotation_file", "load_shift_file",
     "make_instance", "mtsls_run",
     "parse_parameter_file", "repair_to_bounds", "rng_stream", "run",
-    "run_batch", "schedule_ls", "update_execution_parameters", "validate",
+    "schedule_ls", "update_execution_parameters", "validate",
 ]
 __version__ = "0.1.0"

@@ -288,8 +288,16 @@ class ObjectiveInstance:
 
     def __post_init__(self):
         # checked once here, not on every evaluation
-        if self.transform.partition is not None:
-            validate_partition(self.transform.partition, self.d)
+        t = self.transform
+        if self.bounds.d != self.d:
+            raise DimensionMismatch(f"bounds have dimension {self.bounds.d}, expected {self.d}")
+        if t.shift is not None and t.shift.size != self.d:
+            raise DimensionMismatch(f"shift has length {t.shift.size}, expected {self.d}")
+        if t.rotation is not None and t.rotation.shape != (self.d, self.d):
+            raise DimensionMismatch(f"rotation is {t.rotation.shape}, "
+                                    f"expected ({self.d}, {self.d})")
+        if t.partition is not None:
+            validate_partition(t.partition, self.d)
         elif self.base_id not in BASE_FUNCTIONS:
             raise UnknownFunction(f"unknown base function {self.base_id!r}")
         elif self.d < 2 and self.base_id in PAIR_FUNCTIONS:

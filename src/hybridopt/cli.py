@@ -11,7 +11,36 @@ from .benchmarks import make_instance
 from .config import export_parameter_space, load_parameter_file, validate
 from .core import cap_reported_value
 from .executor import run
-from .reporting import RunRecord, run_batch, write_records
+from .reporting import RunRecord, write_records
+
+
+class InvalidConfiguration(Exception):
+    """A parameter assignment that validate rejects; the message is its report."""
+
+
+def _experiment(raw: dict[str, str], function: str, dim: int, instance_seed: int = 0,
+                shift_file: str | None = None, rotation_file: str | None = None):
+    """The (cfg, instance) pair every command hands to run().  The instance is
+    built first, and each of its input errors is a ValueError; a rejected
+    assignment then raises InvalidConfiguration."""
+    instance = make_instance(function, dim, instance_seed=instance_seed,
+                             shift_file=shift_file, rotation_file=rotation_file,
+                             parts=raw.get("hybrid.parts"))
+    cfg = validate(raw)
+    if not hasattr(cfg, "execution"):
+        raise InvalidConfiguration(cfg.describe())
+    return cfg, instance
+
+
+def _positive(kind):
+    """An argparse type: a number of the given kind above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a value above 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names the kind in its error messages
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,15 +50,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="one seeded run of a configured algorithm")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--function", required=True,
                        help="e.g. sphere, shifted_rotated_rastrigin, hybrid")
     p_run.add_argument("--dim", type=int, required=True)
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--params", required=True, help="parameter file (key = value)")
-    p_run.add_argument("--fe-budget", type=int, default=None,
+    p_run.add_argument("--fe-budget", type=_positive(int), default=None,
                        help="objective evaluations (default 5000*dim)")
-    p_run.add_argument("--wallclock-ms", type=float, default=None)
-    p_run.add_argument("--trace-every", type=int, default=None)
+    p_run.add_argument("--wallclock-ms", type=_positive(float), default=None)
+    p_run.add_argument("--trace-every", type=_positive(int), default=None)
     p_run.add_argument("--instance-seed", type=int, default=0)
     p_run.add_argument("--shift-file", default=None)
     p_run.add_argument("--rotation-file", default=None)
@@ -37,17 +67,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_batch = sub.add_parser("batch", help="run a JSON plan of many runs")
+    p_batch.set_defaults(handler=_cmd_batch)
     p_batch.add_argument("--plan", required=True)
     p_batch.add_argument("--parallel", type=int, default=1)
     p_batch.add_argument("--out", required=True)
     p_batch.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_exp = sub.add_parser("export-space", help="emit the parameter space")
+    p_exp.set_defaults(handler=_cmd_export_space)
     p_exp.add_argument("--format", choices=("racing_tool", "json"),
                        default="racing_tool")
 
     p_tr = sub.add_parser("target-runner",
                           help="racing protocol: print one cost for one run")
+    p_tr.set_defaults(handler=_cmd_target_runner)
     p_tr.add_argument("config_id")
     p_tr.add_argument("instance", help="function:dim[:instance-seed]")
     p_tr.add_argument("seed", type=int)
@@ -58,31 +91,70 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     raw = load_parameter_file(args.params)
-    cfg = validate(raw)
-    if not hasattr(cfg, "execution"):
-        print(cfg.describe(), file=sys.stderr)
-        return 1
-    try:  # every input error of make_instance is a ValueError; data files may be missing
-        instance = make_instance(args.function, args.dim,
-                                 instance_seed=args.instance_seed,
-                                 shift_file=args.shift_file,
-                                 rotation_file=args.rotation_file,
-                                 parts=raw.get("hybrid.parts"))
-    except (ValueError, OSError) as exc:
+    try:
+        cfg, instance = _experiment(raw, args.function, args.dim, args.instance_seed,
+                                    args.shift_file, args.rotation_file)
+    except ValueError as exc:
         print(f"bad run invocation: {exc}", file=sys.stderr)
         return 2
     result = run(cfg, instance, args.seed, max_evals=args.fe_budget,
                  wallclock_ms=args.wallclock_ms, trace_every=args.trace_every)
-    record = RunRecord(function=args.function, dim=args.dim, seed=args.seed,
-                       config=args.params,
-                       best_fitness=cap_reported_value(result.best_fitness),
-                       evals=result.evals_used, wall_ms=result.wall_ms)
+    record = RunRecord.of(result, args.function, args.dim, args.seed, args.params)
     write_records([record], args.out, args.format)
     if result.trace:
         with open(args.out + ".trace.json", "w", encoding="utf-8") as fh:
             json.dump(result.trace, fh)
     print(f"best {record.best_fitness:.10e} after {record.evals} evaluations")
     return 0
+
+
+def _execute_entry(entry: dict) -> list[RunRecord]:
+    """Run every seed of one plan entry (worker-safe)."""
+    params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
+              else entry.get("params", {}))
+    dim = int(entry["dim"])
+    cfg, instance = _experiment(params, entry["function"], dim,
+                                instance_seed=int(entry.get("instance_seed", 0)))
+    # without a budget, run() applies its own default
+    max_evals = int(entry["fe_budget"]) if "fe_budget" in entry else None
+    config_id = str(entry.get("config_id", "default"))
+    return [RunRecord.of(run(cfg, instance, int(seed), max_evals=max_evals,
+                             wallclock_ms=entry.get("wallclock_ms")),
+                         entry["function"], dim, int(seed), config_id)
+            for seed in entry["seeds"]]
+
+
+def run_batch(plan: list[dict], parallelism: int = 1):
+    """Execute a plan of (config, instance, seeds) entries.
+
+    Returns (records, errors); records are sorted by (function, dim, config,
+    seed) and errors follow plan order, so output is independent of the
+    parallelism degree.
+    """
+    if not plan:
+        raise ValueError("empty batch plan")
+    records: list[RunRecord] = []
+    errors: list[str] = []
+    if parallelism <= 1:
+        for entry in plan:
+            try:
+                records.extend(_execute_entry(entry))
+            except Exception as exc:  # per-run failures recorded, batch continues
+                errors.append(f"{entry.get('config_id', '?')}: {exc}")
+    else:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+            futures = [pool.submit(_execute_entry, entry) for entry in plan]
+            for entry, fut in zip(plan, futures):
+                try:
+                    records.extend(fut.result())
+                except Exception as exc:
+                    errors.append(f"{entry.get('config_id', '?')}: {exc}")
+    records.sort(key=lambda r: (r.function, r.dim, r.config, r.seed))
+    for msg in errors:
+        print(f"batch error: {msg}", file=sys.stderr)
+    return records, errors
 
 
 def _cmd_batch(args) -> int:
@@ -93,6 +165,11 @@ def _cmd_batch(args) -> int:
     print(f"{len(records)} runs recorded to {args.out}"
           + (f" ({len(errors)} failures)" if errors else ""))
     return 1 if errors else 0
+
+
+def _cmd_export_space(args) -> int:
+    sys.stdout.write(export_parameter_space(args.format))
+    return 0
 
 
 def _parse_switches(tokens: list[str]) -> dict[str, str]:
@@ -115,19 +192,11 @@ def _cmd_target_runner(args) -> int:
         pieces = args.instance.split(":")
         if not 2 <= len(pieces) <= 3:
             raise ValueError(f"instance {args.instance!r} is not function:dim[:instance-seed]")
-        function = pieces[0]
-        dim = int(pieces[1])
-        instance_seed = int(pieces[2]) if len(pieces) > 2 else 0
-        # every input error of make_instance is a ValueError
-        instance = make_instance(function, dim, instance_seed=instance_seed,
-                                 parts=raw.get("hybrid.parts"))
+        cfg, instance = _experiment(raw, pieces[0], int(pieces[1]),
+                                    int(pieces[2]) if len(pieces) > 2 else 0)
     except ValueError as exc:
         print(f"bad target-runner invocation: {exc}", file=sys.stderr)
         return 2
-    cfg = validate(raw)
-    if not hasattr(cfg, "execution"):
-        print(cfg.describe(), file=sys.stderr)
-        return 1
     result = run(cfg, instance, args.seed)
     print(f"{cap_reported_value(result.best_fitness):.10e}")
     return 0
@@ -135,16 +204,11 @@ def _cmd_target_runner(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "batch":
-        return _cmd_batch(args)
-    if args.command == "export-space":
-        sys.stdout.write(export_parameter_space(args.format))
-        return 0
-    if args.command == "target-runner":
-        return _cmd_target_runner(args)
-    return 2
+    try:
+        return args.handler(args)
+    except InvalidConfiguration as exc:   # raised by _experiment only
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

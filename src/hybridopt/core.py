@@ -83,13 +83,19 @@ class EvalBudget:
     """FE and wall-clock accounting for one run.
 
     used_evals is monotone and never exceeds max_evals: charge(n) charges
-    only the FEs that still fit.
+    only the FEs that still fit.  Both limits must be above 0.
     """
 
     max_evals: int
     used_evals: int = 0
     wallclock_ms: float | None = None
     started_at: float = field(default_factory=time.monotonic)
+
+    def __post_init__(self):
+        if self.max_evals < 1:
+            raise ValueError(f"FE budget must be at least 1, got {self.max_evals}")
+        if self.wallclock_ms is not None and not self.wallclock_ms > 0:
+            raise ValueError(f"wall-clock limit must be above 0 ms, got {self.wallclock_ms}")
 
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started_at) * 1000.0

@@ -499,9 +499,12 @@ def run(config: AlgorithmConfig, objective, seed: int,
         trace_every: int | None = None) -> RunResult:
     """Execute one seeded run of the configured algorithm on the objective.
 
-    The FE budget defaults to 5000 * d.  Identical (config, objective, seed)
-    triples produce bitwise-identical results.
+    The FE budget defaults to 5000 * d; budgets and trace_every must be above
+    0.  Identical (config, objective, seed) triples produce bitwise-identical
+    results.
     """
+    if trace_every is not None and trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, got {trace_every}")
     if max_evals is None:
         max_evals = 5000 * objective.d
     budget = EvalBudget(max_evals=max_evals, wallclock_ms=wallclock_ms)

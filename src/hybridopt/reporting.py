@@ -1,22 +1,15 @@
-"""Run records, MED / MEDerr / MAD aggregation, and the batch harness."""
+"""Run records, MED / MEDerr / MAD aggregation, and the record writers."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
-import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .benchmarks import make_instance
-from .config import load_parameter_file, validate
 from .core import cap_reported_value
-from .executor import run
-
-CSV_COLUMNS = ("function", "dim", "seed", "config", "best_fitness", "evals", "wall_ms")
 
 
 class EmptyGroup(Exception):
@@ -33,9 +26,14 @@ class RunRecord:
     evals: int
     wall_ms: float
 
-    def row(self):
-        return (self.function, self.dim, self.seed, self.config,
-                self.best_fitness, self.evals, self.wall_ms)
+    @classmethod
+    def of(cls, result, function: str, dim: int, seed: int, config: str) -> RunRecord:
+        """The record of one RunResult: the one place a recorded cost is capped."""
+        return cls(function, dim, seed, config, cap_reported_value(result.best_fitness),
+                   result.evals_used, result.wall_ms)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass
@@ -61,77 +59,12 @@ def aggregate(values, reference: float | None = None) -> AggregateStats:
     return AggregateStats(med=med, mederr=mederr, mad=mad)
 
 
-# ---------------------------------------------------------------------------
-# batch execution
-# ---------------------------------------------------------------------------
-
-def _execute_entry(entry: dict) -> list[tuple]:
-    """Run every seed of one plan entry; returns record rows (worker-safe)."""
-    params = dict(entry.get("params", {}))
-    if "params_file" in entry:
-        params = load_parameter_file(entry["params_file"])
-    cfg = validate(params)
-    if not hasattr(cfg, "execution"):
-        raise ValueError(f"invalid configuration {entry.get('config_id')}: "
-                         f"{cfg.describe()}")
-    dim = int(entry["dim"])
-    instance = make_instance(entry["function"], dim,
-                             instance_seed=int(entry.get("instance_seed", 0)),
-                             parts=params.get("hybrid.parts"))
-    fe_budget = int(entry.get("fe_budget", 5000 * dim))
-    rows = []
-    for seed in entry["seeds"]:
-        result = run(cfg, instance, int(seed), max_evals=fe_budget,
-                     wallclock_ms=entry.get("wallclock_ms"))
-        rows.append((entry["function"], dim, int(seed),
-                     str(entry.get("config_id", "default")),
-                     cap_reported_value(result.best_fitness),
-                     result.evals_used, result.wall_ms))
-    return rows
-
-
-def run_batch(plan: list[dict], parallelism: int = 1):
-    """Execute a plan of (config, instance, seeds) entries.
-
-    Returns (records, errors); records are sorted by (function, dim, config,
-    seed) and errors follow plan order, so output is independent of the
-    parallelism degree.
-    """
-    if not plan:
-        raise ValueError("empty batch plan")
-    rows: list[tuple] = []
-    errors: list[str] = []
-    if parallelism <= 1:
-        for entry in plan:
-            try:
-                rows.extend(_execute_entry(entry))
-            except Exception as exc:  # per-run failures recorded, batch continues
-                errors.append(f"{entry.get('config_id', '?')}: {exc}")
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_execute_entry, entry) for entry in plan]
-            for entry, fut in zip(plan, futures):
-                try:
-                    rows.extend(fut.result())
-                except Exception as exc:
-                    errors.append(f"{entry.get('config_id', '?')}: {exc}")
-    records = [RunRecord(*row) for row in rows]
-    records.sort(key=lambda r: (r.function, r.dim, r.config, r.seed))
-    for msg in errors:
-        print(f"batch error: {msg}", file=sys.stderr)
-    return records, errors
-
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
 def records_to_csv(records: list[RunRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        writer.writerow(rec.row())
+        writer.writerow(astuple(rec))
     return buf.getvalue()
 
 

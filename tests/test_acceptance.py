@@ -14,13 +14,13 @@ import pytest
 from hybridopt import (CmaParams, CmaRunner, aggregate, default_config,
                        export_parameter_space, make_instance,
                        parse_parameter_file, rng_stream, run, validate)
+from hybridopt.cli import run_batch
 from hybridopt.cmaes import covariance_step, init_state, recombination_weights
 from hybridopt.config import PARAMETER_SPACE, format_parameter_file
 from hybridopt.core import Bounds, BudgetExhausted
 from hybridopt.de import mutate, recombine
 from hybridopt.executor import ExecState, ExecutionConfig, gate_mask
 from hybridopt.localsearch import LsParams, bound_penalty, mtsls_run
-from hybridopt.reporting import run_batch
 
 
 def _report(number, description):

@@ -302,6 +302,13 @@ def test_batch_shape_and_partition_checked_once():
                           TransformData(partition=(("sphere", np.array([0, 1])),)))
     with pytest.raises(UnknownFunction):
         ObjectiveInstance("nope", 3, Bounds.symmetric(1.0, 3))
+    # bounds, shift and rotation are checked against d when the instance is made
+    for bounds, transform in (
+            (Bounds.symmetric(1.0, 5), TransformData()),
+            (Bounds.symmetric(1.0, 3), TransformData(shift=np.zeros(2))),
+            (Bounds.symmetric(1.0, 3), TransformData(rotation=np.eye(5)))):
+        with pytest.raises(DimensionMismatch):
+            ObjectiveInstance("sphere", 3, bounds, transform)
 
 
 def _exact_weierstrass(z):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hybridopt
 from hybridopt import default_config
-from hybridopt.cli import main
+from hybridopt.cli import main, run_batch
 from hybridopt.config import DuplicateKey, format_parameter_file
 
 
@@ -144,3 +148,79 @@ def test_target_runner_rejects_bad_instance(capsys):
         assert "dimension" in _bad_invocation(capsys, f"sphere:{dim}", switches)
     # a pair function has no coordinate pair at d = 1
     assert "dimension" in _bad_invocation(capsys, "rosenbrock:1", switches)
+
+
+def test_run_command_rejects_non_positive_budgets(tmp_path, capsys):
+    params = tmp_path / "algo.params"
+    params.write_text(format_parameter_file(default_config({"exec.order": "de"})))
+    base = ["run", "--function", "sphere", "--dim", "3", "--seed", "1",
+            "--params", str(params), "--out", str(tmp_path / "x.csv")]
+    for flag, value in (("--fe-budget", "-5"), ("--fe-budget", "0"),
+                        ("--wallclock-ms", "0"), ("--wallclock-ms", "-1.5"),
+                        ("--trace-every", "0"), ("--trace-every", "-10")):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_one_experiment_gives_one_cost(tmp_path, capsys):
+    # the same (config, sphere:3:1, seed 5, default budget) through every command
+    values = default_config({"exec.order": "de", "pop.size": "10"})
+    params = tmp_path / "algo.params"
+    params.write_text(format_parameter_file(values))
+    out = tmp_path / "run.json"
+    assert main(["run", "--function", "sphere", "--dim", "3", "--instance-seed", "1",
+                 "--seed", "5", "--params", str(params), "--out", str(out),
+                 "--format", "json"]) == 0
+    [from_run] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert main(["target-runner", "c1", "sphere:3:1", "5", "--",
+                 *_switches(values)]) == 0
+    line = capsys.readouterr().out
+    [record], errors = run_batch([{"config_id": "c1", "params": values,
+                                   "function": "sphere", "dim": 3,
+                                   "instance_seed": 1, "seeds": [5]}])
+    assert not errors
+    assert from_run["best_fitness"] == record.best_fitness
+    assert from_run["evals"] == record.evals == 5000 * 3
+    assert line == f"{record.best_fitness:.10e}\n"
+
+
+def test_target_runner_as_a_module_prints_only_its_cost():
+    # importing the package must not import the cli module, or runpy warns
+    # and executes it twice
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hybridopt.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    values = default_config({"exec.order": "de", "pop.size": "10"})
+    done = subprocess.run(
+        [sys.executable, "-m", "hybridopt.cli", "target-runner", "c1", "sphere:3:0",
+         "1", "--", *_switches(values)],
+        capture_output=True, text=True, env=env, check=True)
+    assert done.stderr == ""
+    assert len(done.stdout.splitlines()) == 1
+    float(done.stdout)
+
+
+def test_instance_errors_come_before_configuration_errors(tmp_path, capsys):
+    bad = default_config({"exec.order": "de"})
+    bad["de.beta"] = "7"
+    params = tmp_path / "bad.params"
+    params.write_text(format_parameter_file(bad))
+
+    code = main(["run", "--function", "spherez", "--dim", "3", "--seed", "1",
+                 "--params", str(params), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("bad run invocation: ") and "spherez" in err
+
+    err = _bad_invocation(capsys, "spherez:3", _switches(bad))
+    assert err.startswith("bad target-runner invocation: ") and "spherez" in err
+
+    entry = {"params": bad, "function": "sphere", "dim": 3, "seeds": [1]}
+    _, errors = run_batch([{**entry, "config_id": "both", "function": "spherez"},
+                           {**entry, "config_id": "config"}])
+    assert "spherez" in errors[0] and "de.beta" not in errors[0]
+    assert errors[1].startswith("config: ") and "de.beta" in errors[1]
+    assert "invalid configuration" not in errors[1]

@@ -36,6 +36,15 @@ def test_charge_counts_the_fes_that_fit():
     assert late.charge(2) == 0 and late.used_evals == 0
 
 
+def test_budget_limits_must_be_above_zero():
+    for limits in ({"max_evals": 0}, {"max_evals": -5},
+                   {"max_evals": 5, "wallclock_ms": 0.0},
+                   {"max_evals": 5, "wallclock_ms": -1.0},
+                   {"max_evals": 5, "wallclock_ms": math.nan}):
+        with pytest.raises(ValueError):
+            EvalBudget(**limits)
+
+
 def test_evaluate_dimension_check():
     obj = make_instance("sphere", 3)
     with pytest.raises(ValueError):

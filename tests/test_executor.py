@@ -329,6 +329,16 @@ def test_wallclock_limit_stops_run():
     assert result.evals_used < 10_000_000
 
 
+def test_run_rejects_non_positive_budgets_and_trace_steps():
+    # a budget of -5 used to evaluate half of the initial population and
+    # report evals_used = -5; a trace step of -10 gave an empty trace
+    cfg = _cfg(**{"exec.order": "de", "pop.size": 10})
+    obj = make_instance("sphere", 3)
+    for limits in ({"max_evals": -5}, {"trace_every": -10}, {"trace_every": 0}):
+        with pytest.raises(ValueError):
+            run(cfg, obj, 1, **limits)
+
+
 _PROBABILISTIC = {"exec.order": "pso,de", "exec.mode": "probabilistic",
                   "exec.pr": "0.5", "exec.gate_dist": "uniform", "exec.par_std": "1.0"}
 

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from hybridopt import aggregate, default_config, rng_stream
+from hybridopt.cli import run_batch
 from hybridopt.config import format_parameter_file
-from hybridopt.reporting import (EmptyGroup, RunRecord, records_to_csv,
-                                 records_to_json, run_batch)
+from hybridopt.reporting import EmptyGroup, RunRecord, records_to_csv, records_to_json
 
 
 def test_aggregate_hand_case():
@@ -98,6 +98,14 @@ def test_run_batch_reads_parameter_files_per_entry(tmp_path):
     inline, _ = run_batch(_plan()[:1], parallelism=1)
     assert [r.best_fitness for r in records] == [r.best_fitness for r in inline]
     assert [e.split(":")[0] for e in errors] == ["dup", "missing"]
+
+
+def test_run_batch_records_a_bad_budget_as_one_error():
+    entries = [{**_plan()[0], "config_id": "neg", "fe_budget": -5},
+               {**_plan()[0], "config_id": "clock", "wallclock_ms": 0}]
+    records, errors = run_batch(_plan() + entries, parallelism=1)
+    assert len(records) == 3
+    assert [e.split(":")[0] for e in errors] == ["neg", "clock"]
 
 
 def test_run_batch_errors_in_plan_order():

@@ -1,8 +1,8 @@
 """hybridopt: composable PSO / DE / CMA-ES solvers with an interleaved local
 search, driven by a flat validated parameter configuration."""
 
-from .benchmarks import (ObjectiveInstance, TransformData, apply_transforms,
-                         load_rotation_file, load_shift_file, make_instance)
+from .benchmarks import (ObjectiveInstance, load_rotation_file, load_shift_file,
+                         make_instance)
 from .cmaes import CmaParams, CmaRunner, CmaState
 from .config import (ParameterSpec, ValidationReport, default_config,
                      export_parameter_space, parse_parameter_file, validate)
@@ -20,8 +20,8 @@ __all__ = [
     "CmaParams", "CmaRunner", "CmaState", "DeParams", "EvalBudget",
     "ExecutionConfig", "LsParams",
     "ObjectiveInstance", "ParameterSpec", "Population", "PsoParams",
-    "RunRecord", "RunResult", "TopologyState", "TransformData",
-    "ValidationReport", "aggregate", "apply_transforms",
+    "RunRecord", "RunResult", "TopologyState",
+    "ValidationReport", "aggregate",
     "cap_reported_value", "default_config", "dispatch_update", "evaluate",
     "export_parameter_space", "load_rotation_file", "load_shift_file",
     "make_instance", "mtsls_run",

@@ -178,51 +178,8 @@ SEARCH_RANGES = {
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# partitions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransformData:
-    """Shift vector o, orthogonal rotation M, optional partition."""
-
-    shift: np.ndarray | None = None
-    rotation: np.ndarray | None = None
-    partition: tuple[tuple[str, np.ndarray], ...] | None = None
-
-    def __post_init__(self):
-        if self.rotation is not None:
-            m = np.asarray(self.rotation, dtype=float)
-            object.__setattr__(self, "rotation", m)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionMismatch("rotation matrix must be square")
-            dev = float(np.max(np.abs(m @ m.T - np.eye(m.shape[0]))))
-            if dev >= 1e-3:
-                raise ValueError(f"rotation matrix is not orthogonal (deviation {dev:.2e})")
-            if dev >= 1e-8:
-                warnings.warn(f"rotation matrix only loosely orthogonal (deviation {dev:.2e})")
-        if self.shift is not None:
-            object.__setattr__(self, "shift", np.asarray(self.shift, dtype=float))
-
-
-def apply_transforms(x: np.ndarray, t: TransformData) -> np.ndarray:
-    """z = M (x - o) for a point or for each row of a block; identity when
-    neither shift nor rotation is present.
-
-    The rotation is one matrix-vector product per row, so a row's image does
-    not depend on its block; ``(x - o) @ M.T`` would differ in the last bits.
-    """
-    z = np.asarray(x, dtype=float)
-    d = z.shape[-1]
-    if t.shift is not None:
-        if t.shift.size != d:
-            raise DimensionMismatch(f"shift has length {t.shift.size}, point has {d}")
-        z = z - t.shift
-    if t.rotation is not None:
-        if t.rotation.shape[0] != d:
-            raise DimensionMismatch(f"rotation is {t.rotation.shape[0]}x..., point has length {d}")
-        z = (t.rotation @ z[..., None])[..., 0]
-    return z
-
 
 def validate_partition(parts, d: int):
     """Check that the partition's index sets are disjoint and cover 0..d-1,
@@ -251,8 +208,9 @@ def _eval_parts(parts, Z: np.ndarray) -> np.ndarray:
     return sum(BASE_FUNCTIONS[fid](Z.take(idx, axis=1)) for fid, idx in parts)
 
 
-def parse_parts(spec: str, d: int):
-    """Parse 'sphere:0-24,rastrigin:25-49' into a validated partition."""
+def parse_parts(spec: str):
+    """Parse 'sphere:0-24,rastrigin:25-49' into (name, indices) parts;
+    ObjectiveInstance validates them."""
     parts = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -265,7 +223,7 @@ def parse_parts(spec: str, d: int):
         except ValueError:
             raise ParseError(f"bad partition chunk {chunk!r}; expected name:lo-hi") from None
         parts.append((fid.strip(), idx))
-    return validate_partition(parts, d)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +234,51 @@ def parse_parts(spec: str, d: int):
 class ObjectiveInstance:
     """An immutable, callable problem: base function + transforms + bounds.
 
-    ``batch(X)`` evaluates the rows of an (n, d) block; ``self(x)`` is its
-    one-row case, so every row of a block equals the value at that row alone,
-    bit for bit.
+    A point x maps to z = M (x - o), with shift o and orthogonal rotation M
+    each optional; a partition sums its parts' values on their index sets of
+    z.  Every field is checked once, here when the instance is made, and
+    ``batch`` checks only its block.  ``batch(X)`` evaluates the rows of an
+    (n, d) block; ``self(x)`` is its one-row case, so every row of a block
+    equals the value at that row alone, bit for bit.
     """
 
     base_id: str
-    d: int
     bounds: Bounds
-    transform: TransformData = field(default_factory=TransformData)
+    shift: np.ndarray | None = None
+    rotation: np.ndarray | None = None
+    partition: tuple[tuple[str, np.ndarray], ...] | None = None
+    d: int = field(init=False)
 
     def __post_init__(self):
-        # checked once here, not on every evaluation
-        t = self.transform
-        if self.bounds.d != self.d:
-            raise DimensionMismatch(f"bounds have dimension {self.bounds.d}, expected {self.d}")
-        if t.shift is not None and t.shift.size != self.d:
-            raise DimensionMismatch(f"shift has length {t.shift.size}, expected {self.d}")
-        if t.rotation is not None and t.rotation.shape != (self.d, self.d):
-            raise DimensionMismatch(f"rotation is {t.rotation.shape}, "
-                                    f"expected ({self.d}, {self.d})")
-        if t.partition is not None:
-            validate_partition(t.partition, self.d)
+        d = self.bounds.d
+        object.__setattr__(self, "d", d)
+        if self.shift is not None:
+            self._store_array("shift", (d,))
+        if self.rotation is not None:
+            m = self._store_array("rotation", (d, d))
+            dev = float(np.max(np.abs(m @ m.T - np.eye(d))))
+            if not dev < 1e-3:   # written so that a NaN deviation fails
+                raise ValueError(f"rotation matrix is not orthogonal (deviation {dev:.2e})")
+            if dev >= 1e-8:
+                warnings.warn(f"rotation matrix only loosely orthogonal (deviation {dev:.2e})")
+        if self.partition is not None:
+            object.__setattr__(self, "partition", validate_partition(self.partition, d))
         elif self.base_id not in BASE_FUNCTIONS:
             raise UnknownFunction(f"unknown base function {self.base_id!r}")
-        elif self.d < 2 and self.base_id in PAIR_FUNCTIONS:
+        elif d < 2 and self.base_id in PAIR_FUNCTIONS:
             raise ValueError(f"function {self.base_id!r} needs dimension at least 2, "
-                             f"got {self.d}")
+                             f"got {d}")
+
+    def _store_array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Store field ``name`` as a float array of the given shape whose
+        every entry is finite."""
+        data = np.asarray(getattr(self, name), dtype=float)
+        if data.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {data.shape}, expected {shape}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} holds a non-finite value")
+        object.__setattr__(self, name, data)
+        return data
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of an (n, d) block."""
@@ -310,9 +286,14 @@ class ObjectiveInstance:
         Z = np.ascontiguousarray(X, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.d:
             raise DimensionMismatch(f"block has shape {Z.shape}, expected (n, {self.d})")
-        Z = apply_transforms(Z, self.transform)
-        if self.transform.partition is not None:
-            return _eval_parts(self.transform.partition, Z)
+        if self.shift is not None:
+            Z = Z - self.shift
+        if self.rotation is not None:
+            # one matrix-vector product per row, so a row's image does not
+            # depend on its block; Z @ M.T would differ in the last bits
+            Z = (self.rotation @ Z[..., None])[..., 0]
+        if self.partition is not None:
+            return _eval_parts(self.partition, Z)
         return BASE_FUNCTIONS[self.base_id](Z)
 
     def __call__(self, x: np.ndarray) -> float:
@@ -336,30 +317,27 @@ def make_instance(function_id: str, d: int, instance_seed: int = 0,
                   parts: str | None = None) -> ObjectiveInstance:
     """Build an ObjectiveInstance from a function id.
 
-    Ids take the form ``[shifted_][rotated_]<base>`` or ``hybrid`` (which
-    requires ``parts``).  Generated shift/rotation data is reproducible from
+    Ids take exactly the form ``[shifted_][rotated_](<base>|hybrid)``, in any
+    case; ``hybrid`` requires ``parts``.  Generated shift/rotation data is reproducible from
     instance_seed; explicit data files override generation.  Every input
     error raises a ValueError (UnknownFunction, InvalidPartition, ...).
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
     fid = function_id.strip().lower()
-    shifted = rotated = False
-    while True:
-        if fid.startswith("shifted_"):
-            shifted, fid = True, fid[len("shifted_"):]
-        elif fid.startswith("rotated_"):
-            rotated, fid = True, fid[len("rotated_"):]
-        else:
-            break
+    shifted = fid.startswith("shifted_")
+    fid = fid.removeprefix("shifted_")
+    rotated = fid.startswith("rotated_")
+    fid = fid.removeprefix("rotated_")
 
     partition = None
     box_fid = fid
     if fid == "hybrid":
         if not parts:
             raise InvalidPartition("function 'hybrid' needs a partition spec")
-        partition = parse_parts(parts, d)
-        box_fid = partition[0][0]
+        partition = parse_parts(parts)
+        if partition:   # an empty partition is refused by the instance
+            box_fid = partition[0][0]
     elif fid not in BASE_FUNCTIONS:
         raise UnknownFunction(f"unknown function id {function_id!r}")
     bounds = Bounds.symmetric(SEARCH_RANGES.get(box_fid, 100.0), d)
@@ -375,9 +353,8 @@ def make_instance(function_id: str, d: int, instance_seed: int = 0,
     elif rotated:
         rotation = random_rotation(d, rng)
 
-    return ObjectiveInstance(base_id=fid, d=d, bounds=bounds,
-                             transform=TransformData(shift=shift, rotation=rotation,
-                                                     partition=partition))
+    return ObjectiveInstance(fid, bounds, shift=shift, rotation=rotation,
+                             partition=partition)
 
 
 # ---------------------------------------------------------------------------
@@ -402,4 +379,4 @@ def load_rotation_file(path, d: int) -> np.ndarray:
     data = np.atleast_2d(data)
     if data.shape != (d, d):
         raise DimensionMismatch(f"rotation file is {data.shape}, expected ({d}, {d})")
-    return data  # TransformData judges its orthogonality
+    return data  # the instance judges its values and orthogonality

@@ -95,8 +95,8 @@ def gate_mask(cfg: ExecutionConfig, state: ExecState, n: int, rng) -> np.ndarray
     return draws <= cfg.pr
 
 
-def dispatch_update(cfg: ExecutionConfig, state: ExecState, fes_used: int,
-                    rng) -> tuple[str, ...]:
+def dispatch_update(cfg: ExecutionConfig, state: ExecState,
+                    fes_used: int) -> tuple[str, ...]:
     """Modules of the next generation when it runs one module: the current
     phase under multiple-phases execution, else the order (CMA-ES alone)."""
     if cfg.mode == "multiple_phases":
@@ -291,8 +291,7 @@ class _Run:
             self._population_generation()
             return
         # one module per generation: the current phase, or CMA-ES alone
-        module = dispatch_update(cfg, self.exec_state,
-                                 self.budget.used_evals, self.rng)[0]
+        module = dispatch_update(cfg, self.exec_state, self.budget.used_evals)[0]
         if module != self.current_phase:
             self._enter_phase(module)
         if module == "cmaes":

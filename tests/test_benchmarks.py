@@ -5,9 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hybridopt import (Bounds, ObjectiveInstance, TransformData, apply_transforms,
-                       load_rotation_file, load_shift_file, make_instance,
-                       rng_stream)
+from hybridopt import (Bounds, ObjectiveInstance, load_rotation_file,
+                       load_shift_file, make_instance, rng_stream)
 from hybridopt import benchmarks as _benchmarks
 from hybridopt.benchmarks import (BASE_FUNCTIONS, DimensionMismatch,
                                   InvalidPartition, UnknownFunction,
@@ -44,6 +43,12 @@ def test_unknown_function():
         make_instance("nope", 3)
     with pytest.raises(UnknownFunction):
         make_instance("shifted_rotated_nope", 3)
+    # exactly [shifted_][rotated_](<base>|hybrid): no other order, no repeats
+    for fid in ("rotated_shifted_sphere", "shifted_shifted_sphere",
+                "rotated_rotated_rastrigin", "rotated_shifted_hybrid"):
+        with pytest.raises(UnknownFunction):
+            make_instance(fid, 3, parts="sphere:0-2")
+    assert make_instance(" Shifted_ROTATED_Sphere ", 3).base_id == "sphere"
 
 
 def test_non_negativity_everywhere():
@@ -62,28 +67,30 @@ def test_scalability_any_dimension():
             assert np.isfinite(val), (fid, d)
 
 
-def test_apply_transforms():
+def test_instance_transforms():
+    box = Bounds.symmetric(10.0, 2)
     x = np.array([1.5, -2.0])
-    t = TransformData(shift=x.copy(), rotation=np.eye(2))
-    assert apply_transforms(x, t) == pytest.approx([0.0, 0.0])
+    at_shift = ObjectiveInstance("sphere", box, shift=x.copy(), rotation=np.eye(2))
+    assert at_shift(x) == 0.0
 
-    ident = TransformData(rotation=np.eye(2))
-    assert apply_transforms(x, ident) == pytest.approx(x)
+    ident = ObjectiveInstance("sphere", box, rotation=np.eye(2))
+    assert ident(x) == pytest.approx(_base("sphere", x))
 
-    rot90 = TransformData(shift=np.zeros(2),
-                          rotation=np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert apply_transforms(np.array([1.0, 0.0]), rot90) == pytest.approx(
-        [0.0, 1.0], abs=1e-12)
+    # elliptic weighs z_1 by 1 and z_2 by 1e6, so its value reads the image
+    rot90 = ObjectiveInstance("elliptic", box, shift=np.zeros(2),
+                              rotation=np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert rot90(np.array([1.0, 0.0])) == pytest.approx(1e6)
+    assert rot90(np.array([0.0, 1.0])) == pytest.approx(1.0)
 
     with pytest.raises(DimensionMismatch):
-        apply_transforms(np.zeros(3), TransformData(shift=np.zeros(2)))
+        at_shift(np.zeros(3))
 
 
 def test_optimum_preservation():
     rng = rng_stream(11)
     for fid in BASE_FUNCTIONS:
         inst = make_instance(f"shifted_rotated_{fid}", 6, instance_seed=3)
-        at_shift = inst(inst.transform.shift)
+        at_shift = inst(inst.shift)
         assert at_shift == pytest.approx(_base(fid, np.zeros(6)), abs=1e-9)
     del rng
 
@@ -94,8 +101,9 @@ def test_rotation_isometry():
     for _ in range(25):
         x = rng.uniform(-50, 50, 5)
         o = rng.uniform(-10, 10, 5)
-        z = apply_transforms(x, TransformData(shift=o, rotation=m))
-        assert np.linalg.norm(z) == pytest.approx(np.linalg.norm(x - o), abs=1e-9)
+        # sphere is |z|^2, so the instance's value reads the norm of M (x - o)
+        inst = ObjectiveInstance("sphere", Bounds.symmetric(100.0, 5), shift=o, rotation=m)
+        assert math.sqrt(inst(x)) == pytest.approx(np.linalg.norm(x - o), abs=1e-9)
 
 
 def test_hybrid_partitions():
@@ -124,7 +132,7 @@ def test_pair_functions_need_two_dimensions():
                 make_instance(prefix + fid, 1)
             assert make_instance(prefix + fid, 2)(np.full(2, 3.0)) > 0.0
         with pytest.raises(ValueError, match="dimension"):
-            ObjectiveInstance(fid, 1, Bounds.symmetric(1.0, 1))
+            ObjectiveInstance(fid, Bounds.symmetric(1.0, 1))
         with pytest.raises(InvalidPartition):
             make_instance("hybrid", 3, parts=f"sphere:0-1,{fid}:2-2")
         assert make_instance("hybrid", 3, parts=f"sphere:0-0,{fid}:1-2")(
@@ -134,11 +142,15 @@ def test_pair_functions_need_two_dimensions():
 
 
 def test_parse_parts():
-    parts = parse_parts("sphere:0-24,rastrigin:25-49", 50)
+    parts = parse_parts("sphere:0-24,rastrigin:25-49")
     assert parts[0][0] == "sphere" and list(parts[0][1]) == list(range(25))
     assert parts[1][0] == "rastrigin"
     with pytest.raises(ParseError):
-        parse_parts("sphere", 3)
+        parse_parts("sphere")
+    # parse_parts only parses; an empty spec is refused by the instance
+    assert parse_parts(" , ") == []
+    with pytest.raises(InvalidPartition):
+        make_instance("hybrid", 3, parts=" , ")
 
 
 def test_hybrid_instance():
@@ -180,7 +192,7 @@ def test_rotation_file_orthogonality_judged_once(tmp_path):
         warnings.simplefilter("always")
         inst = make_instance("rotated_sphere", 3, rotation_file=str(path))
     assert len(caught) == 1 and "orthogonal" in str(caught[0].message)
-    assert np.array_equal(inst.transform.rotation, loose)
+    assert np.array_equal(inst.rotation, loose)
     np.savetxt(path, np.ones((3, 3)))
     with pytest.raises(ValueError, match="not orthogonal"):
         make_instance("rotated_sphere", 3, rotation_file=str(path))
@@ -190,9 +202,9 @@ def test_instance_seed_reproducibility():
     a = make_instance("shifted_rotated_ackley", 5, instance_seed=9)
     b = make_instance("shifted_rotated_ackley", 5, instance_seed=9)
     c = make_instance("shifted_rotated_ackley", 5, instance_seed=10)
-    assert np.array_equal(a.transform.shift, b.transform.shift)
-    assert np.array_equal(a.transform.rotation, b.transform.rotation)
-    assert not np.array_equal(a.transform.shift, c.transform.shift)
+    assert np.array_equal(a.shift, b.shift)
+    assert np.array_equal(a.rotation, b.rotation)
+    assert not np.array_equal(a.shift, c.shift)
 
 
 def test_search_ranges_applied():
@@ -255,14 +267,13 @@ _REFERENCE = {
 
 def _reference_value(inst, x):
     z = np.asarray(x, dtype=float)
-    t = inst.transform
-    if t.shift is not None:
-        z = z - t.shift
-    if t.rotation is not None:
-        z = t.rotation @ z
-    if t.partition is None:
+    if inst.shift is not None:
+        z = z - inst.shift
+    if inst.rotation is not None:
+        z = inst.rotation @ z
+    if inst.partition is None:
         return _REFERENCE[inst.base_id](z)
-    return float(sum(_REFERENCE[fid](z[idx]) for fid, idx in t.partition))
+    return float(sum(_REFERENCE[fid](z[idx]) for fid, idx in inst.partition))
 
 
 def _hybrid_spec(d):
@@ -297,18 +308,55 @@ def test_batch_shape_and_partition_checked_once():
         inst.batch(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         inst.batch(np.zeros(4))
+    box = Bounds.symmetric(1.0, 3)
     with pytest.raises(InvalidPartition):
-        ObjectiveInstance("hybrid", 3, Bounds.symmetric(1.0, 3),
-                          TransformData(partition=(("sphere", np.array([0, 1])),)))
+        ObjectiveInstance("hybrid", box, partition=(("sphere", np.array([0, 1])),))
     with pytest.raises(UnknownFunction):
-        ObjectiveInstance("nope", 3, Bounds.symmetric(1.0, 3))
-    # bounds, shift and rotation are checked against d when the instance is made
-    for bounds, transform in (
-            (Bounds.symmetric(1.0, 5), TransformData()),
-            (Bounds.symmetric(1.0, 3), TransformData(shift=np.zeros(2))),
-            (Bounds.symmetric(1.0, 3), TransformData(rotation=np.eye(5)))):
+        ObjectiveInstance("nope", box)
+    # d is read from the bounds, and shift and rotation are checked against it
+    # when the instance is made
+    with pytest.raises(TypeError):
+        ObjectiveInstance("sphere", box, d=3)
+    for data in ({"shift": np.zeros(2)}, {"shift": np.zeros((1, 3))},
+                 {"rotation": np.eye(5)}, {"rotation": np.eye(3)[:2]}):
         with pytest.raises(DimensionMismatch):
-            ObjectiveInstance("sphere", 3, bounds, transform)
+            ObjectiveInstance("sphere", box, **data)
+
+
+def test_instance_data_checked_once_when_made(monkeypatch):
+    calls = []
+    real = _benchmarks.validate_partition
+
+    def counted(parts, d):
+        calls.append(d)
+        return real(parts, d)
+
+    monkeypatch.setattr(_benchmarks, "validate_partition", counted)
+    inst = make_instance("shifted_rotated_hybrid", 4, parts="sphere:0-1,rastrigin:2-3")
+    assert calls == [4]
+    assert inst.d == inst.bounds.d == 4
+    assert [fid for fid, _ in inst.partition] == ["sphere", "rastrigin"]
+    inst.batch(np.zeros((5, 4)))
+    inst(np.zeros(4))
+    assert calls == [4]   # evaluation checks only the block
+
+
+def test_non_finite_instance_data_rejected(tmp_path):
+    box = Bounds.symmetric(1.0, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ObjectiveInstance("sphere", box, shift=np.array([1.0, bad, 3.0]))
+        rotation = np.eye(3)
+        rotation[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ObjectiveInstance("sphere", box, rotation=rotation)
+    shift_path, rot_path = tmp_path / "shift.txt", tmp_path / "rot.txt"
+    shift_path.write_text("1 nan 3\n")
+    rot_path.write_text("nan 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        make_instance("shifted_sphere", 3, shift_file=str(shift_path))
+    with pytest.raises(ValueError, match="non-finite"):
+        make_instance("rotated_sphere", 3, rotation_file=str(rot_path))
 
 
 def _exact_weierstrass(z):
@@ -333,11 +381,11 @@ def test_weierstrass_offset_is_minus_the_weight_sum():
 @pytest.mark.parametrize("d", [2, 5, 10, 50, 100])
 def test_weierstrass_is_exactly_zero_at_the_optimum(d):
     inst = make_instance("shifted_rotated_weierstrass", d, instance_seed=d)
-    assert inst(inst.transform.shift) == 0.0
-    assert inst.batch(np.tile(inst.transform.shift, (3, 1))).tolist() == [0.0] * 3
+    assert inst(inst.shift) == 0.0
+    assert inst.batch(np.tile(inst.shift, (3, 1))).tolist() == [0.0] * 3
     hybrid = make_instance("shifted_rotated_hybrid", d, instance_seed=d,
                            parts=f"elliptic:0-0,weierstrass:1-{d - 1}")
-    assert hybrid(hybrid.transform.shift) == 0.0
+    assert hybrid(hybrid.shift) == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 5, 10])
@@ -346,6 +394,6 @@ def test_weierstrass_matches_exact_reduction(d):
     rng = rng_stream(100 + d)
     lo, hi = inst.bounds.lower, inst.bounds.upper
     X = np.vstack([rng.uniform(1.5 * lo, 1.5 * hi, (20, d)),
-                   inst.transform.shift + rng.uniform(-1e-3, 1e-3, (20, d))])
-    exact = [_exact_weierstrass(z) for z in apply_transforms(X, inst.transform)]
+                   inst.shift + rng.uniform(-1e-3, 1e-3, (20, d))])
+    exact = [_exact_weierstrass(inst.rotation @ (x - inst.shift)) for x in X]
     assert np.max(np.abs(inst.batch(X) - exact)) <= 2e-9

@@ -92,13 +92,29 @@ def test_run_command_lets_parameter_file_errors_through(tmp_path):
 
 
 def test_run_command_rejects_bad_instance(tmp_path, capsys):
+    values = default_config({"exec.order": "pso"})
     params = tmp_path / "algo.params"
-    params.write_text(format_parameter_file(default_config({"exec.order": "pso"})))
-    for extra in (["--function", "spherez", "--dim", "3"],
-                  ["--function", "sphere", "--dim", "0"],
-                  ["--function", "shifted_sphere", "--dim", "3",
-                   "--shift-file", str(tmp_path / "missing.txt")]):
-        code = main(["run", *extra, "--seed", "1", "--params", str(params),
+    params.write_text(format_parameter_file(values))
+    hybrid_params = tmp_path / "hybrid.params"
+    hybrid_params.write_text(format_parameter_file({**values, "hybrid.parts": ","}))
+    data = {"short_shift.txt": "1.0 2.0\n",
+            "skew_rotation.txt": "1 1 1\n1 1 1\n1 1 1\n",
+            "nan_rotation.txt": "nan 0 0\n0 1 0\n0 0 1\n"}
+    for name, text in data.items():
+        (tmp_path / name).write_text(text)
+    for extra, param_file in (
+            (["--function", "spherez", "--dim", "3"], params),
+            (["--function", "sphere", "--dim", "0"], params),
+            (["--function", "shifted_sphere", "--dim", "3",
+              "--shift-file", str(tmp_path / "missing.txt")], params),
+            (["--function", "shifted_sphere", "--dim", "3",
+              "--shift-file", str(tmp_path / "short_shift.txt")], params),
+            (["--function", "rotated_sphere", "--dim", "3",
+              "--rotation-file", str(tmp_path / "skew_rotation.txt")], params),
+            (["--function", "rotated_sphere", "--dim", "3",
+              "--rotation-file", str(tmp_path / "nan_rotation.txt")], params),
+            (["--function", "hybrid", "--dim", "3"], hybrid_params)):
+        code = main(["run", *extra, "--seed", "1", "--params", str(param_file),
                      "--out", str(tmp_path / "x.csv")])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -148,6 +164,10 @@ def test_target_runner_rejects_bad_instance(capsys):
         assert "dimension" in _bad_invocation(capsys, f"sphere:{dim}", switches)
     # a pair function has no coordinate pair at d = 1
     assert "dimension" in _bad_invocation(capsys, "rosenbrock:1", switches)
+    assert "rotated_shifted_sphere" in _bad_invocation(
+        capsys, "rotated_shifted_sphere:3", switches)
+    assert "cover" in _bad_invocation(
+        capsys, "hybrid:3", [*switches, "--hybrid.parts", " , "])
 
 
 def test_run_command_rejects_non_positive_budgets(tmp_path, capsys):

@@ -82,11 +82,10 @@ def test_phase_windows_arithmetic():
     assert windows == (("a", 0, 4000), ("b", 4000, 10000))
     state = ExecState(windows=windows)
     cfg = ExecutionConfig(mode="multiple_phases", module_order=("a", "b"))
-    rng = rng_stream(0)
-    assert dispatch_update(cfg, state, 0, rng) == ("a",)
-    assert dispatch_update(cfg, state, 3999, rng) == ("a",)
-    assert dispatch_update(cfg, state, 4000, rng) == ("b",)
-    assert dispatch_update(cfg, state, 9999, rng) == ("b",)
+    assert dispatch_update(cfg, state, 0) == ("a",)
+    assert dispatch_update(cfg, state, 3999) == ("a",)
+    assert dispatch_update(cfg, state, 4000) == ("b",)
+    assert dispatch_update(cfg, state, 9999) == ("b",)
 
 
 def test_dispatch_probabilistic_uniform():

@@ -172,6 +172,22 @@ CONFIGS = {
                                    "pso.omega1_mode": "linear_decreasing",
                                    "pso.ac_mode": "time_varying",
                                    "pso.velocity_clamping": "false"},
+    # the coefficient draws: random and constant omegas beside random
+    # acceleration, the increasing inertia, and the random perturbation of
+    # each kind, one per row
+    "pso-random-coefficients": {"exec.order": "pso", "pop.size": "20",
+                                "pso.omega1_mode": "random",
+                                "pso.omega2_mode": "random",
+                                "pso.omega3_mode": "constant", "pso.omega3": "0.7",
+                                "pso.ac_mode": "random",
+                                "pso.pert_rand": "rectangular",
+                                "pso.pm_mode": "constant", "pso.pm": "0.05"},
+    "pso-linear-increasing-omegas": {"exec.order": "pso", "pop.size": "20",
+                                     "pso.omega1_mode": "linear_increasing",
+                                     "pso.omega2_mode": "constant", "pso.omega2": "0.3",
+                                     "pso.omega3_mode": "random",
+                                     "pso.pert_rand": "noisy",
+                                     "pso.pm_mode": "constant", "pso.pm": "0.05"},
 }
 
 # Objectives of other shapes than rastrigin's elementwise sum: a per-row dot

@@ -84,12 +84,9 @@ def build_topology(kind: str, n: int, rng: np.random.Generator,
     np.fill_diagonal(adj, False)
 
     top = TopologyState(kind=kind, adjacency=adj)
-    if kind == "time_varying":
-        if n > 3:
-            top.t_schedule = max(1, (total_iters * n) // (2 * (n - 3)))
-            top.next_event = top.t_schedule
-        else:
-            top.t_schedule = 0  # n <= 3 is already a ring
+    if kind == "time_varying" and n > 3:  # n <= 3 is already a ring
+        top.t_schedule = max(1, (total_iters * n) // (2 * (n - 3)))
+        top.next_event = top.t_schedule
     return top
 
 
@@ -176,44 +173,6 @@ def advance_topology(top: TopologyState, t: int, rng: np.random.Generator) -> No
 
 
 # ---------------------------------------------------------------------------
-# schedules
-# ---------------------------------------------------------------------------
-
-def inertia_weight(mode: str, t: int, total: int, rng: np.random.Generator,
-                   value: float = 0.729, lo: float = 0.4, hi: float = 0.9, size=None):
-    """Inertia weight w1 at iteration t of a run with `total` iterations; the
-    random mode draws an array of that size when one is given."""
-    total = max(1, total)
-    if mode == "constant":
-        return value
-    if mode == "linear_decreasing":
-        return hi - (hi - lo) * t / total
-    if mode == "linear_increasing":
-        return lo + (hi - lo) * t / total
-    if mode == "random":
-        return rng.uniform(lo, hi, size)
-    raise ValueError(f"unknown inertia mode {mode!r}")
-
-
-def acceleration_coeffs(mode: str, t: int, total: int, phi1: float, phi2: float,
-                        rng: np.random.Generator, phi1_min: float = 0.5,
-                        phi1_max: float = 2.5, size=None) -> tuple:
-    """phi1/phi2 pair: fixed, random in (0, phi] (arrays of that size when one
-    is given), or linearly crossing over time."""
-    total = max(1, total)
-    if mode == "constant":
-        return phi1, phi2
-    if mode == "random":
-        return rng.uniform(0.0, phi1, size), rng.uniform(0.0, phi2, size)
-    if mode == "time_varying":
-        frac = t / total
-        p1 = phi1_max - (phi1_max - phi1_min) * frac
-        p2 = phi1_min + (phi1_max - phi1_min) * frac
-        return p1, p2
-    raise ValueError(f"unknown acceleration mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
 # perturbations
 # ---------------------------------------------------------------------------
 
@@ -237,7 +196,7 @@ def perturbation_magnitude(mode: str, pm: float, p: np.ndarray, l: np.ndarray,
 
     success holds each row's last SUCCESS_WINDOW updates, oldest first: 1 where
     the personal best improved, 0 where not, -1 before the first update.  The
-    success rate of a row is its share of 1s, 0.5 before the first update.
+    success rate of a row is its share of 1s, one half before the first update.
     """
     if mode == "constant":
         return np.full(p.shape[:-1], pm)
@@ -251,9 +210,9 @@ def perturbation_magnitude(mode: str, pm: float, p: np.ndarray, l: np.ndarray,
             ratio = np.abs(np.where(fp == fl, 0.0, fp - fl)) / (1.0 + np.abs(fl))
         return np.where(np.isfinite(ratio), ratio, _OBJFUNC_FALLBACK_PM)
     if mode == "success_rate":
-        # rate = wins / tried, compared with 0.5 and 0.25 in integers
+        # rate = wins / tried, compared with 1/2 and 1/4 in integers
         wins, tried = (success == 1).sum(axis=-1), (success >= 0).sum(axis=-1)
-        return np.where(2 * wins > tried, pm * 2.0, np.where(4 * wins < tried, pm * 0.5, pm))
+        return np.where(2 * wins > tried, pm * 2.0, np.where(4 * wins < tried, pm / 2.0, pm))
     raise ValueError(f"unknown perturbation-magnitude mode {mode!r}")
 
 
@@ -319,10 +278,11 @@ def _fully_informed_social(X: np.ndarray, informants, params: PsoParams, phi2, p
     return U, np.add.reduce(terms, axis=1, initial=0.0)
 
 
-def dnpp(kind: str, X: np.ndarray, P: np.ndarray, L: np.ndarray, informants,
-         params: PsoParams, phi1, phi2, pm, rng: np.random.Generator,
+def dnpp(X: np.ndarray, P: np.ndarray, L: np.ndarray, informants, params: PsoParams,
+         phi1, phi2, pm, rng: np.random.Generator,
          basis: np.ndarray | None = None) -> np.ndarray:
-    """Movement terms mapping the rows of a swarm to their next positions.
+    """Movement terms mapping the rows of a swarm to their next positions,
+    under the DNPP `params.dnpp`.
 
     Parameters
     ----------
@@ -346,59 +306,80 @@ def dnpp(kind: str, X: np.ndarray, P: np.ndarray, L: np.ndarray, informants,
     if informants is None:
         dL = _to_basis(_perturb(L, params.pert_info, pm, rng) - X, basis)
 
+    kind = params.dnpp
     if kind == "rectangular":
         if informants is None:
             U = rng.random((n, 2, d))
             social = phi2 * U[:, 1] * dL
         else:
             U, social = _fully_informed_social(X, informants, params, phi2, pm, rng, basis)
-        return _from_basis(phi1 * U[:, 0] * dP + social, basis)
-
-    if kind == "standard":
-        return _from_basis(dP / 2.0 + dL / 2.0, basis)
-
-    if kind == "gaussian":
-        return _from_basis((dP + dL) / 2.0 + np.abs(dP - dL) * rng.standard_normal((n, d)),
-                           basis)
-
-    if kind == "spherical":
+        move = phi1 * U[:, 0] * dP + social
+    elif kind == "standard":
+        move = dP / 2.0 + dL / 2.0
+    elif kind == "gaussian":
+        move = (dP + dL) / 2.0 + np.abs(dP - dL) * rng.standard_normal((n, d))
+    elif kind == "spherical":
         g = (phi1 * dP + phi2 * dL) / 3.0  # centre offsets of the hyperspheres
         radius = _norms(g)[:, None]
         direction = rng.standard_normal((n, d))
         direction = direction / np.maximum(_norms(direction), 1e-300)[:, None]
         magnitude = radius * rng.random((n, 1)) ** (1.0 / d)
-        return _from_basis(np.where(radius == 0.0, g, g + magnitude * direction), basis)
-
-    raise ValueError(f"unknown DNPP kind {kind!r}")
+        move = np.where(radius == 0.0, g, g + magnitude * direction)
+    else:
+        raise ValueError(f"unknown DNPP kind {kind!r}")
+    return _from_basis(move, basis)
 
 
 # ---------------------------------------------------------------------------
 # velocity / position updates
 # ---------------------------------------------------------------------------
 
-def _omega_aux(mode: str, value: float, omega1, rng: np.random.Generator, size=None):
-    if mode == "equal_to_omega1":
-        return omega1
-    if mode == "constant":
-        return value
-    if mode == "random":
-        return rng.uniform(0.0, 1.0, size)
-    raise ValueError(f"unknown omega mode {mode!r}")
-
-
 def _coefficients(params: PsoParams, t: int, total: int, rng: np.random.Generator,
                   n: int) -> tuple:
-    """(omega1, omega2, omega3, phi1, phi2) at iteration t for n rows, drawn in
-    that order: numbers, or (n, 1) columns of one draw per row under the
-    random modes."""
-    size = (n, 1)
-    omega1 = inertia_weight(params.omega1_mode, t, total, rng, value=params.omega1,
-                            lo=params.omega1_min, hi=params.omega1_max, size=size)
-    omega2 = _omega_aux(params.omega2_mode, params.omega2, omega1, rng, size)
-    omega3 = _omega_aux(params.omega3_mode, params.omega3, omega1, rng, size)
-    phi1, phi2 = acceleration_coeffs(params.ac_mode, t, total, params.phi1, params.phi2,
-                                     rng, params.phi1_min, params.phi1_max, size)
-    return omega1, omega2, omega3, phi1, phi2
+    """(omega1, omega2, omega3, phi1, phi2) at iteration t of a run of
+    total >= 1 iterations, for n rows, drawn in that order: numbers, or (n, 1)
+    columns of one draw per row under the random modes.
+
+    The inertia omega1 is fixed, runs linearly between omega1_max and
+    omega1_min (down or up), or is uniform between them.  omega2 and omega3
+    each equal omega1, are fixed, or are uniform in [0, 1).  phi1 and phi2 are
+    fixed, uniform in [0, phi), or cross linearly over time: phi1 from
+    phi1_max down to phi1_min as phi2 goes from phi1_min up to phi1_max,
+    reading neither phi1 nor phi2.
+    """
+    p, size = params, (n, 1)
+    lo, hi = p.omega1_min, p.omega1_max
+    if p.omega1_mode == "constant":
+        omega1 = p.omega1
+    elif p.omega1_mode == "linear_decreasing":
+        omega1 = hi - (hi - lo) * t / total
+    elif p.omega1_mode == "linear_increasing":
+        omega1 = lo + (hi - lo) * t / total
+    elif p.omega1_mode == "random":
+        omega1 = rng.uniform(lo, hi, size)
+    else:
+        raise ValueError(f"unknown inertia mode {p.omega1_mode!r}")
+    omegas = [omega1]
+    for mode, value in ((p.omega2_mode, p.omega2), (p.omega3_mode, p.omega3)):
+        if mode == "equal_to_omega1":
+            omegas.append(omega1)
+        elif mode == "constant":
+            omegas.append(value)
+        elif mode == "random":
+            omegas.append(rng.uniform(0.0, 1.0, size))
+        else:
+            raise ValueError(f"unknown omega mode {mode!r}")
+    lo, hi = p.phi1_min, p.phi1_max
+    if p.ac_mode == "constant":
+        phis = p.phi1, p.phi2
+    elif p.ac_mode == "random":
+        phis = rng.uniform(0.0, p.phi1, size), rng.uniform(0.0, p.phi2, size)
+    elif p.ac_mode == "time_varying":
+        frac = t / total
+        phis = hi - (hi - lo) * frac, lo + (hi - lo) * frac
+    else:
+        raise ValueError(f"unknown acceleration mode {p.ac_mode!r}")
+    return (*omegas, *phis)
 
 
 def _velocities(X, V, P, L, informants, params: PsoParams, t: int, total: int,
@@ -406,8 +387,7 @@ def _velocities(X, V, P, L, informants, params: PsoParams, t: int, total: int,
     """w1 V + w2 DNPP + w3 PertRand for the rows (X, V, P); the arguments are
     those of `dnpp`."""
     omega1, omega2, omega3, phi1, phi2 = _coefficients(params, t, total, rng, len(X))
-    V = omega1 * V + omega2 * dnpp(params.dnpp, X, P, L, informants, params,
-                                   phi1, phi2, pm, rng, basis)
+    V = omega1 * V + omega2 * dnpp(X, P, L, informants, params, phi1, phi2, pm, rng, basis)
     if params.pert_rand != "none":
         V = V + omega3 * (pm * _noise(_RANDOM_PERTURBATION[params.pert_rand], X.shape, rng))
     return V

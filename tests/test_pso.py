@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
 from hybridopt.pso import (SUCCESS_WINDOW, PsoParams, TopologyState, _coefficients,
-                           _from_basis, _perturb, _random_edges, _to_basis, acceleration_coeffs,
+                           _from_basis, _perturb, _random_edges, _to_basis,
                            advance_topology, build_topology, compute_velocity, dnpp,
-                           inertia_weight, informant_weights, mantegna_levy,
+                           informant_weights, mantegna_levy,
                            neighborhood_best, neighbors, perturbation_magnitude,
                            random_velocity, ranked_informants, stagnation_check,
                            swarm_step, update_position)
@@ -157,37 +158,54 @@ def test_neighborhood_best_matches_brute_force(kind, n, steps, seed, levels):
 # schedules
 # ---------------------------------------------------------------------------
 
+def _inertia(mode, t, total, rng, n=1, **params):
+    """omega1 of `_coefficients` under the inertia mode and the other params."""
+    return _coefficients(PsoParams(omega1_mode=mode, **params), t, total, rng, n)[0]
+
+
+def _phis(mode, t, total, rng, n=1, **params):
+    """(phi1, phi2) of `_coefficients` under the acceleration mode."""
+    return _coefficients(PsoParams(ac_mode=mode, **params), t, total, rng, n)[3:]
+
+
 def test_inertia_weight():
     rng = rng_stream(3)
-    assert inertia_weight("linear_decreasing", 50, 100, rng, lo=0.4, hi=0.9) \
+    assert _inertia("linear_decreasing", 50, 100, rng, omega1_min=0.4, omega1_max=0.9) \
         == pytest.approx(0.65)
-    assert inertia_weight("linear_decreasing", 0, 100, rng, lo=0.4, hi=0.9) \
+    assert _inertia("linear_decreasing", 0, 100, rng, omega1_min=0.4, omega1_max=0.9) \
         == pytest.approx(0.9)
-    assert inertia_weight("linear_increasing", 100, 100, rng, lo=0.4, hi=0.9) \
+    assert _inertia("linear_increasing", 100, 100, rng, omega1_min=0.4, omega1_max=0.9) \
         == pytest.approx(0.9)
-    assert inertia_weight("constant", 7, 100, rng, value=0.729) == 0.729
+    assert _inertia("constant", 7, 100, rng, omega1=0.729) == 0.729
     for _ in range(20):
-        w = inertia_weight("random", 0, 100, rng, lo=0.4, hi=0.9)
+        w = _inertia("random", 0, 100, rng, omega1_min=0.4, omega1_max=0.9)
         assert 0.4 <= w <= 0.9
-    column = inertia_weight("random", 0, 100, rng, lo=0.4, hi=0.9, size=(5, 1))
+    column = _inertia("random", 0, 100, rng, n=5, omega1_min=0.4, omega1_max=0.9)
     assert column.shape == (5, 1) and np.all((0.4 <= column) & (column <= 0.9))
 
 
 def test_acceleration_coeffs():
     rng = rng_stream(4)
-    assert acceleration_coeffs("constant", 3, 10, 1.5, 1.5, rng) == (1.5, 1.5)
-    p1, p2 = acceleration_coeffs("time_varying", 100, 100, 2.0, 2.0, rng,
-                                 phi1_min=0.5, phi1_max=2.5)
+    assert _phis("constant", 3, 10, rng, phi1=1.5, phi2=1.5) == (1.5, 1.5)
+    p1, p2 = _phis("time_varying", 100, 100, rng, phi1=2.0, phi2=2.0,
+                   phi1_min=0.5, phi1_max=2.5)
     assert p1 == pytest.approx(0.5) and p2 == pytest.approx(2.5)
-    p1, p2 = acceleration_coeffs("time_varying", 50, 100, 2.0, 2.0, rng,
-                                 phi1_min=0.5, phi1_max=2.5)
+    p1, p2 = _phis("time_varying", 50, 100, rng, phi1=2.0, phi2=2.0,
+                   phi1_min=0.5, phi1_max=2.5)
     assert p1 == pytest.approx(1.5) and p2 == pytest.approx(1.5)
     for _ in range(20):
-        r1, r2 = acceleration_coeffs("random", 0, 1, 1.7, 0.9, rng)
+        r1, r2 = _phis("random", 0, 1, rng, phi1=1.7, phi2=0.9)
         assert 0 <= r1 <= 1.7 and 0 <= r2 <= 0.9
-    r1, r2 = acceleration_coeffs("random", 0, 1, 1.7, 0.9, rng, size=(5, 1))
+    r1, r2 = _phis("random", 0, 1, rng, n=5, phi1=1.7, phi2=0.9)
     assert r1.shape == r2.shape == (5, 1)
     assert np.all((0 <= r1) & (r1 <= 1.7)) and np.all((0 <= r2) & (r2 <= 0.9))
+
+
+@pytest.mark.parametrize("field", ["omega1_mode", "omega2_mode", "omega3_mode", "ac_mode"])
+def test_coefficients_reject_an_unknown_mode(field):
+    params = dataclasses.replace(PsoParams(), **{field: f"no_such_{field}"})
+    with pytest.raises(ValueError, match=f"'no_such_{field}'"):
+        _coefficients(params, 0, 10, rng_stream(0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +222,22 @@ def test_dnpp_degenerate_inputs_give_zero():
     x, = _one_row([1.0, -2.0])
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
         informants = (x[:, None].copy(), np.array([1])) if kind == "rectangular" else None
-        move = dnpp(kind, x, x.copy(), x.copy(), informants, params, 1.5, 1.5, 0.0, rng)
+        move = dnpp(x, x.copy(), x.copy(), informants, dataclasses.replace(params, dnpp=kind),
+                    1.5, 1.5, 0.0, rng)
         assert move[0] == pytest.approx([0.0, 0.0], abs=1e-15), kind
 
 
 def test_dnpp_standard_average():
     rng = rng_stream(6)
-    move = dnpp("standard", *_one_row([0.0, 0.0], [2.0, 0.0], [0.0, 2.0]), None,
-                PsoParams(), 1.0, 1.0, 0.0, rng)
+    move = dnpp(*_one_row([0.0, 0.0], [2.0, 0.0], [0.0, 2.0]), None,
+                PsoParams(dnpp="standard"), 1.0, 1.0, 0.0, rng)
     assert move[0] == pytest.approx([1.0, 1.0])
 
 
 def test_dnpp_gaussian_zero_spread():
     rng = rng_stream(7)
     x, p = _one_row([1.0, 1.0], [3.0, -1.0])
-    move = dnpp("gaussian", x, p, p.copy(), None, PsoParams(), 1.0, 1.0, 0.0, rng)
+    move = dnpp(x, p, p.copy(), None, PsoParams(dnpp="gaussian"), 1.0, 1.0, 0.0, rng)
     assert move == pytest.approx(p - x)  # sd collapses to 0
 
 
@@ -228,9 +247,9 @@ def test_dnpp_eigenbasis_roundtrip():
     x, p, l = _one_row([0.5, -0.5], [1.0, 2.0], [-1.0, 0.3])
     params = PsoParams(vector_basis="eigenvector")
     for kind in ("rectangular", "spherical", "standard", "gaussian"):
-        natural = dnpp(kind, x, p, l, None, params, 1.5, 1.5, 0.0, rng_a, basis=None)
-        with_identity = dnpp(kind, x, p, l, None, params, 1.5, 1.5, 0.0, rng_b,
-                             basis=np.eye(2))
+        of_kind = dataclasses.replace(params, dnpp=kind)
+        natural = dnpp(x, p, l, None, of_kind, 1.5, 1.5, 0.0, rng_a, basis=None)
+        with_identity = dnpp(x, p, l, None, of_kind, 1.5, 1.5, 0.0, rng_b, basis=np.eye(2))
         assert natural == pytest.approx(with_identity, abs=1e-12), kind
 
 
@@ -241,7 +260,7 @@ def test_dnpp_spherical_rows_of_zero_radius_keep_their_centre():
     still = np.array([True, False, True, False, False, True])
     P[still] = L[still] = X[still]   # g = (phi1 (p - x) + phi2 (l - x)) / 3 = 0
     phi1, phi2 = 1.5, rng.uniform(0.5, 2.0, (n, 1))
-    move = dnpp("spherical", X, P, L, None, PsoParams(), phi1, phi2, 0.0, rng)
+    move = dnpp(X, P, L, None, PsoParams(dnpp="spherical"), phi1, phi2, 0.0, rng)
     g = (phi1 * (P - X) + phi2 * (L - X)) / 3.0
     assert move[still].tobytes() == g[still].tobytes()
     # every other row lands inside its hypersphere, off its centre
@@ -258,13 +277,13 @@ def test_dnpp_fully_informed_weights():
     informants = np.broadcast_to([[2.0, 0.0], [0.0, 2.0]], (n, 2, 2)), np.full(n, 2)
     # average over informants of phi2*U*(p_k - x); expectation is phi2/2 * mean
     rng = rng_stream(9)
-    draws = dnpp("rectangular", X, P, informants[0][:, 0], informants, params, 0.0, 1.0,
-                 0.0, rng).mean(axis=0)
+    draws = dnpp(X, P, informants[0][:, 0], informants, params, 0.0, 1.0, 0.0,
+                 rng).mean(axis=0)
     assert draws == pytest.approx([0.5, 0.5], abs=0.05)
 
     ranked = PsoParams(moi="ranked_fully_informed")
-    draws = dnpp("rectangular", X, P, informants[0][:, 0], informants, ranked, 0.0, 1.0,
-                 0.0, rng).mean(axis=0)
+    draws = dnpp(X, P, informants[0][:, 0], informants, ranked, 0.0, 1.0, 0.0,
+                 rng).mean(axis=0)
     # rank weights 2/3 and 1/3, each times phi2*E[U]*(p_k - x)
     assert draws == pytest.approx([2 / 3, 1 / 3], abs=0.05)
 
@@ -319,7 +338,7 @@ def test_dnpp_fully_informed_matches_per_informant_loop(moi, pert_info, m):
             params = PsoParams(moi=moi, pert_info=pert_info,
                                vector_basis="natural" if b is None else "eigenvector")
             rng_a, rng_b = rng_stream(7), rng_stream(7)
-            got = dnpp("rectangular", x[None], p[None], ranked[:1], (ranked[None], np.array([m])),
+            got = dnpp(x[None], p[None], ranked[:1], (ranked[None], np.array([m])),
                        params, 1.3, 1.7, np.full((1, 1), pm), rng_a, basis=b)
             want = _reference_rectangular(x, p, ranked, params, 1.3, 1.7, pm, rng_b, b)
             assert np.array_equal(got[0], want), (pm, b is None)

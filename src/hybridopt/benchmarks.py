@@ -230,9 +230,10 @@ def parse_parts(spec: str):
 # objective instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveInstance:
     """An immutable, callable problem: base function + transforms + bounds.
+    Instances compare and hash by identity, as their array fields cannot.
 
     A point x maps to z = M (x - o), with shift o and orthogonal rotation M
     each optional; a partition sums its parts' values on their index sets of

@@ -110,6 +110,8 @@ def _cmd_run(args) -> int:
 
 def _execute_entry(entry: dict) -> list[RunRecord]:
     """Run every seed of one plan entry (worker-safe)."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"plan entry {entry!r} is not a JSON object")
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
     dim = int(entry["dim"])
@@ -135,22 +137,24 @@ def run_batch(plan: list[dict], parallelism: int = 1):
         raise ValueError("empty batch plan")
     records: list[RunRecord] = []
     errors: list[str] = []
+
+    def collect(entry, outcome):
+        try:
+            records.extend(outcome())
+        except Exception as exc:  # per-run failures recorded, batch continues
+            config_id = entry.get("config_id", "?") if isinstance(entry, dict) else "?"
+            errors.append(f"{config_id}: {exc}")
+
     if parallelism <= 1:
         for entry in plan:
-            try:
-                records.extend(_execute_entry(entry))
-            except Exception as exc:  # per-run failures recorded, batch continues
-                errors.append(f"{entry.get('config_id', '?')}: {exc}")
+            collect(entry, lambda: _execute_entry(entry))
     else:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = [pool.submit(_execute_entry, entry) for entry in plan]
             for entry, fut in zip(plan, futures):
-                try:
-                    records.extend(fut.result())
-                except Exception as exc:
-                    errors.append(f"{entry.get('config_id', '?')}: {exc}")
+                collect(entry, fut.result)
     records.sort(key=lambda r: (r.function, r.dim, r.config, r.seed))
     for msg in errors:
         print(f"batch error: {msg}", file=sys.stderr)
@@ -158,8 +162,14 @@ def run_batch(plan: list[dict], parallelism: int = 1):
 
 
 def _cmd_batch(args) -> int:
-    with open(args.plan, encoding="utf-8") as fh:
-        plan = json.load(fh)
+    try:
+        with open(args.plan, encoding="utf-8") as fh:
+            plan = json.load(fh)   # text that is not JSON raises a ValueError
+        if not isinstance(plan, list) or not plan:
+            raise ValueError("expected a non-empty JSON array of entries")
+    except (OSError, ValueError) as exc:
+        print(f"bad batch plan {args.plan}: {exc}", file=sys.stderr)
+        return 2
     records, errors = run_batch(plan, parallelism=args.parallel)
     write_records(records, args.out, args.format)
     print(f"{len(records)} runs recorded to {args.out}"

@@ -359,6 +359,14 @@ def test_non_finite_instance_data_rejected(tmp_path):
         make_instance("rotated_sphere", 3, rotation_file=str(rot_path))
 
 
+def test_instances_compare_and_hash_by_identity():
+    inst = make_instance("shifted_sphere", 3, instance_seed=1)
+    twin = make_instance("shifted_sphere", 3, instance_seed=1)
+    assert inst == inst and inst != twin
+    assert len({inst, twin, inst}) == 2
+    assert hash(inst) == hash(inst)
+
+
 def _exact_weierstrass(z):
     """The series at the float point z, each b^k (z_i + 1/2) reduced mod 1
     in exact rational arithmetic before the cosine; the offset -sum(a^k)

@@ -137,6 +137,36 @@ def test_batch_command(tmp_path, capsys):
     assert len(records) == 2
 
 
+def test_batch_rejects_a_plan_that_is_not_an_array(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    for i, text in enumerate(('{"config_id": "d"}', "not json [", "[]", '"[]"')):
+        plan_path = tmp_path / f"plan{i}.json"
+        plan_path.write_text(text)
+        code = main(["batch", "--plan", str(plan_path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", text
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"bad batch plan {plan_path}: ")
+    assert not out.exists()
+
+
+def test_batch_records_a_non_object_entry_as_one_error(tmp_path, capsys):
+    params = default_config({"exec.order": "de", "pop.size": "10"})
+    plan = [{"config_id": "a", "params": params, "function": "sphere", "dim": 2,
+             "seeds": [1], "fe_budget": 400},
+            "oops",
+            {"config_id": "b", "params": params, "function": "sphere", "dim": 3,
+             "seeds": [1], "fe_budget": 400}]
+    plan_path, out = tmp_path / "plan.json", tmp_path / "records.json"
+    plan_path.write_text(json.dumps(plan))
+    code = main(["batch", "--plan", str(plan_path), "--out", str(out), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [r["config"] for r in json.loads(out.read_text())] == ["a", "b"]
+    assert captured.err == "batch error: ?: plan entry 'oops' is not a JSON object\n"
+    assert run_batch(plan, parallelism=2)[1] == ["?: plan entry 'oops' is not a JSON object"]
+
+
 def _bad_invocation(capsys, instance, switches):
     code = main(["target-runner", "c1", instance, "1", "--", *switches])
     captured = capsys.readouterr()

@@ -100,13 +100,11 @@ class EvalBudget:
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started_at) * 1000.0
 
-    def wallclock_exceeded(self) -> bool:
-        return self.wallclock_ms is not None and self.elapsed_ms() > self.wallclock_ms
-
     def charge(self, n: int = 1) -> int:
         """Charge as many of n FEs as still fit the FE budget and return that
-        count; 0 once the wall clock is past its limit (read once per call)."""
-        if self.wallclock_exceeded():
+        count; 0 once the wall clock is past its limit.  This is the one read
+        of the clock, once per call."""
+        if self.wallclock_ms is not None and self.elapsed_ms() > self.wallclock_ms:
             return 0
         fit = min(n, self.max_evals - self.used_evals)
         self.used_evals += fit

@@ -217,7 +217,7 @@ class _Run:
     # -- evaluation funnel --------------------------------------------------
 
     def ev_block(self, X: np.ndarray) -> list[float]:
-        """Evaluate the rows of the (n, d) block X as n FEs, in index order.
+        """Evaluate the rows of the (n, d) array X as n FEs, in index order.
 
         The budget is charged once for the rows it still covers, and the wall
         clock is read once, before the objective call.  An objective with a
@@ -226,12 +226,10 @@ class _Run:
         counted under the active module, and the incumbent (the first row of
         lowest value, if below the old one) and the trace are updated.  When
         not every row fits, BudgetExhausted is raised after the rows that fit
-        are counted.  Returns the n values as floats.
+        are counted; this is the one rule that ends a run.  Returns the n
+        values as floats.
         """
-        X = np.asarray(X, dtype=float)
         n = len(X)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"block has shape {X.shape}, objective expects (n, {self.d})")
         fit = self.budget.charge(n)
         fs = []
         if fit:
@@ -274,32 +272,30 @@ class _Run:
                 self.topology = pso_mod.build_topology(
                     self.cfg.pso.topology, self.n, self.rng, self.total_iters)
 
-    def _enter_phase(self, module: str) -> None:
-        self.current_phase = module
-        self.active_module = module
-        if module == "cmaes":
+    def _enter_phase(self, modules: tuple[str, ...]) -> None:
+        """Start a module set: CMA-ES gets a runner from the incumbent, and a
+        PSO phase of multiple-phases execution redraws the velocities."""
+        self.current_phase = modules
+        self.active_module = modules[0]
+        if modules == ("cmaes",):
             self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
                                  mean=self.best_x, fes_used=self.budget.used_evals)
-        elif module == "pso" and self.pop is not None:
+        elif modules == ("pso",) and self.cfg.execution.mode == "multiple_phases":
             self.pop.v = pso_mod.random_velocity(self.bounds, self.rng, len(self.pop))
 
     # -- generation ---------------------------------------------------------
 
     def generation(self) -> None:
-        cfg = self.cfg.execution
-        if cfg.mode != "multiple_phases" and self.order != ("cmaes",):
-            self._population_generation()
-            return
-        # one module per generation: the current phase, or CMA-ES alone
-        module = dispatch_update(cfg, self.exec_state, self.budget.used_evals)[0]
-        if module != self.current_phase:
-            self._enter_phase(module)
-        if module == "cmaes":
+        modules = dispatch_update(self.cfg.execution, self.exec_state,
+                                  self.budget.used_evals)
+        if modules != self.current_phase:
+            self._enter_phase(modules)
+        if modules == ("cmaes",):
             self.cma.generation(self.ev_block, self.rng, fes_used=self.budget.used_evals)
         else:
-            self._population_generation(fixed_modules=(module,))
+            self._population_generation(modules)
 
-    def _population_generation(self, fixed_modules: tuple[str, ...] | None = None) -> None:
+    def _population_generation(self, modules: tuple[str, ...]) -> None:
         """Propose, evaluate and select every individual once.
 
         Each step reads its inputs from the state at the start of the
@@ -315,7 +311,6 @@ class _Run:
         and a PSO step over the others.
         """
         pop = self.pop
-        modules = fixed_modules or self.order
         basis = None
         if (("pso" in modules and self.cfg.pso.vector_basis == "eigenvector")
                 or ("de" in modules and self.cfg.de.vector_basis == "eigenvector")):
@@ -424,7 +419,7 @@ class _Run:
         """One LS run from the incumbent while the FEs the funnel booked under
         "ls" fall short of the LS share: ``ls_per_run`` FEs, or what is left."""
         left = self.ls_total - self.module_evals.get("ls", 0)
-        if self.ls_per_run <= 0 or left <= 0 or self.best_x is None \
+        if left <= 0 or self.best_x is None \
                 or (self.nested_ls is not None and self.nested_ls.stalled):
             return
         grant = min(self.ls_per_run, left)
@@ -444,9 +439,7 @@ class _Run:
 
     def update_population_parameters(self) -> None:
         settings = self.cfg.population
-        if settings.mode == "constant" or self.pop is None:
-            return
-        if self.exec_state.t % max(1, settings.interval) != 0:
+        if self.pop is None or self.exec_state.t % max(1, settings.interval) != 0:
             return
         progress = self.budget.used_evals / max(1, self.budget.max_evals)
         target = settings.min_size + round(
@@ -464,7 +457,7 @@ class _Run:
         resizes = self.cfg.population.mode != "constant"
         try:
             self.initialize()
-            while not self.budget.wallclock_exceeded():
+            while True:   # every generation evaluates, so ev_block ends the run
                 self.generation()
                 self.best_history.append(self.best_f)
                 if self.ls_per_run > 0:
@@ -504,6 +497,9 @@ def run(config: AlgorithmConfig, objective, seed: int,
     """
     if trace_every is not None and trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, got {trace_every}")
+    if objective.d != objective.bounds.d:
+        raise ValueError(f"objective has d = {objective.d} but bounds of "
+                         f"d = {objective.bounds.d}")
     if max_evals is None:
         max_evals = 5000 * objective.d
     budget = EvalBudget(max_evals=max_evals, wallclock_ms=wallclock_ms)

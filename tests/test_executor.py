@@ -317,7 +317,7 @@ def test_phase_transition_seeds_cma_mean_with_incumbent():
                                         runner.rng, runner.topology)
     except BudgetExhausted:
         pass
-    assert runner.current_phase == "cmaes"
+    assert runner.current_phase == ("cmaes",)
     assert runner.cma is not None
 
 
@@ -336,6 +336,20 @@ def test_run_rejects_non_positive_budgets_and_trace_steps():
     for limits in ({"max_evals": -5}, {"trace_every": -10}, {"trace_every": 0}):
         with pytest.raises(ValueError):
             run(cfg, obj, 1, **limits)
+
+
+def test_run_rejects_an_objective_whose_d_differs_from_its_bounds():
+    # ev_block does not check the blocks it is given; every block is as wide
+    # as the bounds, so run() checks once that the objective agrees
+    class Mismatched:
+        d = 3
+        bounds = Bounds.symmetric(5.0, 4)
+
+        def __call__(self, x):
+            return float(x @ x)
+
+    with pytest.raises(ValueError, match="d = 3 but bounds of d = 4"):
+        run(_cfg(**{"exec.order": "de", "pop.size": 10}), Mismatched(), 1, max_evals=50)
 
 
 _PROBABILISTIC = {"exec.order": "pso,de", "exec.mode": "probabilistic",

@@ -9,7 +9,6 @@ import sys
 
 from .benchmarks import make_instance
 from .config import export_parameter_space, load_parameter_file, validate
-from .core import cap_reported_value
 from .executor import run
 from .reporting import RunRecord, write_records
 
@@ -90,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    raw = load_parameter_file(args.params)
     try:
+        raw = load_parameter_file(args.params)
         cfg, instance = _experiment(raw, args.function, args.dim, args.instance_seed,
                                     args.shift_file, args.rotation_file)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"bad run invocation: {exc}", file=sys.stderr)
         return 2
     result = run(cfg, instance, args.seed, max_evals=args.fe_budget,
@@ -108,22 +107,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _execute_entry(entry: dict) -> list[RunRecord]:
-    """Run every seed of one plan entry (worker-safe)."""
+    """Run every seed of one plan entry (worker-safe).  Its integer fields
+    are checked, not coerced, before anything runs."""
     if not isinstance(entry, dict):
         raise ValueError(f"plan entry {entry!r} is not a JSON object")
+    for name in ("dim", "instance_seed", "fe_budget"):
+        if name in entry and not _is_int(entry[name]):
+            raise ValueError(f"{name} must be an integer, got {entry[name]!r}")
+    seeds = entry["seeds"]
+    if not (isinstance(seeds, list) and all(map(_is_int, seeds))):
+        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
-    dim = int(entry["dim"])
+    dim = entry["dim"]
     cfg, instance = _experiment(params, entry["function"], dim,
-                                instance_seed=int(entry.get("instance_seed", 0)))
-    # without a budget, run() applies its own default
-    max_evals = int(entry["fe_budget"]) if "fe_budget" in entry else None
+                                instance_seed=entry.get("instance_seed", 0))
     config_id = str(entry.get("config_id", "default"))
-    return [RunRecord.of(run(cfg, instance, int(seed), max_evals=max_evals,
+    # without a budget, run() applies its own default
+    return [RunRecord.of(run(cfg, instance, seed, max_evals=entry.get("fe_budget"),
                              wallclock_ms=entry.get("wallclock_ms")),
-                         entry["function"], dim, int(seed), config_id)
-            for seed in entry["seeds"]]
+                         entry["function"], dim, seed, config_id)
+            for seed in seeds]
 
 
 def run_batch(plan: list[dict], parallelism: int = 1):
@@ -207,8 +216,9 @@ def _cmd_target_runner(args) -> int:
     except ValueError as exc:
         print(f"bad target-runner invocation: {exc}", file=sys.stderr)
         return 2
-    result = run(cfg, instance, args.seed)
-    print(f"{cap_reported_value(result.best_fitness):.10e}")
+    record = RunRecord.of(run(cfg, instance, args.seed), pieces[0], instance.d,
+                          args.seed, args.config_id)
+    print(f"{record.best_fitness:.10e}")
     return 0
 
 

@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hybridopt
+import hybridopt.cli as cli_mod
 from hybridopt import default_config
 from hybridopt.cli import main, run_batch
-from hybridopt.config import DuplicateKey, format_parameter_file
+from hybridopt.config import format_parameter_file
+from hybridopt.core import RunResult
 
 
 def _switches(values):
@@ -81,14 +84,18 @@ def test_run_command_validation_failure(tmp_path, capsys):
     assert "de.beta" in capsys.readouterr().err
 
 
-def test_run_command_lets_parameter_file_errors_through(tmp_path):
+def test_run_command_rejects_a_bad_parameter_file(tmp_path, capsys):
+    # both used to end in a traceback with exit code 1
     params = tmp_path / "dup.params"
     params.write_text("exec.order = de\nexec.order = pso\n")
-    for path, error in ((params, DuplicateKey),
-                        (tmp_path / "missing.params", FileNotFoundError)):
-        with pytest.raises(error):
-            main(["run", "--function", "sphere", "--dim", "3", "--seed", "1",
-                  "--params", str(path), "--out", str(tmp_path / "x.csv")])
+    for path in (params, tmp_path / "missing.params"):
+        code = main(["run", "--function", "sphere", "--dim", "3", "--seed", "1",
+                     "--params", str(path), "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("bad run invocation: ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_command_rejects_bad_instance(tmp_path, capsys):
@@ -165,6 +172,28 @@ def test_batch_records_a_non_object_entry_as_one_error(tmp_path, capsys):
     assert [r["config"] for r in json.loads(out.read_text())] == ["a", "b"]
     assert captured.err == "batch error: ?: plan entry 'oops' is not a JSON object\n"
     assert run_batch(plan, parallelism=2)[1] == ["?: plan entry 'oops' is not a JSON object"]
+
+
+@pytest.mark.parametrize("field, value", [
+    # each used to be coerced: seeds 1 and 2, d = 2 and 100 FEs
+    ("seeds", "12"), ("seeds", [1, True]), ("seeds", [1.0]),
+    ("dim", 2.7), ("dim", "2"), ("instance_seed", 1.5), ("instance_seed", False),
+    ("fe_budget", 100.9), ("fe_budget", "100"),
+])
+def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
+    entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),
+             "function": "sphere", "dim": 2, "seeds": [1], "fe_budget": 100, field: value}
+    records, errors = run_batch([entry])
+    assert records == [] and len(errors) == 1
+    assert errors[0].startswith(f"e: {field} must be ")
+
+
+def test_target_runner_prints_the_capped_cost_of_its_record(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "run", lambda cfg, instance, seed: RunResult(
+        np.zeros(instance.d), 3.5e12, 10, 1.0))
+    switches = _switches(default_config({"exec.order": "de", "pop.size": "10"}))
+    assert main(["target-runner", "c1", "sphere:3", "1", "--", *switches]) == 0
+    assert capsys.readouterr().out == "1.0000000000e+10\n"
 
 
 def _bad_invocation(capsys, instance, switches):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,9 +11,14 @@ from hypothesis import given, settings, strategies as st
 from hybridopt import (AlgorithmConfig, ValidationReport, default_config,
                        export_parameter_space, make_instance,
                        parse_parameter_file, run, validate)
+from hybridopt.cmaes import CmaParams
 from hybridopt.config import (CROSS_RULES, PARAMETER_SPACE, DuplicateKey,
                               condition_active, format_parameter_file)
 from hybridopt.core import ParseError
+from hybridopt.de import DeParams
+from hybridopt.executor import ExecutionConfig, PopulationSettings
+from hybridopt.localsearch import LsParams
+from hybridopt.pso import PsoParams
 
 
 def test_parse_parameter_file():
@@ -240,6 +246,28 @@ def test_exported_defaults_are_in_domain():
             continue
         from hybridopt.config import _parse_value
         _parse_value(spec, spec.default)   # raises if outside its own domain
+
+
+def test_typed_defaults_equal_the_declared_defaults():
+    """A default lives in a typed dataclass and in its spec; a change to one
+    fails here until the other follows.  The nested CMA-ES declares its own
+    c and pop_mode on purpose."""
+    from hybridopt.config import _parse_order, _parse_value
+    classes = {"exec": ExecutionConfig, "pop": PopulationSettings, "pso": PsoParams,
+               "de": DeParams, "cmaes": CmaParams, "ls": LsParams, "ls.cmaes": CmaParams}
+    differ = {"ls.cmaes.c", "ls.cmaes.pop_mode"}
+    checked = set()
+    for spec in PARAMETER_SPACE:
+        if spec.default is None:
+            continue
+        section, key = spec.name.rsplit(".", 1)
+        default = {f.name: f.default for f in dataclasses.fields(classes[section])}[
+            spec.field or key]
+        declared = _parse_order(spec.default) if spec.name == "exec.order" \
+            else _parse_value(spec, spec.default)
+        assert (default != declared) == (spec.name in differ), spec.name
+        checked.add(section)
+    assert checked == set(classes)
 
 
 # An irace-style draw (López-Ibáñez et al. 2016): parameters in declaration

@@ -321,6 +321,18 @@ def test_phase_transition_seeds_cma_mean_with_incumbent():
     assert runner.cma is not None
 
 
+@pytest.mark.parametrize("order, inert", [("de", True), ("cmaes", True), ("pso", False)])
+def test_one_phase_of_one_module_is_component_based(order, inert):
+    """exec.mode = multiple_phases with exec.phases = 1.0 does nothing on a
+    one-module de or cmaes order; a PSO phase redraws the velocities when it
+    starts, so there it changes the run."""
+    obj = make_instance("shifted_rotated_rastrigin", 10, instance_seed=1)
+    results = [run(_cfg(**{"exec.order": order, **mode}), obj, seed=3, max_evals=5000)
+               for mode in ({}, {"exec.mode": "multiple_phases", "exec.phases": "1.0"})]
+    fingerprints = {(r.best_fitness.hex(), r.best_position.tobytes()) for r in results}
+    assert len(fingerprints) == (1 if inert else 2)
+
+
 def test_wallclock_limit_stops_run():
     cfg = _cfg(**{"exec.order": "de", "pop.size": 10})
     obj = make_instance("sphere", 3)

@@ -97,8 +97,8 @@ def gate_mask(cfg: ExecutionConfig, state: ExecState, n: int, rng) -> np.ndarray
 
 def dispatch_update(cfg: ExecutionConfig, state: ExecState,
                     fes_used: int) -> tuple[str, ...]:
-    """Modules of the next generation when it runs one module: the current
-    phase under multiple-phases execution, else the order (CMA-ES alone)."""
+    """Modules of the next generation: the current phase under
+    multiple-phases execution, else the whole order."""
     if cfg.mode == "multiple_phases":
         for module, start, end in state.windows:
             if start <= fes_used < end:
@@ -206,7 +206,7 @@ class _Run:
         self.best_history: list[float] = []
         self.module_evals: dict[str, int] = {}
         self.active_module = self.order[0]
-        self.current_phase: str | None = None
+        self.current_phase: tuple[str, ...] | None = None
         self.trace_every = trace_every
         self.trace: list[tuple[int, float]] | None = [] if trace_every else None
         self._trace_mark = -1

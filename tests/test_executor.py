@@ -368,6 +368,31 @@ _PROBABILISTIC = {"exec.order": "pso,de", "exec.mode": "probabilistic",
                   "exec.pr": "0.5", "exec.gate_dist": "uniform", "exec.par_std": "1.0"}
 
 
+@pytest.mark.parametrize("overrides", [
+    {"exec.order": "pso"}, {"exec.order": "de,pso"}, {"exec.order": "cmaes"},
+    _PROBABILISTIC,
+    {"exec.order": "de,cmaes", "exec.mode": "multiple_phases", "exec.phases": "0.5,0.5"},
+])
+def test_every_generation_is_dispatched(monkeypatch, overrides):
+    """Each generation asks dispatch_update for its modules, in every mode;
+    the last one is cut short by the funnel before the run's update."""
+    calls = {"dispatch": 0, "update": 0}
+
+    def counted(name, step):
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+        return wrapper
+
+    monkeypatch.setattr(executor_mod, "dispatch_update",
+                        counted("dispatch", executor_mod.dispatch_update))
+    monkeypatch.setattr(executor_mod, "update_execution_parameters",
+                        counted("update", executor_mod.update_execution_parameters))
+    run(_cfg(**{"pop.size": 10, **overrides}), make_instance("sphere", 4), seed=1,
+        max_evals=400)
+    assert calls["update"] > 10 and calls["dispatch"] == calls["update"] + 1
+
+
 class _RowsOnly:
     """An objective without ``batch``; ``sizes`` lists the rows of each call."""
 

@@ -1,5 +1,5 @@
-"""Pinned results: small runs and the exported parameter space must match the
-values stored next to this file exactly.
+"""Pinned results: small runs and the exported parameter space, in both
+formats, must match the values stored next to this file exactly.
 
 Each fingerprint is one run at d=5 with 2 000 FEs on a fixed instance and
 seed: the best fitness as ``float.hex``, a sha256 over the bytes of the best
@@ -282,6 +282,12 @@ def test_exported_space():
     lines = export_parameter_space("racing_tool").splitlines()
     expected = (HERE / "space_racing_tool.txt").read_text().splitlines()
     assert lines == expected
+
+
+def test_exported_json_space():
+    """The JSON export is the one that carries each parameter's default."""
+    text = export_parameter_space("json")
+    assert text == (HERE / "space_json.txt").read_text()
 
 
 if __name__ == "__main__":

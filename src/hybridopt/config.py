@@ -7,12 +7,16 @@ cheaply and print cleanly in the exported space.  Rules between two
 parameters, such as a mode that needs certain modules or a minimum that must
 not exceed its maximum, are the rows of ``CROSS_RULES``; ``validate`` checks
 them, and the exported space does not carry them yet.
+
+A parameter's default is declared once, on the field of the typed dataclass
+its section builds; its spec reads it from there as parameter-file text.
+Only a spec with no default, or with one of its own, sets ``default``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .cmaes import CmaParams
 from .core import ParseError
@@ -86,23 +90,45 @@ def condition_active(spec: ParameterSpec, values: dict[str, str]) -> bool:
                for group in spec.condition)
 
 
-def _cat(name, values, default, cond=(), field=None):
-    return ParameterSpec(name, "categorical", tuple(values), cond, default,
-                         field=field)
+# the typed dataclass each key section builds
+_SECTION_CLASS = {"exec": ExecutionConfig, "pop": PopulationSettings,
+                  "pso": PsoParams, "de": DeParams, "cmaes": CmaParams,
+                  "ls": LsParams, "ls.cmaes": CmaParams}
+_FROM_FIELD = object()
 
 
-def _real(name, lo, hi, default, cond=(), lo_open=False, hi_open=False,
-          field=None):
-    return ParameterSpec(name, "real", (lo, hi), cond, default,
-                         lo_open=lo_open, hi_open=hi_open, field=field)
+def _spec(name, kind, domain, cond, default=_FROM_FIELD, field=None,
+          **open_ends):
+    """A spec whose default, unless given (None: no default), is its typed
+    field's default written as parameter-file text."""
+    if default is _FROM_FIELD:
+        section, key = name.rsplit(".", 1)
+        value = next(f.default for f in fields(_SECTION_CLASS[section])
+                     if f.name == (field or key))
+        default = str(value).lower() if isinstance(value, bool) \
+            else ",".join(value) if isinstance(value, tuple) else str(value)
+    return ParameterSpec(name, kind, domain, cond, default, field=field,
+                         **open_ends)
 
 
-def _int(name, lo, hi, default, cond=(), field=None):
-    return ParameterSpec(name, "integer", (lo, hi), cond, default, field=field)
+def _cat(name, values, cond=(), **kw):
+    return _spec(name, "categorical", tuple(values), cond, **kw)
 
 
-def _bool(name, default, cond=()):
-    return ParameterSpec(name, "boolean", (), cond, default)
+def _real(name, lo, hi, cond=(), **kw):
+    return _spec(name, "real", (lo, hi), cond, **kw)
+
+
+def _int(name, lo, hi, cond=(), **kw):
+    return _spec(name, "integer", (lo, hi), cond, **kw)
+
+
+def _bool(name, cond=()):
+    return _spec(name, "boolean", (), cond)
+
+
+def _str(name, cond=(), **kw):
+    return _spec(name, "string", (), cond, **kw)
 
 
 _HAS_PSO = ((("exec.order", "contains", ("pso",)),),)
@@ -118,139 +144,130 @@ def _with(base, *extra):
     return tuple(base) + tuple(extra)
 
 
-PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
-    _cat("exec.mode", ("component_based", "probabilistic", "multiple_phases"),
-         "component_based"),
-    ParameterSpec("exec.order", "string", (), (), "pso", field="module_order"),
-    _real("exec.pr", 0.0, 1.0, None,
-          ((("exec.mode", "==", ("probabilistic",)),),)),
-    _cat("exec.gate_dist", ("uniform", "normal", "levy"), None,
-         ((("exec.mode", "==", ("probabilistic",)),),)),
-    _real("exec.par_std", 0.0, 10.0, None,
-          ((("exec.gate_dist", "in", ("normal", "levy")),),), lo_open=True),
-    ParameterSpec("exec.phases", "string", (),
-                  ((("exec.mode", "==", ("multiple_phases",)),),), None,
-                  field="phase_fractions"),
-    _cat("exec.reinit", ("none", "change", "similarity"), "none"),
+_POP_RESIZES = _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))
+_CMA_RESTARTS = _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))
 
-    _int("pop.size", 4, 10000, "40", _HAS_SWARM),
-    _cat("pop.mode", ("constant", "incremental", "time_varying"), "constant",
-         _HAS_SWARM),
-    _int("pop.min", 4, 10000, None,
-         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
-         field="min_size"),
-    _int("pop.max", 4, 10000, None,
-         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
-         field="max_size"),
-    _int("pop.interval", 1, 10000, None,
-         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))),
+
+PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
+    _cat("exec.mode", ("component_based", "probabilistic", "multiple_phases")),
+    _str("exec.order", field="module_order"),
+    _real("exec.pr", 0.0, 1.0, ((("exec.mode", "==", ("probabilistic",)),),),
+          default=None),
+    _cat("exec.gate_dist", ("uniform", "normal", "levy"),
+         ((("exec.mode", "==", ("probabilistic",)),),), default=None),
+    _real("exec.par_std", 0.0, 10.0,
+          ((("exec.gate_dist", "in", ("normal", "levy")),),), default=None,
+          lo_open=True),
+    _str("exec.phases", ((("exec.mode", "==", ("multiple_phases",)),),),
+         default=None, field="phase_fractions"),
+    _cat("exec.reinit", ("none", "change", "similarity")),
+
+    _int("pop.size", 4, 10000, _HAS_SWARM),
+    _cat("pop.mode", ("constant", "incremental", "time_varying"), _HAS_SWARM),
+    _int("pop.min", 4, 10000, _POP_RESIZES, default=None, field="min_size"),
+    _int("pop.max", 4, 10000, _POP_RESIZES, default=None, field="max_size"),
+    _int("pop.interval", 1, 10000, _POP_RESIZES, default=None),
 
     _cat("pso.omega1_mode",
          ("constant", "linear_decreasing", "linear_increasing", "random"),
-         "constant", _HAS_PSO),
-    _real("pso.omega1", 0.0, 1.0, "0.729",
-          _with(_HAS_PSO, (("pso.omega1_mode", "==", ("constant",)),))),
-    _real("pso.omega1_min", 0.0, 1.0, "0.4",
-          _with(_HAS_PSO, (("pso.omega1_mode", "!=", ("constant",)),))),
-    _real("pso.omega1_max", 0.0, 1.0, "0.9",
-          _with(_HAS_PSO, (("pso.omega1_mode", "!=", ("constant",)),))),
-    _cat("pso.omega2_mode", ("equal_to_omega1", "constant", "random"),
-         "equal_to_omega1", _HAS_PSO),
-    _real("pso.omega2", 0.0, 1.0, None,
-          _with(_HAS_PSO, (("pso.omega2_mode", "==", ("constant",)),))),
-    _cat("pso.omega3_mode", ("equal_to_omega1", "constant", "random"),
-         "equal_to_omega1", _HAS_PSO),
-    _real("pso.omega3", 0.0, 1.0, None,
-          _with(_HAS_PSO, (("pso.omega3_mode", "==", ("constant",)),))),
-    _cat("pso.ac_mode", ("constant", "random", "time_varying"), "constant",
          _HAS_PSO),
-    _real("pso.phi1", 0.0, 4.0, "1.49445", _HAS_PSO, lo_open=True),
-    _real("pso.phi2", 0.0, 4.0, "1.49445", _HAS_PSO, lo_open=True),
-    _real("pso.phi1_min", 0.0, 4.0, "0.5",
+    _real("pso.omega1", 0.0, 1.0,
+          _with(_HAS_PSO, (("pso.omega1_mode", "==", ("constant",)),))),
+    _real("pso.omega1_min", 0.0, 1.0,
+          _with(_HAS_PSO, (("pso.omega1_mode", "!=", ("constant",)),))),
+    _real("pso.omega1_max", 0.0, 1.0,
+          _with(_HAS_PSO, (("pso.omega1_mode", "!=", ("constant",)),))),
+    _cat("pso.omega2_mode", ("equal_to_omega1", "constant", "random"), _HAS_PSO),
+    _real("pso.omega2", 0.0, 1.0,
+          _with(_HAS_PSO, (("pso.omega2_mode", "==", ("constant",)),)),
+          default=None),
+    _cat("pso.omega3_mode", ("equal_to_omega1", "constant", "random"), _HAS_PSO),
+    _real("pso.omega3", 0.0, 1.0,
+          _with(_HAS_PSO, (("pso.omega3_mode", "==", ("constant",)),)),
+          default=None),
+    _cat("pso.ac_mode", ("constant", "random", "time_varying"), _HAS_PSO),
+    _real("pso.phi1", 0.0, 4.0, _HAS_PSO, lo_open=True),
+    _real("pso.phi2", 0.0, 4.0, _HAS_PSO, lo_open=True),
+    _real("pso.phi1_min", 0.0, 4.0,
           _with(_HAS_PSO, (("pso.ac_mode", "==", ("time_varying",)),)),
           lo_open=True),
-    _real("pso.phi1_max", 0.0, 4.0, "2.5",
+    _real("pso.phi1_max", 0.0, 4.0,
           _with(_HAS_PSO, (("pso.ac_mode", "==", ("time_varying",)),)),
           lo_open=True),
     _cat("pso.topology", ("fully_connected", "ring", "von_neumann", "wheel",
-                          "random_edge", "time_varying"),
-         "fully_connected", _HAS_PSO),
+                          "random_edge", "time_varying"), _HAS_PSO),
     _cat("pso.moi", ("best_of_neighborhood", "fully_informed",
-                     "ranked_fully_informed"), "best_of_neighborhood", _HAS_PSO),
+                     "ranked_fully_informed"), _HAS_PSO),
     _cat("pso.dnpp", ("rectangular", "spherical", "standard", "gaussian"),
-         "rectangular", _HAS_PSO),
-    _cat("pso.pert_info", ("none", "gaussian", "levy", "uniform"), "none",
          _HAS_PSO),
-    _cat("pso.pert_rand", ("none", "rectangular", "noisy"), "none", _HAS_PSO),
+    _cat("pso.pert_info", ("none", "gaussian", "levy", "uniform"), _HAS_PSO),
+    _cat("pso.pert_rand", ("none", "rectangular", "noisy"), _HAS_PSO),
     _cat("pso.pm_mode", ("constant", "euclidean_distance", "objfunc_distance",
-                         "success_rate"), None,
+                         "success_rate"),
          _with(_HAS_PSO, (("pso.pert_info", "!=", ("none",)),
-                          ("pso.pert_rand", "!=", ("none",))))),
-    _real("pso.pm", 0.0, 10.0, None,
+                          ("pso.pert_rand", "!=", ("none",)))), default=None),
+    _real("pso.pm", 0.0, 10.0,
           _with(_HAS_PSO, (("pso.pert_info", "!=", ("none",)),
                            ("pso.pert_rand", "!=", ("none",))),
                 (("pso.pm_mode", "in", ("constant", "success_rate")),)),
-          lo_open=True),
-    _bool("pso.velocity_clamping", "true", _HAS_PSO),
-    _bool("pso.stagnation_detection", "false", _HAS_PSO),
-    _bool("pso.ignore_pbest", "false", _HAS_PSO),
-    _cat("pso.vector_basis", ("natural", "eigenvector"), "natural", _HAS_PSO),
+          default=None, lo_open=True),
+    _bool("pso.velocity_clamping", _HAS_PSO),
+    _bool("pso.stagnation_detection", _HAS_PSO),
+    _bool("pso.ignore_pbest", _HAS_PSO),
+    _cat("pso.vector_basis", ("natural", "eigenvector"), _HAS_PSO),
 
     _cat("de.base_vector", ("random", "best", "target_to_best",
-                            "directed_random", "directed_best"), "random",
-         _HAS_DE),
-    _real("de.diff_fraction", 0.0, 0.25, "0.02", _HAS_DE, lo_open=True),
-    _cat("de.recombination", ("binomial", "exponential"), "binomial", _HAS_DE),
-    _real("de.p_a", 0.0, 1.0, "0.5", _HAS_DE),
-    _real("de.beta", 0.0, 1.0, "0.5", _HAS_DE, lo_open=True),
-    _cat("de.vectors", ("positions", "pbest", "mixture"), "positions", _HAS_DE),
-    _cat("de.vector_basis", ("natural", "eigenvector"), "natural", _HAS_DE),
+                            "directed_random", "directed_best"), _HAS_DE),
+    _real("de.diff_fraction", 0.0, 0.25, _HAS_DE, lo_open=True),
+    _cat("de.recombination", ("binomial", "exponential"), _HAS_DE),
+    _real("de.p_a", 0.0, 1.0, _HAS_DE),
+    _real("de.beta", 0.0, 1.0, _HAS_DE, lo_open=True),
+    _cat("de.vectors", ("positions", "pbest", "mixture"), _HAS_DE),
+    _cat("de.vector_basis", ("natural", "eigenvector"), _HAS_DE),
     _cat("de.recompute_velocity", ("goBack", "random", "position", "none"),
-         "none", _HAS_DE),
-    _bool("de.pso_only_on_fail", "false", _HAS_DE),
+         _HAS_DE),
+    _bool("de.pso_only_on_fail", _HAS_DE),
 
-    _real("cmaes.a", 1.0, 10.0, "3.0", _HAS_CMAES),
-    _real("cmaes.b", 1.0, 5.0, "2.0", _HAS_CMAES),
-    _real("cmaes.c", 0.0, 1.0, "0.5", _HAS_CMAES, lo_open=True, hi_open=True),
-    _cat("cmaes.pop_mode", ("constant", "incremental"), "incremental",
-         _HAS_CMAES),
-    _real("cmaes.d", 1.0, 4.0, "2.0",
+    _real("cmaes.a", 1.0, 10.0, _HAS_CMAES),
+    _real("cmaes.b", 1.0, 5.0, _HAS_CMAES),
+    _real("cmaes.c", 0.0, 1.0, _HAS_CMAES, lo_open=True, hi_open=True),
+    _cat("cmaes.pop_mode", ("constant", "incremental"), _HAS_CMAES),
+    _real("cmaes.d", 1.0, 4.0,
           _with(_HAS_CMAES, (("cmaes.pop_mode", "==", ("incremental",)),)),
           field="d_inc"),
-    _bool("cmaes.restart", "true", _HAS_CMAES),
-    _real("cmaes.e", -20.0, -6.0, "-12.0",
-          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
-    _real("cmaes.f", -20.0, -6.0, "-12.0",
-          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
-    _real("cmaes.g", -20.0, -6.0, "-12.0",
-          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
+    _bool("cmaes.restart", _HAS_CMAES),
+    _real("cmaes.e", -20.0, -6.0, _CMA_RESTARTS),
+    _real("cmaes.f", -20.0, -6.0, _CMA_RESTARTS),
+    _real("cmaes.g", -20.0, -6.0, _CMA_RESTARTS),
     _cat("cmaes.matrix_mode", ("full", "diagonal", "full_then_diagonal"),
-         "full", _HAS_CMAES),
+         _HAS_CMAES),
     _cat("cmaes.weights", ("logarithmic", "linear_decreasing", "equal"),
-         "logarithmic", _HAS_CMAES, field="weight_scheme"),
+         _HAS_CMAES, field="weight_scheme"),
 
-    _cat("ls.algo", ("none", "mtsls", "cmaes"), "none"),
-    _real("ls.budget", 0.0, 1.0, "0.25", _LS_ON, lo_open=True),
-    _int("ls.divide", 1, 100, "10", _LS_ON),
-    _real("ls.mtsls_init_ss", 0.0, 1.0, "0.5", _LS_MTSLS, lo_open=True),
-    _int("ls.mtsls_iterations", 1, 3, "1", _LS_MTSLS),
-    _real("ls.mtsls_bias", -1.0, 1.0, "0.5", _LS_MTSLS),
-    _real("ls.cmaes.a", 1.0, 10.0, "3.0", _LS_CMAES),
-    _real("ls.cmaes.b", 1.0, 5.0, "2.0", _LS_CMAES),
-    _real("ls.cmaes.c", 0.0, 1.0, "0.1", _LS_CMAES, lo_open=True, hi_open=True),
-    _cat("ls.cmaes.pop_mode", ("constant", "incremental"), "constant",
-         _LS_CMAES),
-    _real("ls.cmaes.d", 1.0, 4.0, "2.0",
+    _cat("ls.algo", ("none", "mtsls", "cmaes")),
+    _real("ls.budget", 0.0, 1.0, _LS_ON, lo_open=True),
+    _int("ls.divide", 1, 100, _LS_ON),
+    _real("ls.mtsls_init_ss", 0.0, 1.0, _LS_MTSLS, lo_open=True),
+    _int("ls.mtsls_iterations", 1, 3, _LS_MTSLS),
+    _real("ls.mtsls_bias", -1.0, 1.0, _LS_MTSLS),
+    # the nested CMA-ES starts smaller and keeps its population size
+    _real("ls.cmaes.a", 1.0, 10.0, _LS_CMAES),
+    _real("ls.cmaes.b", 1.0, 5.0, _LS_CMAES),
+    _real("ls.cmaes.c", 0.0, 1.0, _LS_CMAES, default="0.1", lo_open=True,
+          hi_open=True),
+    _cat("ls.cmaes.pop_mode", ("constant", "incremental"), _LS_CMAES,
+         default="constant"),
+    _real("ls.cmaes.d", 1.0, 4.0,
           _with(_LS_CMAES, (("ls.cmaes.pop_mode", "==", ("incremental",)),)),
           field="d_inc"),
-    _bool("ls.cmaes.restart", "true", _LS_CMAES),
-    _real("ls.cmaes.e", -20.0, -6.0, "-12.0", _LS_CMAES),
-    _real("ls.cmaes.f", -20.0, -6.0, "-12.0", _LS_CMAES),
-    _real("ls.cmaes.g", -20.0, -6.0, "-12.0", _LS_CMAES),
+    _bool("ls.cmaes.restart", _LS_CMAES),
+    _real("ls.cmaes.e", -20.0, -6.0, _LS_CMAES),
+    _real("ls.cmaes.f", -20.0, -6.0, _LS_CMAES),
+    _real("ls.cmaes.g", -20.0, -6.0, _LS_CMAES),
     _cat("ls.cmaes.matrix_mode", ("full", "diagonal", "full_then_diagonal"),
-         "full", _LS_CMAES),
+         _LS_CMAES),
     _cat("ls.cmaes.weights", ("logarithmic", "linear_decreasing", "equal"),
-         "logarithmic", _LS_CMAES, field="weight_scheme"),
+         _LS_CMAES, field="weight_scheme"),
 )
 
 _SPEC_BY_NAME = {s.name: s for s in PARAMETER_SPACE}

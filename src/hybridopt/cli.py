@@ -112,13 +112,16 @@ def _is_int(value) -> bool:
 
 
 def _execute_entry(entry: dict) -> list[RunRecord]:
-    """Run every seed of one plan entry (worker-safe).  Its integer fields
+    """Run every seed of one plan entry (worker-safe).  Its numeric fields
     are checked, not coerced, before anything runs."""
     if not isinstance(entry, dict):
         raise ValueError(f"plan entry {entry!r} is not a JSON object")
     for name in ("dim", "instance_seed", "fe_budget"):
         if name in entry and not _is_int(entry[name]):
             raise ValueError(f"{name} must be an integer, got {entry[name]!r}")
+    wallclock = entry.get("wallclock_ms")
+    if wallclock is not None and not (_is_int(wallclock) or isinstance(wallclock, float)):
+        raise ValueError(f"wallclock_ms must be a number, got {wallclock!r}")
     seeds = entry["seeds"]
     if not (isinstance(seeds, list) and all(map(_is_int, seeds))):
         raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
@@ -130,7 +133,7 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
     config_id = str(entry.get("config_id", "default"))
     # without a budget, run() applies its own default
     return [RunRecord.of(run(cfg, instance, seed, max_evals=entry.get("fe_budget"),
-                             wallclock_ms=entry.get("wallclock_ms")),
+                             wallclock_ms=wallclock),
                          entry["function"], dim, seed, config_id)
             for seed in seeds]
 

@@ -179,6 +179,8 @@ def test_batch_records_a_non_object_entry_as_one_error(tmp_path, capsys):
     ("seeds", "12"), ("seeds", [1, True]), ("seeds", [1.0]),
     ("dim", 2.7), ("dim", "2"), ("instance_seed", 1.5), ("instance_seed", False),
     ("fe_budget", 100.9), ("fe_budget", "100"),
+    # a 1 ms limit that stopped the run after 70 FEs, and a TypeError
+    ("wallclock_ms", True), ("wallclock_ms", "50"),
 ])
 def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
     entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),

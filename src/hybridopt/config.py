@@ -90,10 +90,12 @@ def condition_active(spec: ParameterSpec, values: dict[str, str]) -> bool:
                for group in spec.condition)
 
 
-# the typed dataclass each key section builds
-_SECTION_CLASS = {"exec": ExecutionConfig, "pop": PopulationSettings,
-                  "pso": PsoParams, "de": DeParams, "cmaes": CmaParams,
-                  "ls": LsParams, "ls.cmaes": CmaParams}
+# the field defaults of the typed dataclass each key section builds
+_FIELD_DEFAULTS = {
+    section: {f.name: f.default for f in fields(cls)}
+    for section, cls in (("exec", ExecutionConfig), ("pop", PopulationSettings),
+                         ("pso", PsoParams), ("de", DeParams), ("cmaes", CmaParams),
+                         ("ls", LsParams), ("ls.cmaes", CmaParams))}
 _FROM_FIELD = object()
 
 
@@ -103,8 +105,7 @@ def _spec(name, kind, domain, cond, default=_FROM_FIELD, field=None,
     field's default written as parameter-file text."""
     if default is _FROM_FIELD:
         section, key = name.rsplit(".", 1)
-        value = next(f.default for f in fields(_SECTION_CLASS[section])
-                     if f.name == (field or key))
+        value = _FIELD_DEFAULTS[section][field or key]
         default = str(value).lower() if isinstance(value, bool) \
             else ",".join(value) if isinstance(value, tuple) else str(value)
     return ParameterSpec(name, kind, domain, cond, default, field=field,

@@ -128,10 +128,6 @@ def _bool(name, cond=()):
     return _spec(name, "boolean", (), cond)
 
 
-def _str(name, cond=(), **kw):
-    return _spec(name, "string", (), cond, **kw)
-
-
 _HAS_PSO = ((("exec.order", "contains", ("pso",)),),)
 _HAS_DE = ((("exec.order", "contains", ("de",)),),)
 _HAS_CMAES = ((("exec.order", "contains", ("cmaes",)),),)
@@ -145,13 +141,9 @@ def _with(base, *extra):
     return tuple(base) + tuple(extra)
 
 
-_POP_RESIZES = _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),))
-_CMA_RESTARTS = _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))
-
-
 PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _cat("exec.mode", ("component_based", "probabilistic", "multiple_phases")),
-    _str("exec.order", field="module_order"),
+    _spec("exec.order", "string", (), (), field="module_order"),
     _real("exec.pr", 0.0, 1.0, ((("exec.mode", "==", ("probabilistic",)),),),
           default=None),
     _cat("exec.gate_dist", ("uniform", "normal", "levy"),
@@ -159,15 +151,21 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
     _real("exec.par_std", 0.0, 10.0,
           ((("exec.gate_dist", "in", ("normal", "levy")),),), default=None,
           lo_open=True),
-    _str("exec.phases", ((("exec.mode", "==", ("multiple_phases",)),),),
-         default=None, field="phase_fractions"),
+    _spec("exec.phases", "string", (),
+          ((("exec.mode", "==", ("multiple_phases",)),),), default=None,
+          field="phase_fractions"),
     _cat("exec.reinit", ("none", "change", "similarity")),
 
     _int("pop.size", 4, 10000, _HAS_SWARM),
     _cat("pop.mode", ("constant", "incremental", "time_varying"), _HAS_SWARM),
-    _int("pop.min", 4, 10000, _POP_RESIZES, default=None, field="min_size"),
-    _int("pop.max", 4, 10000, _POP_RESIZES, default=None, field="max_size"),
-    _int("pop.interval", 1, 10000, _POP_RESIZES, default=None),
+    _int("pop.min", 4, 10000,
+         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
+         default=None, field="min_size"),
+    _int("pop.max", 4, 10000,
+         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)),
+         default=None, field="max_size"),
+    _int("pop.interval", 1, 10000,
+         _with(_HAS_SWARM, (("pop.mode", "!=", ("constant",)),)), default=None),
 
     _cat("pso.omega1_mode",
          ("constant", "linear_decreasing", "linear_increasing", "random"),
@@ -237,9 +235,12 @@ PARAMETER_SPACE: tuple[ParameterSpec, ...] = (
           _with(_HAS_CMAES, (("cmaes.pop_mode", "==", ("incremental",)),)),
           field="d_inc"),
     _bool("cmaes.restart", _HAS_CMAES),
-    _real("cmaes.e", -20.0, -6.0, _CMA_RESTARTS),
-    _real("cmaes.f", -20.0, -6.0, _CMA_RESTARTS),
-    _real("cmaes.g", -20.0, -6.0, _CMA_RESTARTS),
+    _real("cmaes.e", -20.0, -6.0,
+          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
+    _real("cmaes.f", -20.0, -6.0,
+          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
+    _real("cmaes.g", -20.0, -6.0,
+          _with(_HAS_CMAES, (("cmaes.restart", "==", ("true",)),))),
     _cat("cmaes.matrix_mode", ("full", "diagonal", "full_then_diagonal"),
          _HAS_CMAES),
     _cat("cmaes.weights", ("logarithmic", "linear_decreasing", "equal"),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hybridopt import (Bounds, ObjectiveInstance, load_rotation_file,
-                       load_shift_file, make_instance, rng_stream)
+                       load_shift_file, make_instance)
 from hybridopt import benchmarks as _benchmarks
 from hybridopt.benchmarks import (BASE_FUNCTIONS, DimensionMismatch,
                                   InvalidPartition, UnknownFunction,
                                   parse_parts, random_rotation)
-from hybridopt.core import ParseError
+from hybridopt.core import ParseError, rng_stream
 
 
 def _base(fid, z):

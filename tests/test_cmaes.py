@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridopt import Bounds, CmaParams, CmaRunner, rng_stream
-from hybridopt.cmaes import (InvalidCounts, _sigma_scale, check_restart,
+from hybridopt import Bounds, CmaParams
+from hybridopt.cmaes import (CmaRunner, InvalidCounts, _sigma_scale, check_restart,
                              covariance_step, init_state, matrix_mode_tick,
                              on_restart, recombination_weights,
                              record_generation, sample_population, update_mean)
+from hybridopt.core import rng_stream
 
 
 def _bounds(d, half=100.0):

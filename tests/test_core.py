@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridopt import (Bounds, BudgetExhausted, EvalBudget, Population,
-                       cap_reported_value, evaluate, make_instance,
-                       repair_to_bounds, rng_stream)
+from hybridopt import Bounds, cap_reported_value, make_instance
+from hybridopt.core import (BudgetExhausted, EvalBudget, Population, evaluate,
+                            repair_to_bounds, rng_stream)
 
 
 def test_evaluate_sphere_values():

@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hybridopt import Bounds, rng_stream
+from hybridopt import Bounds
 from hybridopt import de
+from hybridopt.core import rng_stream
 from hybridopt.de import (InsufficientPopulation, best_two, eigen_recombination_wrap,
                           mutate, num_vector_differences, population_eigenbasis,
                           recombine, recompute_velocity, select_base_and_donors,

@@ -8,12 +8,12 @@ import hybridopt.cmaes as cmaes_mod
 import hybridopt.de as de_mod
 import hybridopt.executor as executor_mod
 import hybridopt.pso as pso_mod
-from hybridopt import (Bounds, default_config, dispatch_update, make_instance,
-                       rng_stream, run, validate)
-from hybridopt.core import BudgetExhausted, EvalBudget, Population
+from hybridopt import Bounds, default_config, make_instance, run, validate
+from hybridopt.core import BudgetExhausted, EvalBudget, Population, rng_stream
 from hybridopt.executor import (ExecState, ExecutionConfig, _Run,
-                                apply_reinitialization, gate_mask, phase_windows,
-                                reinit_indices, update_execution_parameters)
+                                apply_reinitialization, dispatch_update, gate_mask,
+                                phase_windows, reinit_indices,
+                                update_execution_parameters)
 from hybridopt.localsearch import NestedCmaes
 from hybridopt.pso import neighborhood_best, neighbors, random_velocity
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import hybridopt.executor
-from hybridopt import (Bounds, CmaParams, default_config, make_instance, rng_stream, run,
-                       validate)
+from hybridopt import Bounds, CmaParams, default_config, make_instance, run, validate
+from hybridopt.core import rng_stream
 from hybridopt.localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridopt import Bounds, default_config, make_instance, rng_stream, run, validate
+from hybridopt import Bounds, default_config, make_instance, run, validate
+from hybridopt.core import rng_stream
 from hybridopt.pso import (SUCCESS_WINDOW, PsoParams, TopologyState, _coefficients,
                            _from_basis, _perturb, _random_edges, _to_basis,
                            advance_topology, build_topology, compute_velocity, dnpp,

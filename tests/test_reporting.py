@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from hybridopt import aggregate, default_config, rng_stream
+from hybridopt import default_config
 from hybridopt.cli import run_batch
 from hybridopt.config import format_parameter_file
-from hybridopt.reporting import EmptyGroup, RunRecord, records_to_csv, records_to_json
+from hybridopt.core import rng_stream
+from hybridopt.reporting import (EmptyGroup, RunRecord, aggregate, records_to_csv,
+                                 records_to_json)
 
 
 def test_aggregate_hand_case():

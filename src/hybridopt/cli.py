@@ -112,13 +112,16 @@ def _is_int(value) -> bool:
 
 
 def _execute_entry(entry: dict) -> list[RunRecord]:
-    """Run every seed of one plan entry (worker-safe).  Its numeric fields
-    are checked, not coerced, before anything runs."""
+    """Run every seed of one plan entry (worker-safe).  Its fields are
+    checked, not coerced, before anything runs."""
     if not isinstance(entry, dict):
         raise ValueError(f"plan entry {entry!r} is not a JSON object")
     for name in ("dim", "instance_seed", "fe_budget"):
         if name in entry and not _is_int(entry[name]):
             raise ValueError(f"{name} must be an integer, got {entry[name]!r}")
+    for name in ("function", "params_file"):
+        if name in entry and not isinstance(entry[name], str):
+            raise ValueError(f"{name} must be a string, got {entry[name]!r}")
     wallclock = entry.get("wallclock_ms")
     if wallclock is not None and not (_is_int(wallclock) or isinstance(wallclock, float)):
         raise ValueError(f"wallclock_ms must be a number, got {wallclock!r}")
@@ -127,6 +130,11 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
         raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a JSON object, got {params!r}")
+    for key, value in params.items():
+        if not isinstance(value, str):
+            raise ValueError(f"params must hold strings, got {key} = {value!r}")
     dim = entry["dim"]
     cfg, instance = _experiment(params, entry["function"], dim,
                                 instance_seed=entry.get("instance_seed", 0))

@@ -181,6 +181,11 @@ def test_batch_records_a_non_object_entry_as_one_error(tmp_path, capsys):
     ("fe_budget", 100.9), ("fe_budget", "100"),
     # a 1 ms limit that stopped the run after 70 FEs, and a TypeError
     ("wallclock_ms", True), ("wallclock_ms", "50"),
+    # fd 0 read as the parameter file, 20 particles, beta = 1.0, and three
+    # AttributeErrors that named no field
+    ("params_file", 0), ("params", {"pop.size": 20.9}), ("params", {"de.beta": True}),
+    ("params", {"pso.velocity_clamping": True}), ("params", {"exec.order": ["de"]}),
+    ("params", ["de"]), ("function", 7),
 ])
 def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
     entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),

@@ -131,10 +131,10 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
     if not isinstance(params, dict):
-        raise ValueError(f"params must be a JSON object, got {params!r}")
+        raise ValueError(f"params must be a JSON object of strings, got {params!r}")
     for key, value in params.items():
         if not isinstance(value, str):
-            raise ValueError(f"params must hold strings, got {key} = {value!r}")
+            raise ValueError(f"params must be a JSON object of strings, got {key} = {value!r}")
     dim = entry["dim"]
     cfg, instance = _experiment(params, entry["function"], dim,
                                 instance_seed=entry.get("instance_seed", 0))

@@ -161,11 +161,11 @@ def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) 
     state.fes_at_start = fes_used
 
 
-def init_state(params: CmaParams, d: int, bounds: Bounds, rng: np.random.Generator,
+def init_state(params: CmaParams, bounds: Bounds, rng: np.random.Generator,
                mean: np.ndarray | None = None, fes_used: int = 0) -> CmaState:
-    """Fresh state: lambda = 4 + floor(a ln d), mu = floor(lambda/b),
-    sigma = max(c, MIN_SIGMA0_FRACTION) * mean box width."""
-    state = CmaState(lam=4 + int(math.floor(params.a * math.log(d))),
+    """Fresh state: lambda = 4 + floor(a ln d) with d = bounds.d,
+    mu = floor(lambda/b), sigma = max(c, MIN_SIGMA0_FRACTION) * mean box width."""
+    state = CmaState(lam=4 + int(math.floor(params.a * math.log(bounds.d))),
                      sigma0=max(params.c, MIN_SIGMA0_FRACTION)
                      * float(np.mean(bounds.width())))
     mean = bounds.sample_uniform(rng) if mean is None else np.asarray(mean, dtype=float).copy()
@@ -317,12 +317,11 @@ class CmaRunner:
     points feed every state update so the distribution math is untouched.
     """
 
-    def __init__(self, params: CmaParams, d: int, bounds: Bounds,
-                 rng: np.random.Generator, mean: np.ndarray | None = None,
-                 fes_used: int = 0):
+    def __init__(self, params: CmaParams, bounds: Bounds, rng: np.random.Generator,
+                 mean: np.ndarray | None = None, fes_used: int = 0):
         self.params = params
         self.bounds = bounds
-        self.state = init_state(params, d, bounds, rng, mean=mean, fes_used=fes_used)
+        self.state = init_state(params, bounds, rng, mean=mean, fes_used=fes_used)
 
     def generation(self, eval_fn, rng: np.random.Generator, fes_used: int = 0) -> None:
         """One sample/evaluate/update cycle.

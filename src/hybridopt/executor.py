@@ -122,14 +122,14 @@ def update_execution_parameters(cfg: ExecutionConfig, state: ExecState, rng,
 # ---------------------------------------------------------------------------
 
 def reinit_indices(kind: str, positions: np.ndarray, best_position: np.ndarray,
-                   best_history, d: int) -> list[int]:
+                   best_history) -> list[int]:
     """Members to re-initialize under RI-change / RI-similarity (empty if none)."""
-    n = len(positions)
+    n, d = positions.shape
     if kind == "change":
         # np.mean(np.std(positions, axis=0)) bit for bit, without numpy's wrappers
         centred = positions - positions.sum(axis=0) / n
         centred *= centred
-        diversity = float(np.sqrt(centred.sum(axis=0) / n).sum() / positions.shape[1])
+        diversity = float(np.sqrt(centred.sum(axis=0) / n).sum() / d)
         window = math.ceil(10.0 * d / n)
         # equal ends (two +inf too) are no improvement
         stalled = (len(best_history) > window
@@ -157,7 +157,7 @@ def apply_reinitialization(kind: str, pop: Population, best_position: np.ndarray
                            bounds: Bounds, best_history, rng, evaluator) -> list[int]:
     """Re-initialize the selected members uniformly; ``evaluator`` gets their
     positions as one block.  Returns their indices."""
-    idx = reinit_indices(kind, pop.x, best_position, best_history, bounds.d)
+    idx = reinit_indices(kind, pop.x, best_position, best_history)
     if not idx:
         return []
     X, V = sample_member(bounds, rng, len(idx))
@@ -278,7 +278,7 @@ class _Run:
         self.current_phase = modules
         self.active_module = modules[0]
         if modules == ("cmaes",):
-            self.cma = CmaRunner(self.cfg.cmaes, self.d, self.bounds, self.rng,
+            self.cma = CmaRunner(self.cfg.cmaes, self.bounds, self.rng,
                                  mean=self.best_x, fes_used=self.budget.used_evals)
         elif modules == ("pso",) and self.cfg.execution.mode == "multiple_phases":
             self.pop.v = pso_mod.random_velocity(self.bounds, self.rng, len(self.pop))

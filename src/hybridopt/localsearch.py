@@ -93,7 +93,7 @@ def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
         for sweep in range(params.mtsls_iterations):
             if sweep > 0 and improvement <= CONVERGENCE_EPS:
                 # restart between a random point and the best found so far
-                r = rng.uniform(bounds.lower, bounds.upper)
+                r = bounds.sample_uniform(rng)
                 pull = (1.0 - params.mtsls_bias) * rng.uniform(size=d) + params.mtsls_bias
                 s = r + pull * (best_x - r)
                 current_f = probe(s)
@@ -142,9 +142,8 @@ class NestedCmaes:
         not counted.
         """
         if self.runner is None:
-            self.runner = CmaRunner(self.params, self.bounds.d, self.bounds, rng,
-                                    mean=np.asarray(best, dtype=float),
-                                    fes_used=fes_used)
+            self.runner = CmaRunner(self.params, self.bounds, rng,
+                                    mean=np.asarray(best, dtype=float), fes_used=fes_used)
         out_x = np.asarray(best, dtype=float)
         out_f = float(best_fitness)
         consumed = 0

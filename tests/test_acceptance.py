@@ -72,8 +72,8 @@ def test_criterion_01_equation_oracles():
     assert m == pytest.approx([2.5, 2.5], rel=REL)
 
     # initial population sizing
-    st = init_state(CmaParams(a=3.0, b=2.0, c=0.5), 50,
-                    Bounds.symmetric(100.0, 50), rng_stream(0))
+    st = init_state(CmaParams(a=3.0, b=2.0, c=0.5), Bounds.symmetric(100.0, 50),
+                    rng_stream(0))
     assert st.lam == 15 and st.mu == 7
 
     # the out-of-bounds penalty: candidate 1.5 against box [0, 1]
@@ -188,7 +188,7 @@ def test_criterion_06_mtsls():
 def test_criterion_07_covariance_invariants():
     obj = make_instance("rosenbrock", 10)
     rng = rng_stream(70)
-    runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), 10, obj.bounds, rng)
+    runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), obj.bounds, rng)
     used = [0]
 
     def ev(X):   # one FE per row, in order, until the budget is spent
@@ -213,8 +213,7 @@ def test_criterion_07_covariance_invariants():
 
 def _generations_to_target(instance, seed, target=1e-8, max_fes=100_000):
     rng = rng_stream(seed)
-    runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), instance.d,
-                       instance.bounds, rng)
+    runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), instance.bounds, rng)
     used = [0]
     best = [math.inf]
 

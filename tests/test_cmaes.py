@@ -19,12 +19,20 @@ def _bounds(d, half=100.0):
 
 def test_init_state_sizing():
     rng = rng_stream(0)
-    st = init_state(CmaParams(a=3.0, b=2.0, c=0.5), 50, _bounds(50), rng)
+    st = init_state(CmaParams(a=3.0, b=2.0, c=0.5), _bounds(50), rng)
     assert st.lam == 15        # 4 + floor(3 ln 50)
     assert st.mu == 7          # floor(15 / 2)
     assert st.sigma == pytest.approx(100.0)   # 0.5 * 200
-    st10 = init_state(CmaParams(a=3.0), 10, _bounds(10), rng)
+    st10 = init_state(CmaParams(a=3.0), _bounds(10), rng)
     assert st10.lam == 10      # 4 + floor(3 ln 10)
+
+
+def test_population_size_follows_the_bounds():
+    """The dimension has one source: lambda and the mean both take it from
+    the bounds, so a 5-d box gets 4 + floor(3 ln 5) = 8 samples, not 7."""
+    for d, lam in ((3, 7), (5, 8)):
+        runner = CmaRunner(CmaParams(), _bounds(d, half=1.0), rng_stream(0))
+        assert runner.state.lam == lam and runner.state.mean.shape == (d,)
 
 
 def test_recombination_weights():
@@ -62,8 +70,7 @@ def test_weight_contract_all_schemes():
 
 def test_update_mean():
     rng = rng_stream(1)
-    st = init_state(CmaParams(a=1.0, b=5.0, weight_scheme="equal"), 2,
-                    _bounds(2), rng)
+    st = init_state(CmaParams(a=1.0, b=5.0, weight_scheme="equal"), _bounds(2), rng)
     st.mu = 1
     st.weights = recombination_weights("equal", st.lam, 1)
     ranked = np.array([[3.0, 4.0], [9.0, 9.0], [9.0, 9.0], [9.0, 9.0]])
@@ -113,15 +120,14 @@ def test_covariance_updates_stay_symmetric():
 
 def test_sampling_statistics():
     rng = rng_stream(3)
-    st = init_state(CmaParams(a=1.0, c=0.5), 3, _bounds(3), rng)
+    st = init_state(CmaParams(a=1.0, c=0.5), _bounds(3), rng)
     st.mean = np.zeros(3)
     st.sigma = 1.0
     st.lam = 20000
     draws = np.vstack([sample_population(st, rng) for _ in range(5)])
     assert np.var(draws, axis=0) == pytest.approx([1.0, 1.0, 1.0], rel=0.05)
 
-    st_diag = init_state(CmaParams(a=1.0, matrix_mode="diagonal"), 2,
-                         _bounds(2), rng)
+    st_diag = init_state(CmaParams(a=1.0, matrix_mode="diagonal"), _bounds(2), rng)
     st_diag.mean = np.zeros(2)
     st_diag.sigma = 1.0
     st_diag.C = np.array([4.0, 1.0])
@@ -133,7 +139,7 @@ def test_sampling_statistics():
 
 def test_sigma_zero_samples_collapse():
     rng = rng_stream(4)
-    st = init_state(CmaParams(a=1.0), 3, _bounds(3), rng)
+    st = init_state(CmaParams(a=1.0), _bounds(3), rng)
     st.sigma = 0.0
     xs = sample_population(st, rng)
     assert np.allclose(xs, st.mean)
@@ -142,16 +148,16 @@ def test_sigma_zero_samples_collapse():
 def test_check_restart():
     rng = rng_stream(5)
     params = CmaParams(e=-12.0, f=-12.0, g=-12.0)
-    st = init_state(params, 4, _bounds(4), rng)
+    st = init_state(params, _bounds(4), rng)
 
     record_generation(st, np.full(st.lam, 3.14))   # zero spread
     assert check_restart(st, params)
 
-    st2 = init_state(params, 4, _bounds(4), rng)
+    st2 = init_state(params, _bounds(4), rng)
     record_generation(st2, np.linspace(0.0, 1.0, st2.lam))
     assert not check_restart(st2, params)
 
-    st3 = init_state(params, 4, _bounds(4), rng)
+    st3 = init_state(params, _bounds(4), rng)
     for k in range(st3.hist_best.maxlen):
         fits = np.linspace(0.0, 1.0, st3.lam) + 5e-13 * (k % 2)
         record_generation(st3, fits)
@@ -159,13 +165,13 @@ def test_check_restart():
     assert hist_range == pytest.approx(5e-13)
     assert check_restart(st3, params)
 
-    st4 = init_state(params, 4, _bounds(4), rng)
+    st4 = init_state(params, _bounds(4), rng)
     record_generation(st4, np.linspace(0.0, 1.0, st4.lam))
     st4.sigma = 1e-13   # max sampling std below 10^g
     assert check_restart(st4, params)
 
     # a generation of +inf samples only (NaN values count as +inf) is flat
-    st5 = init_state(params, 4, _bounds(4), rng)
+    st5 = init_state(params, _bounds(4), rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(st5.hist_best.maxlen):
@@ -183,7 +189,7 @@ def test_on_restart_population_growth():
         rng = rng_stream(6)
         params = CmaParams(a=3.0, d_inc=2.0, pop_mode="incremental",
                            matrix_mode=mode, restart=False)
-        runner = CmaRunner(params, d, bounds, rng)
+        runner = CmaRunner(params, bounds, rng)
         _drive(runner, rng, 300)
         st = runner.state
         if mode == "full_then_diagonal":
@@ -242,7 +248,7 @@ def test_on_restart_population_growth():
 def test_matrix_mode_tick():
     rng = rng_stream(7)
     params = CmaParams(matrix_mode="full_then_diagonal")
-    st = init_state(params, 50, _bounds(50), rng)
+    st = init_state(params, _bounds(50), rng)
     st.lam = 25
     # threshold 2 + 100*50/5 = 1002
     matrix_mode_tick(st, params, fes_used=1001)
@@ -252,7 +258,7 @@ def test_matrix_mode_tick():
     assert st.C.ndim == 1
 
     full = CmaParams(matrix_mode="full")
-    st2 = init_state(full, 50, _bounds(50), rng)
+    st2 = init_state(full, _bounds(50), rng)
     matrix_mode_tick(st2, full, fes_used=10 ** 9)
     assert not st2.diagonal
 
@@ -277,7 +283,7 @@ def test_eigen_gap_at_default_settings():
     # max(1, floor(0.5 / (d (c1 + cmu)))) generations: 1.18 at d=2, 1.99 at
     # d=20, 3.57 at d=50 and 6.04 at d=100
     for d, gap in ((2, 1), (5, 1), (10, 1), (20, 1), (50, 3), (100, 6)):
-        st = init_state(CmaParams(), d, _bounds(d), rng_stream(0))
+        st = init_state(CmaParams(), _bounds(d), rng_stream(0))
         assert st.eigen_gap == gap
         assert st.eigen_age == gap    # the first sample decomposes
 
@@ -287,7 +293,7 @@ def test_eigen_gap_at_default_settings():
 def test_eigendecomposition_schedule(monkeypatch, d, mode, decompositions):
     calls = _count_eigh(monkeypatch)
     rng = rng_stream(8)
-    runner = CmaRunner(CmaParams(matrix_mode=mode, restart=False), d, _bounds(d), rng)
+    runner = CmaRunner(CmaParams(matrix_mode=mode, restart=False), _bounds(d), rng)
     for _ in range(30):
         runner.generation(_sphere, rng)
     assert runner.state.gen == 30 and runner.state.restarts == 0
@@ -298,7 +304,7 @@ def test_first_generation_after_restart_decomposes(monkeypatch):
     calls = _count_eigh(monkeypatch)
     rng = rng_stream(9)
     params = CmaParams(pop_mode="constant", restart=False)
-    runner = CmaRunner(params, 50, _bounds(50), rng)
+    runner = CmaRunner(params, _bounds(50), rng)
     runner.generation(_sphere, rng)   # decomposes; the next two reuse B and D
     runner.generation(_sphere, rng)
     assert calls[0] == 1 and runner.state.eigen_age == 2
@@ -335,7 +341,7 @@ def _drive(runner, rng, budget, target=None):
 def test_positive_definiteness_on_sphere():
     for seed in range(10):
         rng = rng_stream(seed)
-        runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), 10, _bounds(10), rng)
+        runner = CmaRunner(CmaParams(a=3.0, b=2.0, c=0.5), _bounds(10), rng)
         from hybridopt.core import BudgetExhausted
         used = [0]
 
@@ -361,7 +367,7 @@ def test_positive_definiteness_on_sphere():
 
 def test_full_matrix_solves_sphere():
     rng = rng_stream(42)
-    runner = CmaRunner(CmaParams(), 10, _bounds(10), rng)
+    runner = CmaRunner(CmaParams(), _bounds(10), rng)
     best, used = _drive(runner, rng, 30000, target=1e-9)
     assert best < 1e-8
     assert used < 30000
@@ -369,6 +375,6 @@ def test_full_matrix_solves_sphere():
 
 def test_diagonal_mode_solves_separable():
     rng = rng_stream(43)
-    runner = CmaRunner(CmaParams(matrix_mode="diagonal"), 8, _bounds(8), rng)
+    runner = CmaRunner(CmaParams(matrix_mode="diagonal"), _bounds(8), rng)
     best, _ = _drive(runner, rng, 30000, target=1e-9)
     assert best < 1e-8

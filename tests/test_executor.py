@@ -141,30 +141,30 @@ def _uniform_population(n, d, rng, bounds, fn):
 def test_reinit_similarity():
     best = np.zeros(3)
     clones = np.tile(best, (6, 1))
-    idx = reinit_indices("similarity", clones, best, [], 3)
+    idx = reinit_indices("similarity", clones, best, [])
     assert len(idx) == 5   # everyone but the keeper
 
     spread = np.arange(18.0).reshape(6, 3)
-    assert reinit_indices("similarity", spread + 1.0, best, [], 3) == []
+    assert reinit_indices("similarity", spread + 1.0, best, []) == []
 
 
 def test_reinit_change():
     packed = np.full((5, 4), 3.3) + 1e-6 * np.arange(20).reshape(5, 4)
-    assert reinit_indices("change", packed, np.zeros(4), [], 4) == list(range(5))
+    assert reinit_indices("change", packed, np.zeros(4), []) == list(range(5))
 
     spread = np.arange(20.0).reshape(5, 4)
     window = int(np.ceil(10 * 4 / 5))   # 8 iterations
     flat_history = [5.0] * (window + 2)
-    assert reinit_indices("change", spread, np.zeros(4), flat_history, 4) \
+    assert reinit_indices("change", spread, np.zeros(4), flat_history) \
         == list(range(5))
     falling = [5.0 - 0.1 * k for k in range(window + 2)]
-    assert reinit_indices("change", spread, np.zeros(4), falling, 4) == []
+    assert reinit_indices("change", spread, np.zeros(4), falling) == []
     # equal ends count as no improvement, two +inf too
     undefined = [math.inf] * (window + 2)
-    assert reinit_indices("change", spread, np.zeros(4), undefined, 4) \
+    assert reinit_indices("change", spread, np.zeros(4), undefined) \
         == list(range(5))
     found = [math.inf] * (window + 1) + [5.0]
-    assert reinit_indices("change", spread, np.zeros(4), found, 4) == []
+    assert reinit_indices("change", spread, np.zeros(4), found) == []
 
 
 def test_reinit_change_diversity_is_the_mean_column_std():
@@ -178,7 +178,7 @@ def test_reinit_change_diversity_is_the_mean_column_std():
         positions = rng.normal(size=d) * 50 + z * (1e-3 / np.mean(np.std(z, axis=0)))
         positions *= 1.0 + rng.normal() * 1e-12
         expected = np.mean(np.std(positions, axis=0)) < 1e-3
-        got = reinit_indices("change", positions, np.zeros(d), [], d)
+        got = reinit_indices("change", positions, np.zeros(d), [])
         assert got == (list(range(n)) if expected else [])
         fired += expected
     assert 0 < fired < 400

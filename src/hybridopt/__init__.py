@@ -1,9 +1,6 @@
 """hybridopt: composable PSO / DE / CMA-ES solvers with an interleaved local
-search, driven by a flat validated parameter configuration.
-
-The package exports the library contract: configurations, instances, runs,
-records and the parameter-space export. Every other name is imported from
-its own module (``hybridopt.core``, ``hybridopt.executor``, ...)."""
+search, driven by a flat validated parameter configuration.  ``__all__`` is the
+library contract; every other name is imported from its own module."""
 
 from .benchmarks import (ObjectiveInstance, load_rotation_file, load_shift_file,
                          make_instance)

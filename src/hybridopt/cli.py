@@ -130,11 +130,8 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
         raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
-    if not isinstance(params, dict):
+    if not (isinstance(params, dict) and all(isinstance(v, str) for v in params.values())):
         raise ValueError(f"params must be a JSON object of strings, got {params!r}")
-    for key, value in params.items():
-        if not isinstance(value, str):
-            raise ValueError(f"params must be a JSON object of strings, got {key} = {value!r}")
     dim = entry["dim"]
     cfg, instance = _experiment(params, entry["function"], dim,
                                 instance_seed=entry.get("instance_seed", 0))

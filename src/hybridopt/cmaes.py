@@ -8,12 +8,13 @@ FEs).  Cumulation and learning-rate constants follow the standard tutorial
 formulas.
 
 In full mode C is decomposed lazily, as in pycma: once every
-max(1, floor(0.5 / (d (c1 + cmu)))) generations, and always for the first
-sample after the start and after each restart.  Sampling and the whitening
-of the mean's step use the last B and D in between.  The gap is one
-generation for every default run at d <= 20, so those runs decompose every
-generation; it is 3 at d = 50 and 6 at d = 100.  Diagonal mode refreshes
-only D = sqrt(C), in O(d) every generation; it never reads B.
+max(1, floor(0.5 / (d (c1 + cmu)))) generations, counted from the start and
+from each restart.  Their C = I needs no decomposition, so the first sample
+uses B = I and D = 1 as they are.  Sampling and the whitening of the mean's
+step use the last B and D in between.  The gap is one generation for every
+default run at d <= 20, so those runs decompose every generation after the
+first; it is 3 at d = 50 and 6 at d = 100.  Diagonal mode refreshes only
+D = sqrt(C), in O(d) every generation; it never reads B.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) 
     state.eigen_B = np.eye(d)
     state.eigen_D = np.ones(d)
     # purecma's lazy gap of 0.5 lambda / (d (c1 + cmu)) FEs, in whole
-    # generations; the age starts due, so the first sample decomposes
+    # generations; the identity needs no decomposition, so the first sample
+    # uses B = I and D = 1 as they are
     state.eigen_gap = max(1, int(0.5 / (d * state.c_cov)))
-    state.eigen_age = state.eigen_gap
+    state.eigen_age = 0
     state.hist_best = deque(maxlen=10 + round(30.0 * d / state.lam))
     state.last_gen_spread = math.inf
     state.fes_at_start = fes_used
@@ -255,8 +257,12 @@ def covariance_step(C: np.ndarray, p_c: np.ndarray, ys: np.ndarray,
     else:
         rank_one = p_c[:, None] * p_c   # np.outer without its wrapper
         rank_mu = (weights[:, None] * ys).T @ ys
-    return (1.0 - c_cov) * C + (c_cov / mu_cov) * rank_one \
-        + c_cov * (1.0 - 1.0 / mu_cov) * rank_mu
+    out = (1.0 - c_cov) * C   # the terms are added in place, in this order
+    rank_one *= c_cov / mu_cov
+    out += rank_one
+    rank_mu *= c_cov * (1.0 - 1.0 / mu_cov)
+    out += rank_mu
+    return out
 
 
 def update_covariance(state: CmaState, ranked: np.ndarray,

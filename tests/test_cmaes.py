@@ -228,7 +228,7 @@ def test_on_restart_population_growth():
         assert np.array_equal(st.p_sigma, np.zeros(d))
         assert np.array_equal(st.eigen_B, np.eye(d))
         assert np.array_equal(st.eigen_D, np.ones(d))
-        assert st.eigen_age == st.eigen_gap    # the next sample decomposes
+        assert st.eigen_age == 0   # C = I: the next sample decomposes nothing
         assert len(st.hist_best) == 0
         assert st.hist_best.maxlen == 10 + round(30.0 * d / st.lam)
         assert st.last_gen_spread == math.inf
@@ -285,11 +285,11 @@ def test_eigen_gap_at_default_settings():
     for d, gap in ((2, 1), (5, 1), (10, 1), (20, 1), (50, 3), (100, 6)):
         st = init_state(CmaParams(), _bounds(d), rng_stream(0))
         assert st.eigen_gap == gap
-        assert st.eigen_age == gap    # the first sample decomposes
+        assert st.eigen_age == 0
 
 
 @pytest.mark.parametrize("d, mode, decompositions", [
-    (50, "full", 10), (10, "full", 30), (100, "full", 5), (50, "diagonal", 0)])
+    (50, "full", 9), (10, "full", 29), (100, "full", 4), (50, "diagonal", 0)])
 def test_eigendecomposition_schedule(monkeypatch, d, mode, decompositions):
     calls = _count_eigh(monkeypatch)
     rng = rng_stream(8)
@@ -300,18 +300,43 @@ def test_eigendecomposition_schedule(monkeypatch, d, mode, decompositions):
     assert calls[0] == decompositions
 
 
-def test_first_generation_after_restart_decomposes(monkeypatch):
+def test_restart_starts_the_decomposition_schedule_over(monkeypatch):
     calls = _count_eigh(monkeypatch)
     rng = rng_stream(9)
     params = CmaParams(pop_mode="constant", restart=False)
     runner = CmaRunner(params, _bounds(50), rng)
-    runner.generation(_sphere, rng)   # decomposes; the next two reuse B and D
     runner.generation(_sphere, rng)
-    assert calls[0] == 1 and runner.state.eigen_age == 2
+    runner.generation(_sphere, rng)
+    assert calls[0] == 0 and runner.state.eigen_age == 2
     on_restart(runner.state, params, _bounds(50), rng)
-    assert runner.state.eigen_gap == 3 and runner.state.eigen_age == 3
+    assert runner.state.eigen_gap == 3 and runner.state.eigen_age == 0
+    for _ in range(3):   # the identity, then two reuses of it
+        runner.generation(_sphere, rng)
+    assert calls[0] == 0 and runner.state.eigen_age == 3
     runner.generation(_sphere, rng)
-    assert calls[0] == 2 and runner.state.eigen_age == 1
+    assert calls[0] == 1 and runner.state.eigen_age == 1
+
+
+def test_first_sample_after_start_and_restart_uses_the_identity(monkeypatch):
+    """C = I needs no decomposition: the first generation after init_state
+    and after on_restart calls no eigh and samples mean + sigma * z bit for
+    bit (B = I, D = 1)."""
+    calls = _count_eigh(monkeypatch)
+    params = CmaParams(restart=False)
+    bounds = _bounds(10)
+    rng = rng_stream(10)
+    runner = CmaRunner(params, bounds, rng)
+    for restart in (False, True):
+        if restart:
+            for _ in range(5):
+                runner.generation(_sphere, rng)
+            on_restart(runner.state, params, bounds, rng)
+        st, before = runner.state, calls[0]
+        ref = copy.deepcopy(rng)
+        xs = sample_population(st, rng)
+        assert calls[0] == before
+        assert np.array_equal(xs, st.mean + st.sigma * ref.standard_normal((st.lam, st.d)))
+    assert calls[0] > 0   # the generations in between did decompose
 
 
 def _drive(runner, rng, budget, target=None):

@@ -7,14 +7,20 @@ full, diagonal, and full-then-diagonal (switching after 2 + 100*d/sqrt(lambda)
 FEs).  Cumulation and learning-rate constants follow the standard tutorial
 formulas.
 
-In full mode C is decomposed lazily, as in pycma: once every
-max(1, floor(0.5 / (d (c1 + cmu)))) generations, counted from the start and
-from each restart.  Their C = I needs no decomposition, so the first sample
-uses B = I and D = 1 as they are.  Sampling and the whitening of the mean's
-step use the last B and D in between.  The gap is one generation for every
-default run at d <= 20, so those runs decompose every generation after the
-first; it is 3 at d = 50 and 6 at d = 100.  Diagonal mode refreshes only
-D = sqrt(C), in O(d) every generation; it never reads B.
+In full mode C is decomposed lazily, as in pycma's purecma: only once more
+FEs than its gap of 0.5 lambda / (d (c1 + cmu)) have passed since the last
+decomposition, that is every floor(0.5 / (d (c1 + cmu))) + 1 generations,
+counted from the start and from each restart.  Their C = I needs no
+decomposition, so the first sample uses B = I and D = 1 as they are.
+Sampling and the whitening of the mean's step use the last B and D in
+between, and C is made exactly symmetric only right before it is
+decomposed.  At default settings the gap is
+
+    d      2-20   30   50   100
+    gap     2      3    4    7     generations
+
+and an IPOP restart that doubles lambda at d = 50 brings it to 2.  Diagonal
+mode refreshes only D = sqrt(C), in O(d) every generation; it never reads B.
 """
 
 from __future__ import annotations
@@ -153,10 +159,10 @@ def _reset(state: CmaState, params: CmaParams, mean: np.ndarray, fes_used: int) 
     state.p_sigma = np.zeros(d)
     state.eigen_B = np.eye(d)
     state.eigen_D = np.ones(d)
-    # purecma's lazy gap of 0.5 lambda / (d (c1 + cmu)) FEs, in whole
-    # generations; the identity needs no decomposition, so the first sample
-    # uses B = I and D = 1 as they are
-    state.eigen_gap = max(1, int(0.5 / (d * state.c_cov)))
+    # the fewest whole generations whose FEs exceed purecma's lazy gap of
+    # 0.5 lambda / (d (c1 + cmu)); the identity needs no decomposition, so
+    # the first sample uses B = I and D = 1 as they are
+    state.eigen_gap = int(0.5 / (d * state.c_cov)) + 1
     state.eigen_age = 0
     state.hist_best = deque(maxlen=10 + round(30.0 * d / state.lam))
     state.last_gen_spread = math.inf
@@ -184,6 +190,7 @@ def _refresh_eigensystem(state: CmaState) -> None:
     if state.eigen_age < state.eigen_gap:
         state.eigen_age += 1
         return
+    state.C = (state.C + state.C.T) / 2.0   # purecma's _enforce_symmetry
     if not np.isfinite(state.C).all():  # e.g. after sigma underflowed
         raise DegenerateState("covariance is not finite")
     vals, vecs = np.linalg.eigh(state.C)
@@ -274,8 +281,6 @@ def update_covariance(state: CmaState, ranked: np.ndarray,
         ys = (ranked[:state.mu] - old_mean) / state.sigma
     state.C = covariance_step(state.C, state.p_c, ys, state.weights,
                               state.c_cov, state.mu_cov)
-    if not state.diagonal:
-        state.C = (state.C + state.C.T) / 2.0  # exactly symmetric from here to eigh
 
 
 def record_generation(state: CmaState, fitnesses: np.ndarray) -> None:

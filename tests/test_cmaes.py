@@ -280,16 +280,21 @@ def _count_eigh(monkeypatch):
 
 
 def test_eigen_gap_at_default_settings():
-    # max(1, floor(0.5 / (d (c1 + cmu)))) generations: 1.18 at d=2, 1.99 at
-    # d=20, 3.57 at d=50 and 6.04 at d=100
-    for d, gap in ((2, 1), (5, 1), (10, 1), (20, 1), (50, 3), (100, 6)):
+    # floor(0.5 / (d (c1 + cmu))) + 1 generations: 0.5 / (d (c1 + cmu)) is
+    # 1.18 at d=2, 1.13 at d=3, 1.99 at d=20, 2.40 at d=30, 3.57 at d=50
+    # and 6.04 at d=100
+    for d, gap in ((2, 2), (3, 2), (5, 2), (10, 2), (20, 2), (30, 3), (50, 4), (100, 7)):
         st = init_state(CmaParams(), _bounds(d), rng_stream(0))
         assert st.eigen_gap == gap
         assert st.eigen_age == 0
+    # the first IPOP restart at d=50 doubles lambda to 30: 1.74 generations
+    st = init_state(CmaParams(), _bounds(50), rng_stream(0))
+    on_restart(st, CmaParams(), _bounds(50), rng_stream(0))
+    assert st.lam == 30 and st.eigen_gap == 2
 
 
 @pytest.mark.parametrize("d, mode, decompositions", [
-    (50, "full", 9), (10, "full", 29), (100, "full", 4), (50, "diagonal", 0)])
+    (50, "full", 7), (10, "full", 14), (100, "full", 4), (50, "diagonal", 0)])
 def test_eigendecomposition_schedule(monkeypatch, d, mode, decompositions):
     calls = _count_eigh(monkeypatch)
     rng = rng_stream(8)
@@ -309,10 +314,10 @@ def test_restart_starts_the_decomposition_schedule_over(monkeypatch):
     runner.generation(_sphere, rng)
     assert calls[0] == 0 and runner.state.eigen_age == 2
     on_restart(runner.state, params, _bounds(50), rng)
-    assert runner.state.eigen_gap == 3 and runner.state.eigen_age == 0
-    for _ in range(3):   # the identity, then two reuses of it
+    assert runner.state.eigen_gap == 4 and runner.state.eigen_age == 0
+    for _ in range(4):   # the identity, then three reuses of it
         runner.generation(_sphere, rng)
-    assert calls[0] == 0 and runner.state.eigen_age == 3
+    assert calls[0] == 0 and runner.state.eigen_age == 4
     runner.generation(_sphere, rng)
     assert calls[0] == 1 and runner.state.eigen_age == 1
 

@@ -49,9 +49,9 @@ import numpy as np
 # come from one sort of uniforms (de.SORT_PICKS_MAX_SIZE); the
 # best-base cell above picks through the same branch with 4 candidates.
 # Last, CMA-ES on both sides of its lazy eigendecomposition: the benchmark's
-# cmaes-d50 IPOP configuration at d=50 (a decomposition every 3 generations),
-# the default alone and nested in PSO at d=10 (every generation), and equal
-# weights with b = 5 (mu = 2) at d=10 (every 2 generations).
+# cmaes-d50 IPOP configuration at d=50 (a decomposition every 4 generations),
+# the default alone and nested in PSO at d=10 (every 2 generations), and
+# equal weights with b = 5 (mu = 2) at d=10 (every 3 generations).
 CONFIGS = {
     "de-rand1bin": {"exec.order": "de", "pop.size": "50",
                     "de.base_vector": "random", "de.recombination": "binomial"},

@@ -9,6 +9,7 @@ import sys
 
 from .benchmarks import make_instance
 from .config import export_parameter_space, load_parameter_file, validate
+from .core import check_seed
 from .executor import run
 from .reporting import RunRecord, write_records
 
@@ -42,6 +43,14 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer seed that rng_stream accepts."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridopt",
@@ -53,13 +62,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--function", required=True,
                        help="e.g. sphere, shifted_rotated_rastrigin, hybrid")
     p_run.add_argument("--dim", type=int, required=True)
-    p_run.add_argument("--seed", type=int, required=True)
+    p_run.add_argument("--seed", type=_seed, required=True)
     p_run.add_argument("--params", required=True, help="parameter file (key = value)")
     p_run.add_argument("--fe-budget", type=_positive(int), default=None,
                        help="objective evaluations (default 5000*dim)")
     p_run.add_argument("--wallclock-ms", type=_positive(float), default=None)
     p_run.add_argument("--trace-every", type=_positive(int), default=None)
-    p_run.add_argument("--instance-seed", type=int, default=0)
+    p_run.add_argument("--instance-seed", type=_seed, default=0)
     p_run.add_argument("--shift-file", default=None)
     p_run.add_argument("--rotation-file", default=None)
     p_run.add_argument("--out", required=True)
@@ -82,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(handler=_cmd_target_runner)
     p_tr.add_argument("config_id")
     p_tr.add_argument("instance", help="function:dim[:instance-seed]")
-    p_tr.add_argument("seed", type=int)
+    p_tr.add_argument("seed", type=_seed)
     p_tr.add_argument("switches", nargs=argparse.REMAINDER,
                       help="-- followed by --param value pairs")
     return parser
@@ -126,8 +135,8 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
     if wallclock is not None and not (_is_int(wallclock) or isinstance(wallclock, float)):
         raise ValueError(f"wallclock_ms must be a number, got {wallclock!r}")
     seeds = entry["seeds"]
-    if not (isinstance(seeds, list) and all(map(_is_int, seeds))):
-        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+    if not (isinstance(seeds, list) and seeds and all(map(_is_int, seeds))):
+        raise ValueError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
     if not (isinstance(params, dict) and all(isinstance(v, str) for v in params.values())):

@@ -20,14 +20,23 @@ class ParseError(ValueError):
     """Malformed text input (parameter file, shift/rotation data file)."""
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int, or a ValueError outside [0, 2**64), the range
+    rng_stream takes without aliasing one seed to another."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def rng_stream(seed: int, run_id: int = 0) -> np.random.Generator:
     """Independent, reproducible generator for one run.
 
     Streams are split by (seed, run_id) so concurrent runs never share state;
-    the same pair always yields the same draw sequence.
+    the same pair always yields the same draw sequence.  A seed outside
+    [0, 2**64) raises a ValueError.
     """
-    ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF,
-                                spawn_key=(int(run_id),))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=(int(run_id),))
     return np.random.Generator(np.random.PCG64(ss))
 
 

@@ -186,6 +186,8 @@ def test_batch_records_a_non_object_entry_as_one_error(tmp_path, capsys):
     ("params_file", 0), ("params", {"pop.size": 20.9}), ("params", {"de.beta": True}),
     ("params", {"pso.velocity_clamping": True}), ("params", {"exec.order": ["de"]}),
     ("params", ["de"]), ("function", 7),
+    # ran nothing and recorded nothing, so a plan of this entry alone exited 0
+    ("seeds", []),
 ])
 def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
     entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),
@@ -193,6 +195,13 @@ def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
     records, errors = run_batch([entry])
     assert records == [] and len(errors) == 1
     assert errors[0].startswith(f"e: {field} must be ")
+
+
+@pytest.mark.parametrize("field, value", [("seeds", [-1]), ("instance_seed", -1)])
+def test_batch_records_a_seed_outside_64_bits_as_one_error(field, value):
+    entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),
+             "function": "sphere", "dim": 2, "seeds": [1], "fe_budget": 100, field: value}
+    assert run_batch([entry]) == ([], ["e: seed must be in [0, 2**64), got -1"])
 
 
 def test_target_runner_prints_the_capped_cost_of_its_record(monkeypatch, capsys):
@@ -249,6 +258,28 @@ def test_run_command_rejects_non_positive_budgets(tmp_path, capsys):
         assert exit_info.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_seed_arguments_outside_64_bits_exit_2(tmp_path, capsys):
+    params = tmp_path / "algo.params"
+    params.write_text(format_parameter_file(default_config({"exec.order": "de"})))
+    base = ["run", "--function", "sphere", "--dim", "3", "--params", str(params),
+            "--out", str(tmp_path / "x.csv")]
+    switches = _switches(default_config({"exec.order": "de", "pop.size": "10"}))
+    for argv, name, seed in (
+            ([*base, "--seed", "-1"], "--seed", "-1"),
+            ([*base, "--seed", str(2 ** 64)], "--seed", str(2 ** 64)),
+            ([*base, "--seed", "1", "--instance-seed", "-1"], "--instance-seed", "-1"),
+            (["target-runner", "c1", "sphere:3:0", "-1", "--", *switches], "seed", "-1")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {name}: seed must be in [0, 2**64), got {seed}")
+    assert not (tmp_path / "x.csv").exists()
+    # the instance seed of target-runner's instance goes through make_instance
+    assert "seed must be in" in _bad_invocation(capsys, "sphere:3:-1", switches)
 
 
 def test_one_experiment_gives_one_cost(tmp_path, capsys):

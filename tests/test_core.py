@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridopt import Bounds, cap_reported_value, make_instance
+from hybridopt import Bounds, cap_reported_value, default_config, make_instance, run, validate
 from hybridopt.core import (BudgetExhausted, EvalBudget, Population, evaluate,
                             repair_to_bounds, rng_stream)
 
@@ -92,6 +92,23 @@ def test_rng_stream_reproducible():
     assert np.array_equal(a, b)
     c = rng_stream(1234, run_id=1).standard_normal(8)
     assert not np.array_equal(a, c)
+
+
+def test_a_seed_outside_64_bits_is_refused_not_aliased():
+    """A seed was masked to 64 bits, so -1 and 2**64 - 1 built the same
+    instance; every seed in [0, 2**64) keeps its stream."""
+    for seed in (-1, -2 ** 63, 2 ** 64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            rng_stream(seed)
+    for seed in (0, 2 ** 63, 2 ** 64 - 1):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+        assert np.array_equal(rng_stream(seed).standard_normal(4),
+                              np.random.Generator(np.random.PCG64(ss)).standard_normal(4))
+    with pytest.raises(ValueError, match="seed must be in"):
+        make_instance("shifted_rotated_rastrigin", 3, instance_seed=-1)
+    cfg = validate(default_config({"exec.order": "de", "pop.size": "10"}))
+    with pytest.raises(ValueError, match="seed must be in"):
+        run(cfg, make_instance("sphere", 3), -1, max_evals=100)
 
 
 def record(pop: Population, i: int, x: np.ndarray, fx: float) -> bool:

@@ -137,6 +137,8 @@ def _execute_entry(entry: dict) -> list[RunRecord]:
     seeds = entry["seeds"]
     if not (isinstance(seeds, list) and seeds and all(map(_is_int, seeds))):
         raise ValueError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    for seed in seeds:
+        check_seed(seed)
     params = (load_parameter_file(entry["params_file"]) if "params_file" in entry
               else entry.get("params", {}))
     if not (isinstance(params, dict) and all(isinstance(v, str) for v in params.values())):

@@ -197,8 +197,13 @@ def test_batch_records_a_field_of_the_wrong_type_as_one_error(field, value):
     assert errors[0].startswith(f"e: {field} must be ")
 
 
-@pytest.mark.parametrize("field, value", [("seeds", [-1]), ("instance_seed", -1)])
-def test_batch_records_a_seed_outside_64_bits_as_one_error(field, value):
+@pytest.mark.parametrize("field, value", [
+    ("seeds", [-1]), ("seeds", [1, 2, -1]), ("instance_seed", -1)])
+def test_batch_records_a_seed_outside_64_bits_as_one_error(field, value, monkeypatch):
+    def no_run(*args, **kwargs):   # every seed is checked before any runs
+        raise AssertionError("an entry with a bad seed ran")
+
+    monkeypatch.setattr(cli_mod, "run", no_run)
     entry = {"config_id": "e", "params": default_config({"exec.order": "de", "pop.size": "10"}),
              "function": "sphere", "dim": 2, "seeds": [1], "fe_budget": 100, field: value}
     assert run_batch([entry]) == ([], ["e: seed must be in [0, 2**64), got -1"])

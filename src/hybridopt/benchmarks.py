@@ -36,13 +36,13 @@ class InvalidPartition(ValueError):
 #
 # Each takes an (n, d) block Z, one point per row, and returns the n values.
 # The value of a row does not depend on the other rows of its block, bit for
-# bit: elementwise terms are summed per row with ``np.sum(axis=1)``, and each
-# dot product stays one ``np.dot`` per row (``einsum`` or a matrix-vector
-# product over the block sums in another order).
+# bit: elementwise terms are summed per row with ``np.sum(axis=1)``, and dot
+# products are one stacked (1, d) @ (d, 1) matmul, each row by ``np.dot``'s
+# routine (``einsum`` or a block matrix-vector product sums in another order).
 
 def _row_dots(a, b):
     """np.dot(a[i], b[i]) for every row i."""
-    return np.array([np.dot(u, v) for u, v in zip(a, b)])
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _sphere(Z):
@@ -61,7 +61,7 @@ def _elliptic(Z):
     if d == 1:
         return Z[:, 0] * Z[:, 0]
     w = _elliptic_weights(d)
-    return np.array([np.dot(w, z2) for z2 in Z * Z])
+    return ((Z * Z)[:, None, :] @ w)[:, 0]
 
 
 def _bent_cigar(Z):

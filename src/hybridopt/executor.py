@@ -256,10 +256,6 @@ class _Run:
             raise BudgetExhausted("FE or wall-clock budget spent")
         return fs
 
-    def ev(self, x: np.ndarray) -> float:
-        """One FE at the point x: the one-row case of ``ev_block``."""
-        return self.ev_block(x[None])[0]
-
     # -- initialization -----------------------------------------------------
 
     def initialize(self) -> None:
@@ -427,7 +423,7 @@ class _Run:
         self.active_module = "ls"
         try:
             if self.cfg.ls.algo == "mtsls":
-                mtsls_run(self.best_x, self.best_f, self.ev, self.bounds, grant,
+                mtsls_run(self.best_x, self.best_f, self.ev_block, self.bounds, grant,
                           self.cfg.ls, self.rng)
             else:
                 self.nested_ls.run_slice(self.best_x, self.best_f, self.ev_block, grant,

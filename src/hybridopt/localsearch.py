@@ -3,12 +3,14 @@
 Two searchers are available: a dimension-sweep trajectory search with
 step-size halving, and a nested, fully independent CMA-ES instance whose
 state persists across its scheduled slices.  Both are fed the incumbent
-best and may never return anything worse.
+best and the run's block evaluator, return an ``LsResult`` and may never
+return anything worse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +39,11 @@ def schedule_ls(total_fes: int, params: LsParams) -> tuple[int, int]:
     return total_ls // params.divide, total_ls
 
 
-@dataclass
-class MtslsResult:
+class LsResult(NamedTuple):
+    """What either searcher returns: best point, its fitness, FEs spent."""
     solution: np.ndarray
     fitness: float
     evals: int
-    ss_history: list[float] = field(default_factory=list)
 
 
 def bound_penalty(x: np.ndarray, inside: np.ndarray) -> float:
@@ -52,7 +53,7 @@ def bound_penalty(x: np.ndarray, inside: np.ndarray) -> float:
 
 
 def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
-              budget: int, params: LsParams, rng: np.random.Generator) -> MtslsResult:
+              budget: int, params: LsParams, rng: np.random.Generator) -> LsResult:
     """Dimension-sweep local search from `start`.
 
     Per dimension, the probe s_j - ss is tried first and s_j + ss/2 second;
@@ -62,8 +63,9 @@ def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
 
     Parameters
     ----------
-    f : callable evaluating a feasible point for one FE; may raise
-        BudgetExhausted, which ends the run gracefully.
+    f : the block evaluator ``NestedCmaes.run_slice`` takes; each probe is a
+        one-row block of one FE.  It may raise BudgetExhausted, which ends
+        the run gracefully.
     budget : FE slice for this run; the sweep stops exactly at the limit.
     """
     d = bounds.d
@@ -75,14 +77,13 @@ def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
     best_x = repair_to_bounds(s, bounds).copy()
     best_f = current_f
     evals = 0
-    ss_history: list[float] = []
 
     def probe(x):
         nonlocal evals, best_x, best_f
         if evals >= budget:
             raise BudgetExhausted("local-search slice spent")
         inside = repair_to_bounds(x, bounds)
-        value = f(inside)
+        value = f(inside[None])[0]
         evals += 1
         if value < best_f:
             best_f = value
@@ -114,12 +115,10 @@ def mtsls_run(start: np.ndarray, start_fitness: float, f, bounds: Bounds,
             elif improvement <= CONVERGENCE_EPS:
                 # converged: the step restarts at a random fraction of the box
                 ss = float(rng.uniform(0.3, 0.6)) * width
-            ss_history.append(float(ss[0]))
     except BudgetExhausted:
         pass
 
-    return MtslsResult(solution=best_x, fitness=best_f, evals=evals,
-                       ss_history=ss_history)
+    return LsResult(best_x, best_f, evals)
 
 
 class NestedCmaes:
@@ -132,7 +131,7 @@ class NestedCmaes:
         self.stalled = False  # set when a slice cannot fit one generation
 
     def run_slice(self, best: np.ndarray, best_fitness: float, f, budget: int,
-                  rng: np.random.Generator, fes_used: int = 0) -> tuple[np.ndarray, float, int]:
+                  rng: np.random.Generator, fes_used: int = 0) -> LsResult:
         """Advance the nested instance by up to `budget` FEs.
 
         f evaluates a block of points, one per row, and returns their values
@@ -160,10 +159,10 @@ class NestedCmaes:
 
         if self.runner.state.lam > budget:
             self.stalled = True  # a whole generation no longer fits a slice
-            return out_x, out_f, consumed
+            return LsResult(out_x, out_f, consumed)
         try:
             while consumed + self.runner.state.lam <= budget:
                 self.runner.generation(tracked, rng, fes_used=fes_used + consumed)
         except BudgetExhausted:
             pass
-        return out_x, out_f, consumed
+        return LsResult(out_x, out_f, consumed)

@@ -266,15 +266,17 @@ def _fully_informed_social(X: np.ndarray, informants, params: PsoParams, phi2, p
     if params.pert_info != "none":
         S = _perturb(S, params.pert_info, pm[:, None], rng)
     diff = _to_basis(S - X[:, None], basis)
-    if m.min() + 1 == width:
+    padded = m.min() + 1 < width
+    if not padded:
         U = rng.random((n, width, d))
     else:  # slots past a row's own repeat its last row; they are masked below
         first = np.cumsum(m + 1) - (m + 1)
         U = rng.random((first[-1] + m[-1] + 1, d))
         U = U[first[:, None] + np.minimum(np.arange(width), m[:, None])]
-    terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:] * diff
-    # s + -0.0 == s bit for bit, so padding leaves every row's sum as it was
-    terms[np.arange(width - 1) >= m[:, None]] = -0.0
+    terms = informant_weights(params.moi, m, phi2)[:, :, None] * U[:, 1:]
+    terms *= diff
+    if padded:   # s + -0.0 == s bit for bit, so padding leaves each row's sum
+        terms[np.arange(width - 1) >= m[:, None]] = -0.0
     return U, np.add.reduce(terms, axis=1, initial=0.0)
 
 

@@ -87,7 +87,8 @@ def test_criterion_01_equation_oracles():
         visited.append(float(x[0]))
         return float(x[0] ** 2)
 
-    res = mtsls_run(np.array([4.0]), 16.0, f, Bounds(np.zeros(1), np.full(1, 8.0)),
+    res = mtsls_run(np.array([4.0]), 16.0, lambda X: [f(x) for x in X],
+                    Bounds(np.zeros(1), np.full(1, 8.0)),
                     budget=50,
                     params=LsParams(algo="mtsls", mtsls_init_ss=1 / 8,
                                     mtsls_iterations=5),
@@ -163,7 +164,7 @@ def test_criterion_06_mtsls():
     for trial in range(20):
         start = obj.bounds.sample_uniform(rng)
         start_fitness = obj(start)
-        res = mtsls_run(start, start_fitness, obj, obj.bounds, budget=200,
+        res = mtsls_run(start, start_fitness, obj.batch, obj.bounds, budget=200,
                         params=params, rng=rng)
         assert res.fitness <= start_fitness
 
@@ -175,13 +176,23 @@ def test_criterion_06_mtsls():
     assert values == sorted(values, reverse=True)
     assert result.module_evals.get("ls", 0) > 0
 
-    flat = mtsls_run(np.ones(3), 1.0, lambda x: 1.0, Bounds.symmetric(4.0, 3),
-                     budget=500,
-                     params=LsParams(algo="mtsls", mtsls_init_ss=0.5,
-                                     mtsls_iterations=3),
-                     rng=rng_stream(7))
+    # on a flat function every probe fails, so ss halves after every sweep:
+    # sweeps 2-4 each start at a restart point, probes 6, 13 and 20, and
+    # probe s_1 - ss first
+    probes = []
+
+    def flat(X):
+        probes.extend(x.copy() for x in X)
+        return [1.0] * len(X)
+
+    res = mtsls_run(np.ones(3), 1.0, flat, Bounds.symmetric(4.0, 3), budget=500,
+                    params=LsParams(algo="mtsls", mtsls_init_ss=0.5,
+                                    mtsls_iterations=4),
+                    rng=rng_stream(7))
     ss0 = 0.5 * 8.0
-    assert flat.ss_history == pytest.approx([ss0 / 2, ss0 / 4, ss0 / 8])
+    assert res.fitness == 1.0 and res.evals == len(probes) == 6 + 3 * 7
+    steps = [probes[i][0] - probes[i + 1][0] for i in (6, 13, 20)]
+    assert steps == pytest.approx([ss0 / 2, ss0 / 4, ss0 / 8])
 
 
 @_report(7, "covariance stays symmetric and positive definite on Rosenbrock")

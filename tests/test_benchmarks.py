@@ -301,6 +301,25 @@ def test_batch_rows_equal_point_values_bitwise(d):
         assert inst.batch(X[::3]).tobytes() == expected[::3].tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 3, 17, 64, 333, 1000])
+def test_stacked_row_dots_equal_per_row_np_dot(d):
+    # _row_dots and _elliptic make one stacked matmul per block; every row
+    # must equal its own np.dot bit for bit, on contiguous and sliced operands
+    rng = rng_stream(d)
+    for n in (1, 2, 40):
+        Z = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        blocks = [Z, Z[:, 1:], Z[:, :-1], Z.take(rng.permutation(d), axis=1), Z[::2]]
+        for A in blocks:
+            expected = np.array([np.dot(u, u) for u in A])
+            assert _benchmarks._row_dots(A, A).tobytes() == expected.tobytes(), (n, A.shape)
+            if A.shape[1] > 1:
+                w = np.power(1e6, np.arange(A.shape[1]) / (A.shape[1] - 1))
+                expected = np.array([np.dot(w, z * z) for z in A])
+                assert _benchmarks._elliptic(A).tobytes() == expected.tobytes(), (n, A.shape)
+        expected = np.array([np.dot(u, v) for u, v in zip(Z[:, 1:], Z[:, :-1])])
+        assert _benchmarks._row_dots(Z[:, 1:], Z[:, :-1]).tobytes() == expected.tobytes()
+
+
 def test_batch_shape_and_partition_checked_once():
     inst = make_instance("hybrid", 4, parts="sphere:0-1,rastrigin:2-3")
     assert inst.batch(np.zeros((0, 4))).shape == (0,)

@@ -4,7 +4,17 @@ import pytest
 import hybridopt.executor
 from hybridopt import Bounds, CmaParams, default_config, make_instance, run, validate
 from hybridopt.core import rng_stream
-from hybridopt.localsearch import LsParams, NestedCmaes, mtsls_run, schedule_ls
+from hybridopt.localsearch import LsParams, LsResult, NestedCmaes, mtsls_run, schedule_ls
+
+
+def _rows(f, probes=None):
+    """The block evaluator of the point function f, as the run's funnel takes
+    blocks; each row it receives is appended to probes."""
+    def ev(X):
+        if probes is not None:
+            probes.extend(x.copy() for x in X)
+        return [f(x) for x in X]
+    return ev
 
 
 def test_schedule_ls_worked_example():
@@ -36,44 +46,51 @@ def test_scheduler_extra_runs_until_spent(monkeypatch):
 
 
 def test_mtsls_monotone_descent_1d():
-    bounds = Bounds(np.array([0.0]), np.array([8.0]))
-    visited = []
-
-    def f(x):
-        visited.append(float(x[0]))
-        return float(x[0] ** 2)
-
-    params = LsParams(algo="mtsls", mtsls_init_ss=1 / 8, mtsls_iterations=5,
+    bounds = Bounds(np.array([-8.0]), np.array([8.0]))
+    probes = []
+    params = LsParams(algo="mtsls", mtsls_init_ss=1 / 16, mtsls_iterations=6,
                       mtsls_bias=0.5)
-    res = mtsls_run(np.array([4.0]), 16.0, f, bounds, budget=100, params=params,
-                    rng=rng_stream(0))
-    assert visited[:4] == [3.0, 2.0, 1.0, 0.0]   # one step down per sweep
+    res = mtsls_run(np.array([4.0]), 16.0, _rows(lambda x: float(x[0] ** 2), probes),
+                    bounds, budget=100, params=params, rng=rng_stream(0))
+    visited = [float(x[0]) for x in probes]
+    # 4 improving sweeps keep ss = 1: one step down per sweep
+    assert visited[:4] == [3.0, 2.0, 1.0, 0.0]
+    # the 5th sweep is fruitless (0 - 1, then 0 + 1/2) and halves ss; the 6th
+    # restarts at visited[6] and its first probe is half a step below it
+    assert visited[4:6] == [-1.0, 0.5]
+    assert visited[6] - visited[7] == pytest.approx(0.5)
     assert res.fitness == 0.0
     assert res.solution == pytest.approx([0.0])
-    # 4 improving sweeps keep ss = 1; the 5th is fruitless and halves it
-    assert res.ss_history == pytest.approx([1.0, 1.0, 1.0, 1.0, 0.5])
 
 
 def test_mtsls_no_improvement_halves_step():
     bounds = Bounds.symmetric(4.0, 2)
-
-    def f(x):
-        return float(np.dot(x, x))
-
-    params = LsParams(algo="mtsls", mtsls_init_ss=0.25, mtsls_iterations=1)
-    res = mtsls_run(np.zeros(2), 0.0, f, bounds, budget=50, params=params,
-                    rng=rng_stream(1))
+    probes = []
+    params = LsParams(algo="mtsls", mtsls_init_ss=0.25, mtsls_iterations=2)
+    res = mtsls_run(np.zeros(2), 0.0, _rows(lambda x: float(np.dot(x, x)), probes),
+                    bounds, budget=50, params=params, rng=rng_stream(1))
     assert res.fitness == 0.0
-    assert res.ss_history == pytest.approx([1.0])   # ss0 = 2, halved once
+    # ss0 = 2: the first sweep's 4 probes all fail, so ss is halved once and
+    # the second sweep's first probe, after its restart point, is 1 below it
+    assert np.array_equal(probes[0], [-2.0, 0.0])
+    restart, first = probes[4], probes[5]
+    assert restart[0] - first[0] == pytest.approx(1.0)
+    assert first[1] == restart[1]
 
 
 def test_mtsls_step_halves_every_sweep_on_constant():
     bounds = Bounds.symmetric(4.0, 3)
-    params = LsParams(algo="mtsls", mtsls_init_ss=0.5, mtsls_iterations=3)
-    res = mtsls_run(np.ones(3), 1.0, lambda x: 1.0, bounds, budget=1000,
-                    params=params, rng=rng_stream(2))
+    probes = []
+    params = LsParams(algo="mtsls", mtsls_init_ss=0.5, mtsls_iterations=4)
+    res = mtsls_run(np.ones(3), 1.0, _rows(lambda x: 1.0, probes), bounds,
+                    budget=1000, params=params, rng=rng_stream(2))
     ss0 = 0.5 * 8.0
-    assert res.ss_history == pytest.approx([ss0 / 2, ss0 / 4, ss0 / 8])
+    # every probe fails: a sweep is 6 probes, and each later sweep starts at
+    # a restart point, so sweeps 2-4 start at probes 6, 13 and 20
+    assert len(probes) == 6 + 3 * 7
+    assert probes[0][0] == 1.0 - ss0
+    steps = [probes[i][0] - probes[i + 1][0] for i in (6, 13, 20)]
+    assert steps == pytest.approx([ss0 / 2, ss0 / 4, ss0 / 8])
     assert res.fitness == 1.0   # never worse than the input
 
 
@@ -81,23 +98,22 @@ def test_mtsls_out_of_bounds_penalty():
     # Minimizing -x^2 on [0,1]: the probe at 1.5 evaluates the clamped point
     # 1.0 and is rejected because of the +0.5^2 penalty, while a probe at 1.1
     # (penalty 0.01) is accepted.  Without the penalty both would win.
-    seen = []
-
-    def f(x):
-        seen.append(float(x[0]))
-        return -float(x[0] ** 2)
-
+    probes = []
+    f = _rows(lambda x: -float(x[0] ** 2), probes)
     bounds = Bounds(np.array([0.0]), np.array([1.0]))
-    params = LsParams(algo="mtsls", mtsls_init_ss=1.0, mtsls_iterations=2)
+    params = LsParams(algo="mtsls", mtsls_init_ss=1.0, mtsls_iterations=3)
     res = mtsls_run(np.array([0.5]), -0.25, f, bounds, budget=10, params=params,
                     rng=rng_stream(3))
+    seen = [float(x[0]) for x in probes]
     # sweep 1: 0.5-1.0 -> clamp 0 rejected; 0.5+0.5 = 1.0 accepted (f=-1)
     # sweep 2: 1.0-1.0 -> 0 rejected; 1.0+0.5 = 1.5 -> clamp 1.0, value
     #          -1 + 0.25 = -0.75 > -1 rejected, so the sweep is fruitless
+    assert seen[:4] == [0.0, 1.0, 0.0, 1.0]
     assert res.fitness == -1.0
     assert res.solution == pytest.approx([1.0])
     assert all(0.0 <= x <= 1.0 for x in seen)    # only feasible evaluations
-    assert res.ss_history[-1] == pytest.approx(0.5)  # fruitless sweep halved ss
+    # the fruitless sweep halved ss: sweep 3 probes half a step below its restart
+    assert seen[4] - seen[5] == pytest.approx(0.5)
 
     accept = LsParams(algo="mtsls", mtsls_init_ss=0.4, mtsls_iterations=1)
     res2 = mtsls_run(np.array([0.9]), -0.81, f, bounds, budget=10,
@@ -113,37 +129,34 @@ def test_mtsls_tiny_improvement_triggers_reset_and_bias_restart():
     def f(x):
         return 1e-21 * float(x[0] ** 2)
 
+    probes = []
     params = LsParams(algo="mtsls", mtsls_init_ss=0.25, mtsls_iterations=2,
                       mtsls_bias=1.0)
-    res = mtsls_run(np.array([2.0]), f(np.array([2.0])), f, bounds, budget=100,
-                    params=params, rng=rng_stream(5))
-    # first sweep improves by 4e-21 <= 1e-20: ss resets into [0.3, 0.6]*width
-    assert 0.3 * 8.0 <= res.ss_history[0] <= 0.6 * 8.0
-    # with bias 1 the restart point is exactly the best-so-far
+    res = mtsls_run(np.array([2.0]), f(np.array([2.0])), _rows(f, probes), bounds,
+                    budget=100, params=params, rng=rng_stream(5))
+    seen = [float(x[0]) for x in probes]
+    # first sweep: 2 - 2 = 0 improves by 4e-21 <= 1e-20, so ss resets into
+    # [0.3, 0.6]*width; with bias 1 the restart point is exactly the best, 0.
+    # The second sweep's first probe 0 - ss may be clamped, so read ss from
+    # its second probe, 0 + ss/2
+    assert seen[:2] == [0.0, 0.0]
+    assert 0.3 * 8.0 <= 2.0 * seen[3] <= 0.6 * 8.0
     assert res.fitness <= f(np.array([2.0]))
 
 
 def test_mtsls_budget_slice_respected():
     calls = []
-
-    def f(x):
-        calls.append(1)
-        return float(np.dot(x, x))
-
     bounds = Bounds.symmetric(5.0, 4)
     params = LsParams(algo="mtsls", mtsls_init_ss=0.5, mtsls_iterations=3)
-    res = mtsls_run(np.full(4, 3.0), 36.0, f, bounds, budget=5, params=params,
-                    rng=rng_stream(6))
+    res = mtsls_run(np.full(4, 3.0), 36.0, _rows(lambda x: float(np.dot(x, x)), calls),
+                    bounds, budget=5, params=params, rng=rng_stream(6))
     assert res.evals == 5 == len(calls)
     assert res.fitness <= 36.0
 
 
 def test_mtsls_determinism():
     bounds = Bounds.symmetric(5.0, 3)
-
-    def f(x):
-        return float(np.dot(x, x))
-
+    f = _rows(lambda x: float(np.dot(x, x)))
     params = LsParams(algo="mtsls", mtsls_init_ss=0.3, mtsls_iterations=3,
                       mtsls_bias=-0.5)
     a = mtsls_run(np.full(3, 2.0), 12.0, f, bounds, 40, params, rng_stream(7))
@@ -223,3 +236,20 @@ def test_nested_cmaes_state_persists_across_slices():
     assert searcher.runner.state.gen > gen1   # same instance kept evolving
     assert fit2 <= fit1
     assert used1 <= 200 and used2 <= 200
+
+
+def test_both_searchers_return_ls_result():
+    bounds = Bounds.symmetric(10.0, 3)
+    start = np.full(3, 2.0)
+    results = [
+        mtsls_run(start, 12.0, _sphere_rows, bounds, 30, LsParams(algo="mtsls"),
+                  rng_stream(8)),
+        NestedCmaes(CmaParams(), bounds).run_slice(start, 12.0, _sphere_rows, 30,
+                                                   rng_stream(8)),
+    ]
+    for res in results:
+        assert type(res) is LsResult
+        solution, fitness, evals = res   # index order: (solution, fitness, evals)
+        assert fitness == res.fitness <= 12.0
+        assert fitness == float(np.dot(solution, solution))
+        assert 0 < evals == res.evals <= 30

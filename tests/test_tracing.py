@@ -27,6 +27,8 @@ _SPEC.loader.exec_module(tracing)
      "pso.pm_mode": "success_rate", "pso.pm": "0.05", "pso.pert_info": "uniform",
      "pso.pert_rand": "noisy", "pso.moi": "fully_informed",
      "pso.vector_basis": "eigenvector"},
+    {"exec.order": "de", "pop.size": "10", "ls.algo": "mtsls"},
+    {"exec.order": "de", "pop.size": "10", "ls.algo": "cmaes"},
 ])
 def test_traced_run_equals_untraced_run(overrides, monkeypatch):
     reinit_sizes = []
@@ -65,6 +67,11 @@ def test_traced_run_equals_untraced_run(overrides, monkeypatch):
     else:   # the PSO step calls the wrapped row-block functions by name
         assert calls["pso.stagnation_check"] == calls["pso.perturbation_magnitude"] > 0
         assert calls["de.population_eigenbasis"] == calls["pso.stagnation_check"]
+    if "ls.algo" in overrides:   # one span per LS run, and its FEs are counted
+        span = {"mtsls": "localsearch.mtsls_run",
+                "cmaes": "localsearch.NestedCmaes.run_slice"}[overrides["ls.algo"]]
+        assert calls[span] == tracer.counts["localsearch.runs"] > 0
+        assert tracer.counts["localsearch.fes"] == traced.module_evals["ls"] > 0
     if "exec.reinit" in overrides:   # members were re-initialized, as untraced
         assert calls["executor.apply_reinitialization"] > 0
         assert sum(reinit_sizes) == 2 * plain_reinit > 0

@@ -156,18 +156,15 @@ def test_mtsls_budget_slice_respected():
 
 def test_mtsls_determinism():
     bounds = Bounds.symmetric(5.0, 3)
-    f = _rows(lambda x: float(np.dot(x, x)))
     params = LsParams(algo="mtsls", mtsls_init_ss=0.3, mtsls_iterations=3,
                       mtsls_bias=-0.5)
-    a = mtsls_run(np.full(3, 2.0), 12.0, f, bounds, 40, params, rng_stream(7))
-    b = mtsls_run(np.full(3, 2.0), 12.0, f, bounds, 40, params, rng_stream(7))
+    a = mtsls_run(np.full(3, 2.0), 12.0, _sphere_rows, bounds, 40, params, rng_stream(7))
+    b = mtsls_run(np.full(3, 2.0), 12.0, _sphere_rows, bounds, 40, params, rng_stream(7))
     assert np.array_equal(a.solution, b.solution)
     assert a.fitness == b.fitness and a.evals == b.evals
 
 
-def _sphere_rows(X):
-    """The sphere at every row of a block, as ``run_slice`` evaluates."""
-    return [float(np.dot(x, x)) for x in X]
+_sphere_rows = _rows(lambda x: float(np.dot(x, x)))   # the sphere at every row
 
 
 def test_cmaes_ls_improves_sphere():
